@@ -19,8 +19,8 @@
 //!
 //! Each workload also asserts the backend's determinism contract: the
 //! multi-thread scalar and the simd outputs must be **bitwise
-//! identical** to the one-thread scalar one. The resulting
-//! [`KernelsEntry`] batch is appended to
+//! identical** to the one-thread scalar one. The resulting batch of
+//! [`KERNELS`] entries is appended to
 //! `results/BENCH_kernels.json` and can be rendered / gated with
 //! `slm-report --kernels [--check]`. Throughputs are recorded for the
 //! trajectory but never gated — they are host-dependent.
@@ -38,7 +38,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 use sl_rng::rngs::StdRng;
 
 use sl_bench::report::{
-    append_kernels_trajectory, check_kernels, kernels_bench_path, render_kernels, KernelsEntry,
+    append_trajectory, check, render_table, trajectory_path, CheckConfig, Entry, KERNELS,
 };
 use sl_tensor::{
     backend_for, conv2d_backward_with, conv2d_with, matmul_with, randn, Backend, BackendKind,
@@ -79,30 +79,70 @@ fn main() -> ExitCode {
         pooled.threads()
     );
 
+    let pools = [&serial, pooled];
     let mut batch = Vec::new();
-    for (m, k, n, label) in [(256, 16, 64, "dense batch"), (64, 96, 96, "gru gates")] {
-        batch.push(measure_matmul(now_s, &serial, pooled, m, k, n, label));
+    // A dense-layer batch and the GRU gates.
+    for (m, k, n) in [(256, 16, 64), (64, 96, 96)] {
+        let mut rng = StdRng::seed_from_u64(SEED);
+        let a = randn([m, k], 0.0, 1.0, &mut rng);
+        let b = randn([k, n], 0.0, 1.0, &mut rng);
+        batch.push(measure(
+            now_s,
+            pools,
+            ("matmul", &format!("{m}x{k}x{n}")),
+            2.0 * (m * k * n) as f64,
+            || {
+                std::hint::black_box(ref_matmul(a.data(), b.data(), m, k, n));
+            },
+            |pool, be| [matmul_with(pool, be, &a, &b)],
+        ));
     }
-    // Both UE convolutions: 1→8 and the 8→1 layer that dominates the step.
+    // Both UE convolutions, 1→8 and the 8→1 layer that dominates the
+    // step: a batch of four 40×40 maps through a 3×3 'same' convolution.
     for (c_in, c_out) in [(1, 8), (8, 1)] {
-        let conv = ConvWorkload::new(c_in, c_out);
-        batch.push(measure_conv_fwd(now_s, &serial, pooled, &conv));
-        batch.push(measure_conv_bwd(now_s, &serial, pooled, &conv));
+        let mut rng = StdRng::seed_from_u64(SEED ^ c_in as u64);
+        let x = randn([4, c_in, 40, 40], 0.0, 1.0, &mut rng);
+        let w = randn([c_out, c_in, 3, 3], 0.0, 0.5, &mut rng);
+        let b = randn([c_out], 0.0, 0.1, &mut rng);
+        let flops = 2.0 * (4 * 40 * 40) as f64 * (c_out * c_in * 3 * 3) as f64;
+        let shape = format!("4x{c_in}x40x40*{c_out}x{c_in}x3x3");
+        let pad = Padding::Same;
+        batch.push(measure(
+            now_s,
+            pools,
+            ("conv2d_fwd", &shape),
+            flops,
+            || {
+                std::hint::black_box(ref_conv2d(&x, &w, &b, pad));
+            },
+            |pool, be| [conv2d_with(pool, be, &x, &w, &b, pad)],
+        ));
+        let g = conv2d_with(&serial, backend_for(BackendKind::Scalar), &x, &w, &b, pad);
+        // grad_input + grad_weight are each one forward-sized GEMM.
+        batch.push(measure(
+            now_s,
+            pools,
+            ("conv2d_bwd", &shape),
+            2.0 * flops,
+            || {
+                std::hint::black_box(ref_conv2d_backward(&x, &w, &g, pad));
+            },
+            |pool, be| {
+                let grads = conv2d_backward_with(pool, be, &x, &w, &g, pad);
+                [grads.grad_input, grads.grad_weight, grads.grad_bias]
+            },
+        ));
     }
 
-    print!("{}", render_kernels(&batch));
-    let failures = check_kernels(&batch);
+    print!("{}", render_table(&KERNELS, &batch));
+    let failures = check(&KERNELS, &batch, &[], &CheckConfig::default());
     for f in &failures {
         eprintln!("kernels: FAIL {f}");
     }
 
     if !no_append {
-        let path = kernels_bench_path(&results_dir);
-        if let Err(e) = std::fs::create_dir_all(&results_dir) {
-            eprintln!("kernels: {}: {e}", results_dir.display());
-            return ExitCode::from(2);
-        }
-        match append_kernels_trajectory(&path, &batch) {
+        let path = trajectory_path(&results_dir, KERNELS.name);
+        match append_trajectory(&KERNELS, &path, KERNELS.name, &batch) {
             Ok(total) => eprintln!(
                 "kernels: appended {} entries to {} ({total} total)",
                 batch.len(),
@@ -119,6 +159,48 @@ fn main() -> ExitCode {
     } else {
         ExitCode::from(1)
     }
+}
+
+/// Times one kernel workload at the four tiers and checks the pooled
+/// and simd outputs bitwise against the one-thread scalar output.
+/// `reference` runs the pre-backend loop; `run(pool, backend)` runs the
+/// backend kernel and returns its output tensors.
+fn measure<const N: usize>(
+    now_s: u64,
+    [serial, pooled]: [&ComputePool; 2],
+    (kernel, shape): (&str, &str),
+    flops: f64,
+    reference: impl FnMut(),
+    run: impl Fn(&ComputePool, &dyn Backend) -> [Tensor; N],
+) -> Entry {
+    let scalar = backend_for(BackendKind::Scalar);
+    let tiers = [
+        (serial, scalar),
+        (pooled, scalar),
+        (serial, backend_for(BackendKind::Simd)),
+    ];
+    let ref_gflops = time_gflops(flops, reference);
+    let [serial_gflops, pooled_gflops, simd_gflops] = tiers.map(|(pool, be)| {
+        time_gflops(flops, || {
+            std::hint::black_box(run(pool, be));
+        })
+    });
+    let want = run(serial, scalar);
+    let eq = tiers[1..].iter().all(|&(pool, be)| {
+        let got = run(pool, be);
+        got.iter().zip(&want).all(|(a, b)| bitwise_equal(a, b))
+    });
+    eprintln!("kernels: {kernel} {shape}");
+    Entry::new()
+        .num("timestamp_s", now_s as f64)
+        .str("kernel", kernel)
+        .str("shape", shape)
+        .num("threads", pooled.threads() as f64)
+        .num("ref_gflops", ref_gflops)
+        .num("serial_gflops", serial_gflops)
+        .num("pooled_gflops", pooled_gflops)
+        .num("simd_gflops", simd_gflops)
+        .bool("bitwise_equal", eq)
 }
 
 /// Best-observed throughput for `f`, in GFLOP/s: one warm-up call, then
@@ -167,51 +249,6 @@ fn ref_matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
         }
     }
     out
-}
-
-fn measure_matmul(
-    now_s: u64,
-    serial: &ComputePool,
-    pooled: &ComputePool,
-    m: usize,
-    k: usize,
-    n: usize,
-    label: &str,
-) -> KernelsEntry {
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let a = randn([m, k], 0.0, 1.0, &mut rng);
-    let b = randn([k, n], 0.0, 1.0, &mut rng);
-    let flops = 2.0 * (m * k * n) as f64;
-
-    let scalar = backend_for(BackendKind::Scalar);
-    let simd = backend_for(BackendKind::Simd);
-    let ref_gflops = time_gflops(flops, || {
-        std::hint::black_box(ref_matmul(a.data(), b.data(), m, k, n));
-    });
-    let serial_gflops = time_gflops(flops, || {
-        std::hint::black_box(matmul_with(serial, scalar, &a, &b));
-    });
-    let pooled_gflops = time_gflops(flops, || {
-        std::hint::black_box(matmul_with(pooled, scalar, &a, &b));
-    });
-    let simd_gflops = time_gflops(flops, || {
-        std::hint::black_box(matmul_with(serial, simd, &a, &b));
-    });
-    let want = matmul_with(serial, scalar, &a, &b);
-    let eq = bitwise_equal(&want, &matmul_with(pooled, scalar, &a, &b))
-        && bitwise_equal(&want, &matmul_with(serial, simd, &a, &b));
-    eprintln!("kernels: matmul {m}x{k}x{n} ({label})");
-    KernelsEntry {
-        timestamp_s: now_s,
-        kernel: "matmul".to_string(),
-        shape: format!("{m}x{k}x{n}"),
-        threads: pooled.threads() as u64,
-        ref_gflops,
-        serial_gflops,
-        pooled_gflops,
-        simd_gflops,
-        bitwise_equal: eq,
-    }
 }
 
 /// The pre-backend convolution idiom: direct loops over every output
@@ -284,122 +321,4 @@ fn ref_conv2d_backward(x: &Tensor, w: &Tensor, g: &Tensor, pad: Padding) -> (Ten
 fn dims4(t: &Tensor) -> (usize, usize, usize, usize) {
     let d = t.dims();
     (d[0], d[1], d[2], d[3])
-}
-
-/// Conv workload shaped like one of the paper's UE-side convolutions: a
-/// batch of four 40×40 maps through a 3×3 'same' convolution.
-struct ConvWorkload {
-    x: Tensor,
-    w: Tensor,
-    b: Tensor,
-    /// Forward FLOPs.
-    flops: f64,
-    /// `NxCxHxW*OxCxKxK`, as recorded in the trajectory.
-    shape: String,
-}
-
-impl ConvWorkload {
-    fn new(c_in: usize, c_out: usize) -> ConvWorkload {
-        let mut rng = StdRng::seed_from_u64(SEED ^ c_in as u64);
-        let x = randn([4, c_in, 40, 40], 0.0, 1.0, &mut rng);
-        let w = randn([c_out, c_in, 3, 3], 0.0, 0.5, &mut rng);
-        let b = randn([c_out], 0.0, 0.1, &mut rng);
-        let flops = 2.0 * (4 * 40 * 40) as f64 * (c_out * c_in * 3 * 3) as f64;
-        let shape = format!("4x{c_in}x40x40*{c_out}x{c_in}x3x3");
-        ConvWorkload {
-            x,
-            w,
-            b,
-            flops,
-            shape,
-        }
-    }
-}
-
-fn measure_conv_fwd(
-    now_s: u64,
-    serial: &ComputePool,
-    pooled: &ComputePool,
-    conv: &ConvWorkload,
-) -> KernelsEntry {
-    let ConvWorkload { x, w, b, flops, .. } = conv;
-    let pad = Padding::Same;
-    let scalar = backend_for(BackendKind::Scalar);
-    let simd: &dyn Backend = backend_for(BackendKind::Simd);
-    let ref_gflops = time_gflops(*flops, || {
-        std::hint::black_box(ref_conv2d(x, w, b, pad));
-    });
-    let serial_gflops = time_gflops(*flops, || {
-        std::hint::black_box(conv2d_with(serial, scalar, x, w, b, pad));
-    });
-    let pooled_gflops = time_gflops(*flops, || {
-        std::hint::black_box(conv2d_with(pooled, scalar, x, w, b, pad));
-    });
-    let simd_gflops = time_gflops(*flops, || {
-        std::hint::black_box(conv2d_with(serial, simd, x, w, b, pad));
-    });
-    let want = conv2d_with(serial, scalar, x, w, b, pad);
-    let eq = bitwise_equal(&want, &conv2d_with(pooled, scalar, x, w, b, pad))
-        && bitwise_equal(&want, &conv2d_with(serial, simd, x, w, b, pad));
-    eprintln!("kernels: conv2d_fwd {} same", conv.shape);
-    KernelsEntry {
-        timestamp_s: now_s,
-        kernel: "conv2d_fwd".to_string(),
-        shape: conv.shape.clone(),
-        threads: pooled.threads() as u64,
-        ref_gflops,
-        serial_gflops,
-        pooled_gflops,
-        simd_gflops,
-        bitwise_equal: eq,
-    }
-}
-
-fn measure_conv_bwd(
-    now_s: u64,
-    serial: &ComputePool,
-    pooled: &ComputePool,
-    conv: &ConvWorkload,
-) -> KernelsEntry {
-    let ConvWorkload { x, w, b, .. } = conv;
-    let pad = Padding::Same;
-    let scalar = backend_for(BackendKind::Scalar);
-    let simd: &dyn Backend = backend_for(BackendKind::Simd);
-    let g = conv2d_with(serial, scalar, x, w, b, pad);
-    // grad_input + grad_weight are each one forward-sized GEMM.
-    let flops = 2.0 * conv.flops;
-
-    let ref_gflops = time_gflops(flops, || {
-        std::hint::black_box(ref_conv2d_backward(x, w, &g, pad));
-    });
-    let serial_gflops = time_gflops(flops, || {
-        std::hint::black_box(conv2d_backward_with(serial, scalar, x, w, &g, pad));
-    });
-    let pooled_gflops = time_gflops(flops, || {
-        std::hint::black_box(conv2d_backward_with(pooled, scalar, x, w, &g, pad));
-    });
-    let simd_gflops = time_gflops(flops, || {
-        std::hint::black_box(conv2d_backward_with(serial, simd, x, w, &g, pad));
-    });
-    let gs = conv2d_backward_with(serial, scalar, x, w, &g, pad);
-    let gp = conv2d_backward_with(pooled, scalar, x, w, &g, pad);
-    let gv = conv2d_backward_with(serial, simd, x, w, &g, pad);
-    let eq = bitwise_equal(&gs.grad_input, &gp.grad_input)
-        && bitwise_equal(&gs.grad_weight, &gp.grad_weight)
-        && bitwise_equal(&gs.grad_bias, &gp.grad_bias)
-        && bitwise_equal(&gs.grad_input, &gv.grad_input)
-        && bitwise_equal(&gs.grad_weight, &gv.grad_weight)
-        && bitwise_equal(&gs.grad_bias, &gv.grad_bias);
-    eprintln!("kernels: conv2d_bwd {} same", conv.shape);
-    KernelsEntry {
-        timestamp_s: now_s,
-        kernel: "conv2d_bwd".to_string(),
-        shape: conv.shape.clone(),
-        threads: pooled.threads() as u64,
-        ref_gflops,
-        serial_gflops,
-        pooled_gflops,
-        simd_gflops,
-        bitwise_equal: eq,
-    }
 }

@@ -14,23 +14,19 @@
 //!
 //! Flags: `--out FILE` (write markdown to a file), `--no-append` (skip
 //! the trajectory append), `--tol-rmse X` / `--tol-time X` (relative
-//! gate tolerances, defaults 0.30 / 0.25). `--kernels` reads the
-//! `BENCH_kernels.json` trajectory written by the `kernels` bin and,
-//! with `--check`, fails on determinism violations (throughputs are
-//! reported, never gated). `--store` does the same for the
-//! `BENCH_store.json` trajectory written by the `store` bin, gating
-//! codec losslessness and the delta+rle compression win on depth
-//! frames.
+//! gate tolerances, defaults 0.30 / 0.25). `--kernels` and `--store`
+//! show the latest batch the `kernels` / `store` bin appended to
+//! `BENCH_kernels.json` / `BENCH_store.json`; every gate, and `--diff`'s
+//! verdict, comes from the declared kinds in `sl_bench::report`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use sl_bench::report::{
-    append_trajectory, bench_path, check, check_kernels, check_store, entry_from_run,
-    kernels_bench_path, latest_kernels_batch, latest_store_batch, load_kernels_trajectory,
-    load_run, load_store_trajectory, load_trajectory, render_diff, render_kernels, render_markdown,
-    render_store, store_bench_path, CheckConfig, CheckOutcome,
+    append_trajectory, baseline, bench_path, check, entry_from_run, latest_batch, load_run,
+    load_trajectory, render_diff, render_markdown, render_table, trajectory_path, CheckConfig,
+    KERNELS, RUN, STORE,
 };
 
 const USAGE: &str = "usage: slm-report [--check] [--diff A B] [--kernels] [--store] [--out FILE] \
@@ -80,58 +76,38 @@ fn main() -> ExitCode {
         return usage_error("no results directory given");
     }
 
-    if kernels_mode {
+    // `--kernels` and `--store` show (and gate) the latest batch of
+    // their trajectory; the gates are the kind's declared table.
+    let batch_kind = match (kernels_mode, store_mode) {
+        (true, _) => Some(&KERNELS),
+        (false, true) => Some(&STORE),
+        (false, false) => None,
+    };
+    if let Some(kind) = batch_kind {
         if dirs.len() != 1 {
-            return usage_error("--kernels needs exactly one results directory");
+            let msg = format!("--{} needs exactly one results directory", kind.name);
+            return usage_error(&msg);
         }
-        let path = kernels_bench_path(&dirs[0]);
-        let all = match load_kernels_trajectory(&path) {
+        let all = match load_trajectory(kind, &trajectory_path(&dirs[0], kind.name)) {
             Ok(t) => t,
             Err(e) => return load_error(&e),
         };
-        let batch = latest_kernels_batch(&all);
-        print!("{}", render_kernels(batch));
+        let batch = latest_batch(&all);
+        print!("{}", render_table(kind, batch));
         if !check_mode {
             return ExitCode::SUCCESS;
         }
-        let failures = check_kernels(batch);
-        return if failures.is_empty() {
-            println!("\nPASS  kernels  ({} entries in latest batch)", batch.len());
-            ExitCode::SUCCESS
-        } else {
-            println!("\nFAIL  kernels");
-            for f in &failures {
-                println!("      - {f}");
-            }
-            ExitCode::from(1)
-        };
-    }
-
-    if store_mode {
-        if dirs.len() != 1 {
-            return usage_error("--store needs exactly one results directory");
+        let failures = check(kind, batch, &all[..all.len() - batch.len()], &cfg);
+        println!();
+        if failures.is_empty() {
+            println!(
+                "PASS  {}  ({} entries in latest batch)",
+                kind.name,
+                batch.len()
+            );
         }
-        let path = store_bench_path(&dirs[0]);
-        let all = match load_store_trajectory(&path) {
-            Ok(t) => t,
-            Err(e) => return load_error(&e),
-        };
-        let batch = latest_store_batch(&all);
-        print!("{}", render_store(batch));
-        if !check_mode {
-            return ExitCode::SUCCESS;
-        }
-        let failures = check_store(batch);
-        return if failures.is_empty() {
-            println!("\nPASS  store  ({} entries in latest batch)", batch.len());
-            ExitCode::SUCCESS
-        } else {
-            println!("\nFAIL  store");
-            for f in &failures {
-                println!("      - {f}");
-            }
-            ExitCode::from(1)
-        };
+        let failed = print_failures(kind.name, &failures);
+        return ExitCode::from(u8::from(failed));
     }
 
     if diff_mode {
@@ -144,11 +120,7 @@ fn main() -> ExitCode {
         };
         let (md, regressed) = render_diff(&a, &b, &cfg);
         print!("{md}");
-        return if regressed {
-            ExitCode::from(1)
-        } else {
-            ExitCode::SUCCESS
-        };
+        return ExitCode::from(u8::from(regressed));
     }
 
     let now_s = SystemTime::now()
@@ -165,38 +137,31 @@ fn main() -> ExitCode {
         let entry = entry_from_run(&run, now_s);
         let traj = bench_path(&run);
         if check_mode {
-            let history = match load_trajectory(&traj) {
+            let history = match load_trajectory(&RUN, &traj) {
                 Ok(h) => h,
                 Err(e) => return load_error(&e),
             };
-            let outcome = check(&entry, &history, &cfg);
-            match &outcome {
-                CheckOutcome::NoBaseline => {
-                    println!(
-                        "PASS  {}  (no baseline for profile {} / config {})",
-                        run.name, entry.profile, entry.config_hash
-                    );
-                }
-                CheckOutcome::Pass { baseline } => {
-                    println!(
-                        "PASS  {}  rmse {:.2} dB (baseline {:.2}), sim {:.2} s (baseline {:.2})",
-                        run.name,
-                        entry.val_rmse_db,
-                        baseline.val_rmse_db,
-                        entry.sim_elapsed_s,
-                        baseline.sim_elapsed_s
-                    );
-                }
-                CheckOutcome::Fail { failures, .. } => {
-                    println!("FAIL  {}", run.name);
-                    for f in failures {
-                        println!("      - {f}");
-                    }
-                    failed = true;
-                }
+            let failures = check(&RUN, std::slice::from_ref(&entry), &history, &cfg);
+            match baseline(&RUN, &entry, &history) {
+                _ if !failures.is_empty() => {}
+                Some(base) => println!(
+                    "PASS  {}  rmse {:.2} dB (baseline {:.2}), sim {:.2} s (baseline {:.2})",
+                    run.name,
+                    entry.get_num("val_rmse_db"),
+                    base.get_num("val_rmse_db"),
+                    entry.get_num("sim_elapsed_s"),
+                    base.get_num("sim_elapsed_s")
+                ),
+                None => println!(
+                    "PASS  {}  (no baseline for profile {} / config {})",
+                    run.name,
+                    entry.get_str("profile"),
+                    entry.get_str("config_hash")
+                ),
             }
-            if outcome.passed() && !no_append {
-                if let Err(e) = append_trajectory(&traj, &run.name, &entry) {
+            failed |= print_failures(&run.name, &failures);
+            if failures.is_empty() && !no_append {
+                if let Err(e) = append_trajectory(&RUN, &traj, &run.name, &[entry]) {
                     eprintln!("slm-report: {e}");
                 }
             }
@@ -204,7 +169,7 @@ fn main() -> ExitCode {
             rendered.push_str(&render_markdown(&run));
             rendered.push('\n');
             if !no_append {
-                match append_trajectory(&traj, &run.name, &entry) {
+                match append_trajectory(&RUN, &traj, &run.name, &[entry]) {
                     Ok(n) => eprintln!("slm-report: appended entry #{n} to {}", traj.display()),
                     Err(e) => eprintln!("slm-report: {e}"),
                 }
@@ -223,11 +188,19 @@ fn main() -> ExitCode {
             None => print!("{rendered}"),
         }
     }
-    if failed {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
+    ExitCode::from(u8::from(failed))
+}
+
+/// Prints a `FAIL` block for `name`, one line per failure, when there
+/// is any; returns whether there was.
+fn print_failures(name: &str, failures: &[String]) -> bool {
+    if !failures.is_empty() {
+        println!("FAIL  {name}");
     }
+    for f in failures {
+        println!("      - {f}");
+    }
+    !failures.is_empty()
 }
 
 fn usage_error(msg: &str) -> ExitCode {

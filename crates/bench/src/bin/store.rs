@@ -8,7 +8,7 @@
 //!   pairing — smoke-scene depth frames under `raw` and `delta+rle`,
 //!   quantized cut-layer-style activations under `bitpack8` (routed
 //!   through the append-only [`ActivationLog`], the privacy-audit
-//!   path). The [`StoreEntry`] batch is appended to
+//!   path). The batch of [`STORE`] entries is appended to
 //!   `results/BENCH_store.json` and rendered / gated with
 //!   `slm-report --store [--check]`. Throughputs are recorded for the
 //!   trajectory but never gated — they are host-dependent.
@@ -36,7 +36,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 use sl_rng::rngs::StdRng;
 
 use sl_bench::report::{
-    append_store_trajectory, check_store, render_store, store_bench_path, StoreEntry,
+    append_trajectory, check, render_table, trajectory_path, CheckConfig, Entry, STORE,
 };
 use sl_bench::{experiment_config, Profile, SCENE_SEED};
 use sl_core::{PoolingDim, Scheme, SplitTrainer};
@@ -146,7 +146,7 @@ fn measure(
     values: &[f32],
     item_len: usize,
     codec: Codec,
-) -> Result<StoreEntry, sl_store::StoreError> {
+) -> Result<Entry, sl_store::StoreError> {
     let pool = ComputePool::global();
     let chunk_items = configured_chunk_items(item_len);
     let raw_bytes = values.len() * 4;
@@ -195,17 +195,16 @@ fn measure(
         codec.name(),
         raw_bytes as f64 / 1e6
     );
-    Ok(StoreEntry {
-        timestamp_s: now_s,
-        workload: workload.to_string(),
-        codec: codec.name(),
-        threads: pool.threads() as u64,
-        raw_mb: raw_bytes as f64 / 1e6,
-        encode_mbps,
-        decode_mbps,
-        ratio,
-        lossless,
-    })
+    Ok(Entry::new()
+        .num("timestamp_s", now_s as f64)
+        .str("workload", workload)
+        .str("codec", &codec.name())
+        .num("threads", pool.threads() as f64)
+        .num("raw_mb", raw_bytes as f64 / 1e6)
+        .num("encode_mbps", encode_mbps)
+        .num("decode_mbps", decode_mbps)
+        .num("ratio", ratio)
+        .bool("lossless", lossless))
 }
 
 fn bench_mode(results_dir: &Path, no_append: bool) -> ExitCode {
@@ -228,26 +227,17 @@ fn bench_mode(results_dir: &Path, no_append: bool) -> ExitCode {
         .map(|d| d.as_secs())
         .unwrap_or(0);
     let mut batch = Vec::new();
-    for codec in [Codec::Raw, Codec::DeltaRle] {
-        match measure(now_s, "frames", &pixels, item_len, codec) {
+    for (workload, values, codec) in [
+        ("frames", &pixels, Codec::Raw),
+        ("frames", &pixels, Codec::DeltaRle),
+        ("activations", &activations, Codec::Bitpack { bit_depth: 8 }),
+    ] {
+        match measure(now_s, workload, values, item_len, codec) {
             Ok(e) => batch.push(e),
             Err(e) => {
-                eprintln!("store: frames {}: {e}", codec.name());
+                eprintln!("store: {workload} {}: {e}", codec.name());
                 return ExitCode::from(1);
             }
-        }
-    }
-    match measure(
-        now_s,
-        "activations",
-        &activations,
-        item_len,
-        Codec::Bitpack { bit_depth: 8 },
-    ) {
-        Ok(e) => batch.push(e),
-        Err(e) => {
-            eprintln!("store: activations bitpack8: {e}");
-            return ExitCode::from(1);
         }
     }
 
@@ -258,19 +248,15 @@ fn bench_mode(results_dir: &Path, no_append: bool) -> ExitCode {
         return ExitCode::from(1);
     }
 
-    print!("{}", render_store(&batch));
-    let failures = check_store(&batch);
+    print!("{}", render_table(&STORE, &batch));
+    let failures = check(&STORE, &batch, &[], &CheckConfig::default());
     for f in &failures {
         eprintln!("store: FAIL {f}");
     }
 
     if !no_append {
-        let path = store_bench_path(results_dir);
-        if let Err(e) = std::fs::create_dir_all(results_dir) {
-            eprintln!("store: {}: {e}", results_dir.display());
-            return ExitCode::from(2);
-        }
-        match append_store_trajectory(&path, &batch) {
+        let path = trajectory_path(results_dir, STORE.name);
+        match append_trajectory(&STORE, &path, STORE.name, &batch) {
             Ok(total) => eprintln!(
                 "store: appended {} entries to {} ({total} total)",
                 batch.len(),

@@ -197,12 +197,25 @@ pub const FIG3A_CSV_HEADER: &str = "config,epoch,elapsed_s,val_rmse_db";
 /// Appends one formatted CSV row per learning-curve point. The exact
 /// formatting lives here (not in the binaries) because the loopback
 /// byte-identity gate `cmp`s two CSVs produced by different binaries.
+/// Labels such as `Img, 4x4` carry a comma, so the `config` field is
+/// quoted as RFC 4180 asks.
 pub fn fig3a_curve_rows(label: &str, out: &TrainOutcome, rows: &mut Vec<String>) {
+    let config = csv_field(label);
     for p in &out.curve {
         rows.push(format!(
-            "{label},{},{:.4},{:.4}",
+            "{config},{},{:.4},{:.4}",
             p.epoch, p.elapsed_s, p.val_rmse_db
         ));
+    }
+}
+
+/// One RFC 4180 CSV field: quoted (with inner quotes doubled) when it
+/// holds a comma, a quote or a line break, verbatim otherwise.
+fn csv_field(s: &str) -> String {
+    if s.contains([',', '"', '\n', '\r']) {
+        format!("\"{}\"", s.replace('"', "\"\""))
+    } else {
+        s.to_string()
     }
 }
 
@@ -620,6 +633,46 @@ mod tests {
         let mut rows = Vec::new();
         fig3a_curve_rows("RF", &out, &mut rows);
         assert_eq!(rows, vec!["RF,1,1.2500,3.5000".to_string()]);
+    }
+
+    #[test]
+    fn fig3a_rows_have_one_field_per_header_column() {
+        use sl_core::{CurvePoint, StopReason};
+        let out = TrainOutcome {
+            curve: vec![CurvePoint {
+                elapsed_s: 1.25,
+                epoch: 1,
+                val_rmse_db: 3.5,
+            }],
+            stop: StopReason::EpochLimit,
+            final_rmse_db: 3.5,
+            epochs: 1,
+            steps_applied: 1,
+            steps_voided: 0,
+            compute_s: 1.0,
+            airtime_s: 0.25,
+        };
+        let mut rows = Vec::new();
+        for (scheme, pooling) in fig3a_configs() {
+            fig3a_curve_rows(&fig3a_label(scheme, pooling), &out, &mut rows);
+        }
+        fig3a_curve_rows("say \"hi\", twice", &out, &mut rows);
+        assert_eq!(rows[1], "\"Img, 40x40 (1-pixel)\",1,1.2500,3.5000");
+        assert!(rows[rows.len() - 1].starts_with("\"say \"\"hi\"\", twice\","));
+        let header_fields = FIG3A_CSV_HEADER.split(',').count();
+        for row in &rows {
+            // Split on commas outside quotes, as an RFC 4180 reader does.
+            let mut quoted = false;
+            let mut fields = 1;
+            for c in row.chars() {
+                match c {
+                    '"' => quoted = !quoted,
+                    ',' if !quoted => fields += 1,
+                    _ => {}
+                }
+            }
+            assert_eq!(fields, header_fields, "{row}");
+        }
     }
 
     #[test]

@@ -16,6 +16,13 @@
 //!   `slm-report --check` exits non-zero when RMSE or simulated time
 //!   regress beyond tolerance, which `scripts/verify.sh` uses as a gate.
 //!
+//! Every trajectory file holds flat [`Entry`]s (named string, number
+//! and bool fields): run entries, and the batches the `kernels` and
+//! `store` bins append to `BENCH_kernels.json` / `BENCH_store.json`.
+//! Each [`Kind`] ([`RUN`], [`KERNELS`], [`STORE`]) declares its fields,
+//! identity keys, table columns and gates as data, so one load, append,
+//! batch, render and check path serves all three.
+//!
 //! Everything is hand-rolled on `sl-telemetry`'s JSON reader/writer; no
 //! external dependencies.
 
@@ -186,7 +193,7 @@ fn load_health_events(path: &Path) -> Vec<HealthEvent> {
 
 /// One row of the per-layer profile table, rebuilt from the
 /// `nn.<side>.layer.<idx>.<name>.*` metrics the profiler published.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LayerRow {
     /// Which half of the split model (`ue` | `bs`).
     pub side: String,
@@ -235,13 +242,7 @@ pub fn layer_rows(snap: &Snapshot) -> Vec<LayerRow> {
                 side: side.to_string(),
                 idx,
                 name: name.to_string(),
-                fwd_s: 0.0,
-                fwd_calls: 0,
-                fwd_p50_s: 0.0,
-                bwd_s: 0.0,
-                bwd_calls: 0,
-                flops: 0.0,
-                params: 0,
+                ..LayerRow::default()
             });
         // Satellite contract: read sums/counts/quantiles through the
         // Histogram API, not by re-deriving them from raw JSON buckets.
@@ -697,156 +698,453 @@ pub fn final_loss(run: &RunData) -> f64 {
         .map_or(f64::NAN, |(_, v)| v)
 }
 
-/// One `BENCH_<exp>.json` trajectory entry.
+// ---------------------------------------------------------------------
+// Trajectories (`BENCH_*.json`): entries, kinds, file I/O and gates
+// ---------------------------------------------------------------------
+
+/// One field of a trajectory [`Entry`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct BenchEntry {
-    /// Unix seconds when the entry was appended (0 when unknown).
-    pub timestamp_s: u64,
-    /// Profile name.
-    pub profile: String,
-    /// [`RunData::combined_config_hash`].
-    pub config_hash: String,
-    /// Final validation RMSE, dB.
-    pub val_rmse_db: f64,
-    /// Simulated elapsed seconds.
-    pub sim_elapsed_s: f64,
-    /// Applied SGD steps.
-    pub steps_applied: u64,
-    /// Host wall seconds for the whole experiment.
-    pub wall_s: f64,
-    /// Trainer model host seconds.
-    pub model_host_s: f64,
-    /// Per-layer profile host seconds.
-    pub layer_host_s: f64,
-    /// Health events recorded during the run.
-    pub health_events: u64,
-    /// Active lint findings at report time (0 for pre-lint trajectories).
-    pub lint_findings: u64,
-    /// Lint allowlist size — growth across entries means the burn-down
-    /// ratchet slipped.
-    pub lint_allowlist: u64,
-    /// Inline lint waivers in effect.
-    pub lint_waived: u64,
-    /// `--keys` pass findings (telemetry key-namespace drift).
-    pub lint_keys: u64,
-    /// `--knobs` pass findings (SLM_* env-knob table drift).
-    pub lint_knobs: u64,
-    /// `--protocol` pass findings (MsgType coverage + model check).
-    pub lint_protocol: u64,
-    /// `--determinism` pass findings (kernel accumulator heuristics).
-    pub lint_determinism: u64,
-    /// Last sampled `train.loss` value (NaN when the run carries no
-    /// series; serialized as JSON `null` and never gated then).
-    pub final_loss: f64,
+enum Value {
+    /// Identifies the entry (`profile`, `config_hash`, `kernel`, ...).
+    Str(String),
+    /// A metric. NaN means "not measured" and is written as JSON `null`.
+    Num(f64),
+    /// A verdict (`bitwise_equal`, `lossless`).
+    Bool(bool),
 }
 
-impl BenchEntry {
+/// One trajectory entry: named fields, written to JSON in this order.
+/// What the fields mean, how they are shown and how they are gated is
+/// declared by a [`Kind`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Entry {
+    /// `(name, value)` pairs in file order, names unique.
+    fields: Vec<(String, Value)>,
+}
+
+impl Entry {
+    /// An entry with no fields.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Sets field `name`: in place when present, else appended.
+    fn set(mut self, name: &str, v: Value) -> Self {
+        match self.fields.iter_mut().find(|(k, _)| k == name) {
+            Some((_, old)) => *old = v,
+            None => self.fields.push((name.to_string(), v)),
+        }
+        self
+    }
+
+    /// Sets string field `name`.
+    pub fn str(self, name: &str, v: &str) -> Self {
+        self.set(name, Value::Str(v.to_string()))
+    }
+
+    /// Sets number field `name`.
+    pub fn num(self, name: &str, v: f64) -> Self {
+        self.set(name, Value::Num(v))
+    }
+
+    /// Sets bool field `name`.
+    pub fn bool(self, name: &str, v: bool) -> Self {
+        self.set(name, Value::Bool(v))
+    }
+
+    fn get(&self, name: &str) -> Option<&Value> {
+        self.fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
+    }
+
+    /// String field `name`; `""` when absent or not a string.
+    pub fn get_str(&self, name: &str) -> &str {
+        match self.get(name) {
+            Some(Value::Str(s)) => s,
+            _ => "",
+        }
+    }
+
+    /// Number field `name`; NaN when absent or not a number.
+    pub fn get_num(&self, name: &str) -> f64 {
+        match self.get(name) {
+            Some(Value::Num(v)) => *v,
+            _ => f64::NAN,
+        }
+    }
+
+    fn holds(&self, name: &str) -> bool {
+        self.get(name) == Some(&Value::Bool(true))
+    }
+
     fn to_json(&self) -> String {
-        JsonObject::new()
-            .u64("timestamp_s", self.timestamp_s)
-            .str("profile", &self.profile)
-            .str("config_hash", &self.config_hash)
-            .f64("val_rmse_db", self.val_rmse_db)
-            .f64("sim_elapsed_s", self.sim_elapsed_s)
-            .u64("steps_applied", self.steps_applied)
-            .f64("wall_s", self.wall_s)
-            .f64("model_host_s", self.model_host_s)
-            .f64("layer_host_s", self.layer_host_s)
-            .u64("health_events", self.health_events)
-            .u64("lint_findings", self.lint_findings)
-            .u64("lint_allowlist", self.lint_allowlist)
-            .u64("lint_waived", self.lint_waived)
-            .u64("lint_keys", self.lint_keys)
-            .u64("lint_knobs", self.lint_knobs)
-            .u64("lint_protocol", self.lint_protocol)
-            .u64("lint_determinism", self.lint_determinism)
-            .f64("final_loss", self.final_loss)
-            .finish()
+        let mut obj = JsonObject::new();
+        for (k, v) in &self.fields {
+            obj = match v {
+                Value::Str(s) => obj.str(k, s),
+                Value::Num(x) => obj.f64(k, *x),
+                Value::Bool(b) => obj.bool(k, *b),
+            };
+        }
+        obj.finish()
     }
 
-    fn from_json(v: &JsonValue) -> Result<Self, String> {
-        let f = |k: &str| {
-            v.get(k)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("entry missing numeric field {k:?}"))
-        };
-        let u = |k: &str| {
-            v.get(k)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("entry missing integer field {k:?}"))
-        };
-        let s = |k: &str| {
-            v.get(k)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("entry missing string field {k:?}"))
-        };
-        Ok(BenchEntry {
-            timestamp_s: u("timestamp_s")?,
-            profile: s("profile")?,
-            config_hash: s("config_hash")?,
-            val_rmse_db: f("val_rmse_db")?,
-            sim_elapsed_s: f("sim_elapsed_s")?,
-            steps_applied: u("steps_applied")?,
-            wall_s: f("wall_s")?,
-            model_host_s: f("model_host_s")?,
-            layer_host_s: f("layer_host_s")?,
-            health_events: u("health_events")?,
-            // Lint fields arrived later; default 0 keeps pre-lint
-            // trajectory files loadable.
-            lint_findings: u("lint_findings").unwrap_or(0),
-            lint_allowlist: u("lint_allowlist").unwrap_or(0),
-            lint_waived: u("lint_waived").unwrap_or(0),
-            // Per-pass semantic counts arrived later still.
-            lint_keys: u("lint_keys").unwrap_or(0),
-            lint_knobs: u("lint_knobs").unwrap_or(0),
-            lint_protocol: u("lint_protocol").unwrap_or(0),
-            lint_determinism: u("lint_determinism").unwrap_or(0),
-            // Likewise the series field: missing or null means "no
-            // series recorded", which NaN encodes.
-            final_loss: v
-                .get("final_loss")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(f64::NAN),
-        })
+    /// Reads one JSON object: `kind`'s fields first, in declared order,
+    /// then any others in key order, so a rewrite loses nothing.
+    fn from_json(kind: &Kind, v: &JsonValue) -> Result<Self, String> {
+        let obj = v.as_obj().ok_or("entry is not an object")?;
+        let declared = || kind.fields.split_whitespace();
+        let others = obj.keys().map(String::as_str);
+        let mut entry = Entry::new();
+        for name in declared().chain(others.filter(|k| !declared().any(|d| d == *k))) {
+            let value = match obj.get(name) {
+                Some(JsonValue::Str(s)) => Value::Str(s.clone()),
+                Some(JsonValue::Num(x)) => Value::Num(*x),
+                Some(JsonValue::Null) => Value::Num(f64::NAN),
+                Some(JsonValue::Bool(b)) => Value::Bool(*b),
+                Some(_) => return Err(format!("entry field {name:?} is not a scalar")),
+                None => match kind.default(name) {
+                    Some(d) => Value::Num(d),
+                    None => return Err(format!("entry missing field {name:?}")),
+                },
+            };
+            entry.fields.push((name.to_string(), value));
+        }
+        Ok(entry)
     }
 }
+
+/// A trajectory kind, declared as data: its fields, the fields that
+/// identify an entry, its table columns and its gates.
+#[derive(Debug)]
+pub struct Kind {
+    /// Trajectory name: `BENCH_<name>.json` (run trajectories are named
+    /// after their experiment instead).
+    pub name: &'static str,
+    /// Table heading.
+    title: &'static str,
+    /// Field names in file order, separated by whitespace.
+    fields: &'static str,
+    /// Fields added after the first entries were written, with the
+    /// value they read as when a file lacks them; every other field is
+    /// required. A NaN default marks a field that may be unmeasured.
+    defaults: &'static [(&'static str, f64)],
+    /// Fields that identify an entry. They label its failures, and its
+    /// baseline is the last earlier entry that agrees on all of them.
+    identity: &'static [&'static str],
+    /// Table columns: heading and cell.
+    columns: &'static [(&'static str, Cell)],
+    /// What [`check`] enforces, in order.
+    gates: &'static [Gate],
+}
+
+impl Kind {
+    fn default(&self, name: &str) -> Option<f64> {
+        self.defaults
+            .iter()
+            .find(|(k, _)| *k == name)
+            .map(|&(_, d)| d)
+    }
+
+    fn label(&self, e: &Entry) -> String {
+        let ids: Vec<&str> = self.identity.iter().map(|k| e.get_str(k)).collect();
+        ids.join(" ")
+    }
+}
+
+/// One table cell, read from an entry.
+#[derive(Debug, Clone, Copy)]
+enum Cell {
+    /// A string field.
+    Text(&'static str),
+    /// A number field with this many decimals (`-` for NaN).
+    Num(&'static str, usize),
+    /// The ratio of two number fields, with this many decimals.
+    Ratio(&'static str, &'static str, usize),
+    /// A bool field: `ok` when it holds, else this word.
+    Verdict(&'static str, &'static str),
+}
+
+impl Cell {
+    fn render(self, e: &Entry) -> String {
+        let fixed = |v: f64, p: usize| {
+            if v.is_nan() {
+                "-".to_string()
+            } else {
+                format!("{v:.p$}")
+            }
+        };
+        match self {
+            Cell::Text(f) => e.get_str(f).to_string(),
+            Cell::Num(f, p) => fixed(e.get_num(f), p),
+            Cell::Ratio(a, b, p) => fixed(e.get_num(a) / e.get_num(b), p),
+            Cell::Verdict(f, _) if e.holds(f) => "ok".to_string(),
+            Cell::Verdict(_, bad) => bad.to_string(),
+        }
+    }
+}
+
+/// One declared gate. Gates that read a number treat NaN in a field
+/// with a NaN default as "not measured" and pass it.
+#[derive(Debug)]
+enum Gate {
+    /// An empty batch fails, with this message.
+    NonEmpty(&'static str),
+    /// `(field, failure)`: the bool field must hold.
+    Holds(&'static str, &'static str),
+    /// `(field, name, unit)`: the number must be finite and positive.
+    Positive(&'static str, &'static str, &'static str),
+    /// `(field, failure)`: the count must be zero. Needs no baseline.
+    Zero(&'static str, &'static str),
+    /// `(field, name, unit, decimals, tol, slack)`: against the entry's
+    /// baseline `b`, the number must be finite and at most
+    /// `b·(1 + tol) + slack`. Passes when there is no baseline.
+    NoRise(
+        &'static str,
+        &'static str,
+        &'static str,
+        usize,
+        fn(&CheckConfig) -> f64,
+        f64,
+    ),
+    /// `(field, winner, loser)`: within the batch, the entry whose
+    /// identity is `winner` must have a larger number than `loser`'s
+    /// (skipped when either is missing).
+    Beats(
+        &'static str,
+        &'static [&'static str],
+        &'static [&'static str],
+    ),
+}
+
+impl Gate {
+    /// This gate's failure on one entry, compared with `base` where the
+    /// gate needs a baseline. Batch gates find nothing here.
+    fn judge(
+        &self,
+        kind: &Kind,
+        e: &Entry,
+        base: Option<&Entry>,
+        cfg: &CheckConfig,
+    ) -> Option<String> {
+        // NaN in a field whose default is NaN means "not measured".
+        let unmeasured =
+            |field: &str, v: f64| v.is_nan() && kind.default(field).is_some_and(f64::is_nan);
+        match *self {
+            Gate::Holds(field, failure) => {
+                (!e.holds(field)).then(|| format!("{}: {failure}", kind.label(e)))
+            }
+            Gate::Positive(field, what, unit) => {
+                let v = e.get_num(field);
+                let ok = (v.is_finite() && v > 0.0) || unmeasured(field, v);
+                (!ok).then(|| format!("{}: {what} is {v}{unit}", kind.label(e)))
+            }
+            Gate::Zero(field, failure) => {
+                let n = e.get_num(field);
+                (n > 0.0).then(|| format!("{n} {failure}"))
+            }
+            Gate::NoRise(field, what, unit, p, tol, slack) => {
+                let (v, b, tol) = (e.get_num(field), base?.get_num(field), tol(cfg));
+                if unmeasured(field, v) || unmeasured(field, b) {
+                    None
+                } else if !v.is_finite() {
+                    Some(format!("{what} is non-finite"))
+                } else {
+                    (v > b * (1.0 + tol) + slack).then(|| {
+                        format!(
+                            "{what} regressed: {v:.p$}{unit} vs baseline {b:.p$}{unit} (tol +{:.0}%)",
+                            100.0 * tol
+                        )
+                    })
+                }
+            }
+            Gate::NonEmpty(_) | Gate::Beats(..) => None,
+        }
+    }
+}
+
+/// Run entries, one per reported run, in `BENCH_<exp>.json`. Gated:
+/// health events (with or without a baseline), then validation RMSE,
+/// simulated elapsed time and the final sampled training loss (only
+/// when both runs sampled one) against the last entry with the same
+/// profile and config hash. Host times are recorded, never gated (they
+/// are machine-dependent).
+pub static RUN: Kind = Kind {
+    name: "run",
+    title: "run trajectory",
+    fields: "timestamp_s profile config_hash val_rmse_db sim_elapsed_s \
+         steps_applied wall_s model_host_s layer_host_s health_events \
+         lint_findings lint_allowlist lint_waived lint_keys lint_knobs \
+         lint_protocol lint_determinism final_loss",
+    // Older files read as no lint findings and as no sampled series.
+    defaults: &[
+        ("lint_findings", 0.0),
+        ("lint_allowlist", 0.0),
+        ("lint_waived", 0.0),
+        ("lint_keys", 0.0),
+        ("lint_knobs", 0.0),
+        ("lint_protocol", 0.0),
+        ("lint_determinism", 0.0),
+        ("final_loss", f64::NAN),
+    ],
+    identity: &["profile", "config_hash"],
+    columns: &[
+        ("val RMSE dB", Cell::Num("val_rmse_db", 2)),
+        ("sim elapsed s", Cell::Num("sim_elapsed_s", 2)),
+        ("steps applied", Cell::Num("steps_applied", 0)),
+        ("wall s", Cell::Num("wall_s", 1)),
+        ("model host s", Cell::Num("model_host_s", 3)),
+        ("layer host s", Cell::Num("layer_host_s", 3)),
+        ("health events", Cell::Num("health_events", 0)),
+        ("final loss", Cell::Num("final_loss", 4)),
+    ],
+    gates: &[
+        Gate::Zero("health_events", "health event(s) during the run"),
+        Gate::NoRise(
+            "val_rmse_db",
+            "val RMSE",
+            " dB",
+            2,
+            |c| c.tol_rmse_rel,
+            0.05,
+        ),
+        Gate::NoRise(
+            "sim_elapsed_s",
+            "simulated time",
+            " s",
+            2,
+            |c| c.tol_time_rel,
+            0.0,
+        ),
+        Gate::NoRise(
+            "final_loss",
+            "final training loss",
+            "",
+            4,
+            |c| c.tol_loss_rel,
+            1e-6,
+        ),
+    ],
+};
+
+/// Kernel micro-benchmark entries, written by the `kernels` bin: one
+/// kernel workload measured at four tiers — the pre-backend reference
+/// loop, the scalar backend on one thread (`serial`) and on the pooled
+/// thread count (`pooled`), and the SIMD backend on one thread.
+/// Entries recorded before the SIMD tier existed read `simd_gflops` as
+/// NaN; entries recorded before the cache-blocked tier was removed timed
+/// that tier as `serial`/`pooled`. Throughputs are recorded, never
+/// gated; the determinism contract and that every tier ran are.
+pub static KERNELS: Kind = Kind {
+    name: "kernels",
+    title: "compute-backend kernels",
+    fields: "timestamp_s kernel shape threads ref_gflops serial_gflops \
+         pooled_gflops simd_gflops bitwise_equal",
+    defaults: &[("simd_gflops", f64::NAN)],
+    identity: &["kernel", "shape"],
+    columns: &[
+        ("kernel", Cell::Text("kernel")),
+        ("shape", Cell::Text("shape")),
+        ("threads", Cell::Num("threads", 0)),
+        ("ref GF/s", Cell::Num("ref_gflops", 2)),
+        ("serial GF/s", Cell::Num("serial_gflops", 2)),
+        ("pooled GF/s", Cell::Num("pooled_gflops", 2)),
+        ("simd GF/s", Cell::Num("simd_gflops", 2)),
+        ("serial×", Cell::Ratio("serial_gflops", "ref_gflops", 2)),
+        ("pool×", Cell::Ratio("pooled_gflops", "serial_gflops", 2)),
+        ("simd×", Cell::Ratio("simd_gflops", "serial_gflops", 2)),
+        ("total×", Cell::Ratio("pooled_gflops", "ref_gflops", 2)),
+        ("bitwise", Cell::Verdict("bitwise_equal", "MISMATCH")),
+    ],
+    gates: &[
+        Gate::NonEmpty("no kernel entries recorded"),
+        Gate::Holds(
+            "bitwise_equal",
+            "the pooled-scalar or simd output differs bitwise from the one-thread scalar output",
+        ),
+        Gate::Positive("ref_gflops", "ref throughput", " GFLOP/s"),
+        Gate::Positive("serial_gflops", "serial throughput", " GFLOP/s"),
+        Gate::Positive("pooled_gflops", "pooled throughput", " GFLOP/s"),
+        Gate::Positive("simd_gflops", "simd throughput", " GFLOP/s"),
+    ],
+};
+
+/// Chunked-store codec entries, written by the `store` bin: one
+/// (workload, codec) pairing with its encode/decode throughput over the
+/// raw size, compression ratio and lossless round-trip verdict.
+/// Throughputs are recorded, never gated; losslessness, that every rate
+/// was measured, and that `delta+rle` compresses the depth frames better
+/// than `raw` stores them (DESIGN.md §14) are.
+pub static STORE: Kind = Kind {
+    name: "store",
+    title: "chunked-store codecs",
+    fields: "timestamp_s workload codec threads raw_mb encode_mbps decode_mbps \
+         ratio lossless",
+    defaults: &[],
+    identity: &["workload", "codec"],
+    columns: &[
+        ("workload", Cell::Text("workload")),
+        ("codec", Cell::Text("codec")),
+        ("threads", Cell::Num("threads", 0)),
+        ("raw MB", Cell::Num("raw_mb", 2)),
+        ("enc MB/s", Cell::Num("encode_mbps", 1)),
+        ("dec MB/s", Cell::Num("decode_mbps", 1)),
+        ("ratio", Cell::Num("ratio", 2)),
+        ("lossless", Cell::Verdict("lossless", "LOSSY")),
+    ],
+    gates: &[
+        Gate::NonEmpty("no store entries recorded"),
+        Gate::Holds("lossless", "round-trip was not bitwise lossless"),
+        Gate::Positive("encode_mbps", "encode", ""),
+        Gate::Positive("decode_mbps", "decode", ""),
+        Gate::Positive("ratio", "ratio", ""),
+        Gate::Beats("ratio", &["frames", "delta+rle"], &["frames", "raw"]),
+    ],
+};
 
 /// Builds the trajectory entry for a loaded run.
-pub fn entry_from_run(run: &RunData, timestamp_s: u64) -> BenchEntry {
+pub fn entry_from_run(run: &RunData, timestamp_s: u64) -> Entry {
     let m = run_metrics(run);
     let lint = load_lint_summary(&lint_path(run)).unwrap_or_default();
-    BenchEntry {
-        timestamp_s,
-        profile: run.profile.clone(),
-        config_hash: run.combined_config_hash(),
-        val_rmse_db: m.val_rmse_db.unwrap_or(f64::NAN),
-        sim_elapsed_s: m.sim_elapsed_s(),
-        steps_applied: m.steps_applied,
-        wall_s: run.wall_s,
-        model_host_s: m.model_host_s,
-        layer_host_s: m.layer_host_s,
-        health_events: run.health_events.len() as u64,
-        lint_findings: lint.findings,
-        lint_allowlist: lint.allowlist_len,
-        lint_waived: lint.waived,
-        lint_keys: lint.pass_count("keys"),
-        lint_knobs: lint.pass_count("knobs"),
-        lint_protocol: lint.pass_count("protocol"),
-        lint_determinism: lint.pass_count("determinism"),
-        final_loss: final_loss(run),
+    let mut e = Entry::new()
+        .num("timestamp_s", timestamp_s as f64)
+        .str("profile", &run.profile)
+        .str("config_hash", &run.combined_config_hash());
+    for (name, v) in [
+        ("val_rmse_db", m.val_rmse_db.unwrap_or(f64::NAN)),
+        ("sim_elapsed_s", m.sim_elapsed_s()),
+        ("steps_applied", m.steps_applied as f64),
+        ("wall_s", run.wall_s),
+        ("model_host_s", m.model_host_s),
+        ("layer_host_s", m.layer_host_s),
+        ("health_events", run.health_events.len() as f64),
+        ("lint_findings", lint.findings as f64),
+        ("lint_allowlist", lint.allowlist_len as f64),
+        ("lint_waived", lint.waived as f64),
+        ("lint_keys", lint.pass_count("keys") as f64),
+        ("lint_knobs", lint.pass_count("knobs") as f64),
+        ("lint_protocol", lint.pass_count("protocol") as f64),
+        ("lint_determinism", lint.pass_count("determinism") as f64),
+        ("final_loss", final_loss(run)),
+    ] {
+        e = e.num(name, v);
     }
+    e
+}
+
+/// `BENCH_<name>.json` under `results_dir`.
+pub fn trajectory_path(results_dir: &Path, name: &str) -> PathBuf {
+    results_dir.join(format!("BENCH_{name}.json"))
 }
 
 /// Where a run's trajectory file lives: `BENCH_<exp>.json` next to the
 /// run directory (i.e. directly under `results/`).
 pub fn bench_path(run: &RunData) -> PathBuf {
-    let parent = run.dir.parent().unwrap_or(&run.dir);
-    parent.join(format!("BENCH_{}.json", run.name))
+    trajectory_path(run.dir.parent().unwrap_or(&run.dir), &run.name)
 }
 
-/// Loads a trajectory file; a missing file is an empty trajectory.
-pub fn load_trajectory(path: &Path) -> Result<Vec<BenchEntry>, String> {
+/// Loads a trajectory of `kind` entries; a missing file is an empty
+/// trajectory.
+pub fn load_trajectory(kind: &Kind, path: &Path) -> Result<Vec<Entry>, String> {
     let text = match fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
@@ -859,30 +1157,72 @@ pub fn load_trajectory(path: &Path) -> Result<Vec<BenchEntry>, String> {
         .ok_or_else(|| format!("{}: missing \"entries\" array", path.display()))?;
     entries
         .iter()
-        .map(BenchEntry::from_json)
+        .map(|e| Entry::from_json(kind, e))
         .collect::<Result<Vec<_>, _>>()
         .map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Appends `entry` to the trajectory file (rewriting it whole — the
-/// files stay small) and returns the new entry count.
+/// Appends `batch` to the trajectory file (rewriting it whole — the
+/// files stay small; its directory is created when missing) and returns
+/// the new entry count.
 pub fn append_trajectory(
+    kind: &Kind,
     path: &Path,
     experiment: &str,
-    entry: &BenchEntry,
+    batch: &[Entry],
 ) -> Result<usize, String> {
-    let mut entries = load_trajectory(path)?;
-    entries.push(entry.clone());
+    let mut entries = load_trajectory(kind, path)?;
+    entries.extend_from_slice(batch);
+    let dir = path.parent().unwrap_or(Path::new("."));
+    fs::create_dir_all(dir)
+        .and_then(|()| fs::write(path, trajectory_json(experiment, &entries) + "\n"))
+        .map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok(entries.len())
+}
+
+fn trajectory_json(experiment: &str, entries: &[Entry]) -> String {
     let mut arr = JsonArray::new();
-    for e in &entries {
+    for e in entries {
         arr.push_raw(&e.to_json());
     }
-    let body = JsonObject::new()
+    JsonObject::new()
         .str("experiment", experiment)
         .raw("entries", &arr.finish())
-        .finish();
-    fs::write(path, body + "\n").map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(entries.len())
+        .finish()
+}
+
+/// The most recent batch: the suffix of entries sharing the last entry's
+/// timestamp (batches are appended together with one timestamp).
+pub fn latest_batch(entries: &[Entry]) -> &[Entry] {
+    let ts = entries.last().and_then(|e| e.get("timestamp_s"));
+    let start = entries
+        .iter()
+        .rposition(|e| e.get("timestamp_s") != ts)
+        .map_or(0, |i| i + 1);
+    &entries[start..]
+}
+
+/// Renders `batch` as a markdown table of `kind`'s columns.
+pub fn render_table(kind: &Kind, batch: &[Entry]) -> String {
+    let row = |cells: Vec<String>| format!("| {} |\n", cells.join(" | "));
+    let mut out = format!("# slm-report: {}\n\n", kind.title);
+    out += &row(kind
+        .columns
+        .iter()
+        .map(|(head, _)| head.to_string())
+        .collect());
+    for (_, cell) in kind.columns {
+        out += if matches!(cell, Cell::Num(..) | Cell::Ratio(..)) {
+            "|---:"
+        } else {
+            "|---"
+        };
+    }
+    out += "|\n";
+    for e in batch {
+        out += &row(kind.columns.iter().map(|(_, c)| c.render(e)).collect());
+    }
+    out
 }
 
 /// Regression-gate tolerances (relative).
@@ -909,678 +1249,171 @@ impl Default for CheckConfig {
     }
 }
 
-/// [`check`]'s result.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CheckOutcome {
-    /// No prior entry with the same profile + config hash — nothing to
-    /// compare against (treated as a pass).
-    NoBaseline,
-    /// Within tolerance of the baseline.
-    Pass {
-        /// What the entry was compared against.
-        baseline: Box<BenchEntry>,
-    },
-    /// Regression(s) found.
-    Fail {
-        /// What the entry was compared against.
-        baseline: Box<BenchEntry>,
-        /// One line per violated tolerance.
-        failures: Vec<String>,
-    },
-}
-
-impl CheckOutcome {
-    /// `true` unless a regression was found.
-    pub fn passed(&self) -> bool {
-        !matches!(self, CheckOutcome::Fail { .. })
-    }
-}
-
-/// Compares `entry` against the most recent `history` entry with the
-/// same profile and config hash. Gated: validation RMSE, simulated
-/// elapsed time, and any health events during the fresh run. Host wall
-/// times are reported but never gated (they are machine-dependent).
-pub fn check(entry: &BenchEntry, history: &[BenchEntry], cfg: &CheckConfig) -> CheckOutcome {
-    let mut failures = Vec::new();
-    if entry.health_events > 0 {
-        failures.push(format!(
-            "{} health event(s) during the run",
-            entry.health_events
-        ));
-    }
-    let baseline = history
+/// `entry`'s baseline: the last `history` entry that agrees with it on
+/// every identity field of `kind`.
+pub fn baseline<'a>(kind: &Kind, entry: &Entry, history: &'a [Entry]) -> Option<&'a Entry> {
+    history
         .iter()
         .rev()
-        .find(|e| e.profile == entry.profile && e.config_hash == entry.config_hash);
-    let Some(base) = baseline else {
-        return if failures.is_empty() {
-            CheckOutcome::NoBaseline
-        } else {
-            // Health failures stand even without a baseline.
-            CheckOutcome::Fail {
-                baseline: Box::new(entry.clone()),
-                failures,
-            }
-        };
-    };
-    if !entry.val_rmse_db.is_finite() {
-        failures.push("validation RMSE is non-finite".to_string());
-    } else if entry.val_rmse_db > base.val_rmse_db * (1.0 + cfg.tol_rmse_rel) + 0.05 {
-        failures.push(format!(
-            "val RMSE regressed: {:.2} dB vs baseline {:.2} dB (tol +{:.0}%)",
-            entry.val_rmse_db,
-            base.val_rmse_db,
-            100.0 * cfg.tol_rmse_rel
-        ));
-    }
-    if entry.sim_elapsed_s > base.sim_elapsed_s * (1.0 + cfg.tol_time_rel) {
-        failures.push(format!(
-            "simulated time regressed: {:.2} s vs baseline {:.2} s (tol +{:.0}%)",
-            entry.sim_elapsed_s,
-            base.sim_elapsed_s,
-            100.0 * cfg.tol_time_rel
-        ));
-    }
-    // Series final values are gateable only when both runs sampled one
-    // (NaN marks "no series"); pre-series baselines never fail this.
-    if entry.final_loss.is_finite()
-        && base.final_loss.is_finite()
-        && entry.final_loss > base.final_loss * (1.0 + cfg.tol_loss_rel) + 1e-6
-    {
-        failures.push(format!(
-            "final training loss regressed: {:.4} vs baseline {:.4} (tol +{:.0}%)",
-            entry.final_loss,
-            base.final_loss,
-            100.0 * cfg.tol_loss_rel
-        ));
-    }
-    let baseline = Box::new(base.clone());
-    if failures.is_empty() {
-        CheckOutcome::Pass { baseline }
-    } else {
-        CheckOutcome::Fail { baseline, failures }
-    }
+        .find(|h| kind.identity.iter().all(|k| h.get(k) == entry.get(k)))
 }
 
-// ---------------------------------------------------------------------
-// Kernel micro-benchmark trajectory (`BENCH_kernels.json`)
-// ---------------------------------------------------------------------
-
-/// One `BENCH_kernels.json` entry: a single kernel workload measured at
-/// four tiers — the pre-backend reference loop, the scalar backend on
-/// one thread, the scalar backend on the pooled thread count, and the
-/// SIMD backend on one thread. Written by the `kernels` bin,
-/// rendered/gated by `slm-report --kernels`. Entries recorded before the
-/// cache-blocked tier was removed timed that tier as `serial`/`pooled`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelsEntry {
-    /// Unix seconds of the batch this entry belongs to (0 when unknown);
-    /// entries appended together share one timestamp.
-    pub timestamp_s: u64,
-    /// Kernel family (`matmul`, `matmul_at_b`, `conv2d_fwd`, ...).
-    pub kernel: String,
-    /// Workload shape label, e.g. `256x16x64`.
-    pub shape: String,
-    /// Pooled participant count measured (the host may cap the useful
-    /// parallelism below `SLM_THREADS`).
-    pub threads: u64,
-    /// Throughput of the scalar pre-backend reference, GFLOP/s.
-    pub ref_gflops: f64,
-    /// Throughput of the scalar backend at one thread, GFLOP/s.
-    pub serial_gflops: f64,
-    /// Throughput of the scalar backend at `threads` participants, GFLOP/s.
-    pub pooled_gflops: f64,
-    /// Throughput of the SIMD backend at one thread, GFLOP/s. NaN for
-    /// entries recorded before the SIMD tier existed (serialized as
-    /// JSON `null` then, like `final_loss`).
-    pub simd_gflops: f64,
-    /// Whether the pooled and SIMD outputs were bitwise identical to
-    /// the serial output — the backend's determinism contract, gated by
-    /// [`check_kernels`].
-    pub bitwise_equal: bool,
-}
-
-impl KernelsEntry {
-    /// serial / reference: the one-thread scalar backend against the
-    /// pre-backend loops. Since the scalar backend became the i-k-j
-    /// loop, a matmul entry's two sides share one loop order and differ
-    /// only by the reference's zero-skip branch; entries recorded before
-    /// that timed the removed cache-blocked tiles here.
-    pub fn serial_speedup(&self) -> f64 {
-        self.serial_gflops / self.ref_gflops
-    }
-
-    /// pooled / serial: what the worker pool buys on this host.
-    pub fn pool_speedup(&self) -> f64 {
-        self.pooled_gflops / self.serial_gflops
-    }
-
-    /// pooled / reference: the end-to-end backend speedup.
-    pub fn total_speedup(&self) -> f64 {
-        self.pooled_gflops / self.ref_gflops
-    }
-
-    /// simd / serial: what explicit vectorization buys over the scalar
-    /// kernels at one thread (NaN for pre-SIMD entries).
-    pub fn simd_speedup(&self) -> f64 {
-        self.simd_gflops / self.serial_gflops
-    }
-
-    fn to_json(&self) -> String {
-        JsonObject::new()
-            .u64("timestamp_s", self.timestamp_s)
-            .str("kernel", &self.kernel)
-            .str("shape", &self.shape)
-            .u64("threads", self.threads)
-            .f64("ref_gflops", self.ref_gflops)
-            .f64("serial_gflops", self.serial_gflops)
-            .f64("pooled_gflops", self.pooled_gflops)
-            .f64("simd_gflops", self.simd_gflops)
-            .bool("bitwise_equal", self.bitwise_equal)
-            .finish()
-    }
-
-    fn from_json(v: &JsonValue) -> Result<Self, String> {
-        let f = |k: &str| {
-            v.get(k)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("kernels entry missing numeric field {k:?}"))
-        };
-        let u = |k: &str| {
-            v.get(k)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("kernels entry missing integer field {k:?}"))
-        };
-        let s = |k: &str| {
-            v.get(k)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("kernels entry missing string field {k:?}"))
-        };
-        Ok(KernelsEntry {
-            timestamp_s: u("timestamp_s")?,
-            kernel: s("kernel")?,
-            shape: s("shape")?,
-            threads: u("threads")?,
-            ref_gflops: f("ref_gflops")?,
-            serial_gflops: f("serial_gflops")?,
-            pooled_gflops: f("pooled_gflops")?,
-            // The SIMD tier arrived later; NaN marks pre-SIMD entries.
-            simd_gflops: v
-                .get("simd_gflops")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(f64::NAN),
-            bitwise_equal: v
-                .get("bitwise_equal")
-                .and_then(JsonValue::as_bool)
-                .ok_or("kernels entry missing boolean field \"bitwise_equal\"")?,
-        })
-    }
-}
-
-/// Where the kernel trajectory lives: `BENCH_kernels.json` directly
-/// under `results/`.
-pub fn kernels_bench_path(results_dir: &Path) -> PathBuf {
-    results_dir.join("BENCH_kernels.json")
-}
-
-/// Loads the kernel trajectory; a missing file is an empty trajectory.
-pub fn load_kernels_trajectory(path: &Path) -> Result<Vec<KernelsEntry>, String> {
-    let text = match fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(format!("{}: {e}", path.display())),
-    };
-    let v = json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let entries = v
-        .get("entries")
-        .and_then(JsonValue::as_arr)
-        .ok_or_else(|| format!("{}: missing \"entries\" array", path.display()))?;
-    entries
+/// `kind`'s per-entry gates on `entry`, with `base` as the baseline of
+/// the comparison gates. Returns one line per failure.
+fn compare(kind: &Kind, entry: &Entry, base: Option<&Entry>, cfg: &CheckConfig) -> Vec<String> {
+    kind.gates
         .iter()
-        .map(KernelsEntry::from_json)
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| format!("{}: {e}", path.display()))
+        .filter_map(|g| g.judge(kind, entry, base, cfg))
+        .collect()
 }
 
-/// Appends a batch of entries to the kernel trajectory (rewriting the
-/// file whole, like [`append_trajectory`]) and returns the new total.
-pub fn append_kernels_trajectory(path: &Path, batch: &[KernelsEntry]) -> Result<usize, String> {
-    let mut entries = load_kernels_trajectory(path)?;
-    entries.extend(batch.iter().cloned());
-    let mut arr = JsonArray::new();
-    for e in &entries {
-        arr.push_raw(&e.to_json());
-    }
-    let body = JsonObject::new()
-        .str("experiment", "kernels")
-        .raw("entries", &arr.finish())
-        .finish();
-    fs::write(path, body + "\n").map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(entries.len())
-}
-
-/// The most recent batch: the suffix of entries sharing the last entry's
-/// timestamp (batches are appended together with one timestamp).
-pub fn latest_kernels_batch(entries: &[KernelsEntry]) -> &[KernelsEntry] {
-    let Some(last) = entries.last() else {
-        return entries;
-    };
-    let start = entries
+/// Gates `batch` with `kind`'s gates: each entry against its
+/// [`baseline`] in `history`, then the batch as a whole. Returns one
+/// line per failure; empty means pass.
+pub fn check(kind: &Kind, batch: &[Entry], history: &[Entry], cfg: &CheckConfig) -> Vec<String> {
+    let mut failures: Vec<String> = batch
         .iter()
-        .rposition(|e| e.timestamp_s != last.timestamp_s)
-        .map(|i| i + 1)
-        .unwrap_or(0);
-    &entries[start..]
-}
-
-/// Renders a kernel batch as a markdown table.
-pub fn render_kernels(batch: &[KernelsEntry]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "# slm-report: compute-backend kernels");
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "| kernel | shape | threads | ref GF/s | serial GF/s | pooled GF/s \
-         | simd GF/s | serial× | pool× | simd× | total× | bitwise |"
-    );
-    let _ = writeln!(
-        out,
-        "|---|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---|"
-    );
-    // Pre-SIMD entries carry NaN in the simd column; render a dash.
-    let simd_cell = |v: f64| {
-        if v.is_nan() {
-            "-".to_string()
-        } else {
-            format!("{v:.2}")
-        }
-    };
-    for e in batch {
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {:.2} | {:.2} | {:.2} | {} | {:.2} | {:.2} | {} | {:.2} | {} |",
-            e.kernel,
-            e.shape,
-            e.threads,
-            e.ref_gflops,
-            e.serial_gflops,
-            e.pooled_gflops,
-            simd_cell(e.simd_gflops),
-            e.serial_speedup(),
-            e.pool_speedup(),
-            simd_cell(e.simd_speedup()),
-            e.total_speedup(),
-            if e.bitwise_equal { "ok" } else { "MISMATCH" }
-        );
-    }
-    out
-}
-
-/// Correctness gate over a kernel batch. Throughputs are recorded but —
-/// like host wall times elsewhere — never gated (machine-dependent);
-/// what *is* gated is the determinism contract and that every tier
-/// actually ran: an empty batch, a bitwise mismatch, or a non-positive /
-/// non-finite throughput fails.
-pub fn check_kernels(batch: &[KernelsEntry]) -> Vec<String> {
-    let mut failures = Vec::new();
-    if batch.is_empty() {
-        failures.push("no kernel entries recorded".to_string());
-    }
-    for e in batch {
-        let label = format!("{} {}", e.kernel, e.shape);
-        if !e.bitwise_equal {
-            failures.push(format!(
-                "{label}: the pooled-scalar or simd output differs bitwise from the \
-                 one-thread scalar output"
-            ));
-        }
-        for (tier, v) in [
-            ("ref", e.ref_gflops),
-            ("serial", e.serial_gflops),
-            ("pooled", e.pooled_gflops),
-        ] {
-            if !v.is_finite() || v <= 0.0 {
-                failures.push(format!("{label}: {tier} throughput is {v} GFLOP/s"));
+        .flat_map(|e| compare(kind, e, baseline(kind, e, history), cfg))
+        .collect();
+    let find = |id: &[&str]| batch.iter().find(|e| kind.label(e) == id.join(" "));
+    for gate in kind.gates {
+        match *gate {
+            Gate::NonEmpty(failure) if batch.is_empty() => failures.push(failure.to_string()),
+            Gate::Beats(field, winner, loser) => {
+                let (Some(w), Some(l)) = (find(winner), find(loser)) else {
+                    continue;
+                };
+                let (a, b) = (w.get_num(field), l.get_num(field));
+                if a <= b {
+                    failures.push(format!(
+                        "{} {field} {a:.3} does not beat {} {field} {b:.3}",
+                        winner.join(" "),
+                        loser.join(" ")
+                    ));
+                }
             }
-        }
-        // The SIMD tier arrived later: NaN marks a pre-SIMD entry and is
-        // not gated, but a measured tier must have actually run.
-        if !e.simd_gflops.is_nan() && (!e.simd_gflops.is_finite() || e.simd_gflops <= 0.0) {
-            failures.push(format!(
-                "{label}: simd throughput is {} GFLOP/s",
-                e.simd_gflops
-            ));
+            _ => {}
         }
     }
     failures
 }
 
-// ---------------------------------------------------------------------
-// Chunked-store codec trajectory (`BENCH_store.json`)
-// ---------------------------------------------------------------------
-
-/// One `BENCH_store.json` entry: a single (workload, codec) pairing
-/// measured by the `store` bin — encode/decode throughput, compression
-/// ratio and the lossless round-trip verdict. Written by the `store`
-/// bin, rendered/gated by `slm-report --store`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StoreEntry {
-    /// Unix seconds of the batch this entry belongs to (0 when unknown);
-    /// entries appended together share one timestamp.
-    pub timestamp_s: u64,
-    /// What was encoded (`frames` = smoke-scene depth maps,
-    /// `activations` = quantized cut-layer values, ...).
-    pub workload: String,
-    /// Codec spelling ([`sl_store::Codec::name`]): `raw`, `bitpack<R>`,
-    /// `delta+rle`.
-    pub codec: String,
-    /// Pooled participant count during the measurement.
-    pub threads: u64,
-    /// Raw payload size, MB (1e6 bytes).
-    pub raw_mb: f64,
-    /// Encode throughput over the raw size, MB/s.
-    pub encode_mbps: f64,
-    /// Decode throughput over the raw size, MB/s.
-    pub decode_mbps: f64,
-    /// raw bytes / encoded bytes (> 1 means the codec compressed).
-    pub ratio: f64,
-    /// Whether the decoded values were bitwise identical to the input —
-    /// the codec's determinism/lossless contract, gated by
-    /// [`check_store`].
-    pub lossless: bool,
-}
-
-impl StoreEntry {
-    fn to_json(&self) -> String {
-        JsonObject::new()
-            .u64("timestamp_s", self.timestamp_s)
-            .str("workload", &self.workload)
-            .str("codec", &self.codec)
-            .u64("threads", self.threads)
-            .f64("raw_mb", self.raw_mb)
-            .f64("encode_mbps", self.encode_mbps)
-            .f64("decode_mbps", self.decode_mbps)
-            .f64("ratio", self.ratio)
-            .bool("lossless", self.lossless)
-            .finish()
-    }
-
-    fn from_json(v: &JsonValue) -> Result<Self, String> {
-        let f = |k: &str| {
-            v.get(k)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("store entry missing numeric field {k:?}"))
-        };
-        let u = |k: &str| {
-            v.get(k)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("store entry missing integer field {k:?}"))
-        };
-        let s = |k: &str| {
-            v.get(k)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("store entry missing string field {k:?}"))
-        };
-        Ok(StoreEntry {
-            timestamp_s: u("timestamp_s")?,
-            workload: s("workload")?,
-            codec: s("codec")?,
-            threads: u("threads")?,
-            raw_mb: f("raw_mb")?,
-            encode_mbps: f("encode_mbps")?,
-            decode_mbps: f("decode_mbps")?,
-            ratio: f("ratio")?,
-            lossless: v
-                .get("lossless")
-                .and_then(JsonValue::as_bool)
-                .ok_or("store entry missing boolean field \"lossless\"")?,
-        })
-    }
-}
-
-/// Where the store trajectory lives: `BENCH_store.json` directly under
-/// `results/`.
-pub fn store_bench_path(results_dir: &Path) -> PathBuf {
-    results_dir.join("BENCH_store.json")
-}
-
-/// Loads the store trajectory; a missing file is an empty trajectory.
-pub fn load_store_trajectory(path: &Path) -> Result<Vec<StoreEntry>, String> {
-    let text = match fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(format!("{}: {e}", path.display())),
-    };
-    let v = json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let entries = v
-        .get("entries")
-        .and_then(JsonValue::as_arr)
-        .ok_or_else(|| format!("{}: missing \"entries\" array", path.display()))?;
-    entries
-        .iter()
-        .map(StoreEntry::from_json)
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| format!("{}: {e}", path.display()))
-}
-
-/// Appends a batch of entries to the store trajectory (rewriting the
-/// file whole, like [`append_trajectory`]) and returns the new total.
-pub fn append_store_trajectory(path: &Path, batch: &[StoreEntry]) -> Result<usize, String> {
-    let mut entries = load_store_trajectory(path)?;
-    entries.extend(batch.iter().cloned());
-    let mut arr = JsonArray::new();
-    for e in &entries {
-        arr.push_raw(&e.to_json());
-    }
-    let body = JsonObject::new()
-        .str("experiment", "store")
-        .raw("entries", &arr.finish())
-        .finish();
-    fs::write(path, body + "\n").map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(entries.len())
-}
-
-/// The most recent batch: the suffix of entries sharing the last entry's
-/// timestamp (batches are appended together with one timestamp).
-pub fn latest_store_batch(entries: &[StoreEntry]) -> &[StoreEntry] {
-    let Some(last) = entries.last() else {
-        return entries;
-    };
-    let start = entries
-        .iter()
-        .rposition(|e| e.timestamp_s != last.timestamp_s)
-        .map(|i| i + 1)
-        .unwrap_or(0);
-    &entries[start..]
-}
-
-/// Renders a store batch as a markdown table.
-pub fn render_store(batch: &[StoreEntry]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "# slm-report: chunked-store codecs");
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "| workload | codec | threads | raw MB | enc MB/s | dec MB/s | ratio | lossless |"
-    );
-    let _ = writeln!(out, "|---|---|---:|---:|---:|---:|---:|---|");
-    for e in batch {
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {:.2} | {:.1} | {:.1} | {:.2} | {} |",
-            e.workload,
-            e.codec,
-            e.threads,
-            e.raw_mb,
-            e.encode_mbps,
-            e.decode_mbps,
-            e.ratio,
-            if e.lossless { "ok" } else { "LOSSY" }
-        );
-    }
-    out
-}
-
-/// Correctness gate over a store batch. Throughputs are recorded but —
-/// as everywhere else — never gated (machine-dependent). What *is*
-/// gated: every round-trip was bitwise lossless, every measured rate is
-/// finite and positive, and `delta+rle` actually compresses the depth
-/// frames better than `raw` stores them (the codec's reason to exist —
-/// see DESIGN.md §14).
-pub fn check_store(batch: &[StoreEntry]) -> Vec<String> {
-    let mut failures = Vec::new();
-    if batch.is_empty() {
-        failures.push("no store entries recorded".to_string());
-    }
-    for e in batch {
-        let label = format!("{} {}", e.workload, e.codec);
-        if !e.lossless {
-            failures.push(format!("{label}: round-trip was not bitwise lossless"));
-        }
-        for (what, v) in [
-            ("encode", e.encode_mbps),
-            ("decode", e.decode_mbps),
-            ("ratio", e.ratio),
-        ] {
-            if !v.is_finite() || v <= 0.0 {
-                failures.push(format!("{label}: {what} is {v}"));
-            }
-        }
-    }
-    let frames_ratio = |codec: &str| {
-        batch
-            .iter()
-            .find(|e| e.workload == "frames" && e.codec == codec)
-            .map(|e| e.ratio)
-    };
-    if let (Some(delta), Some(raw)) = (frames_ratio("delta+rle"), frames_ratio("raw")) {
-        if delta <= raw {
-            failures.push(format!(
-                "frames: delta+rle ratio {delta:.3} does not beat raw ratio {raw:.3}"
-            ));
-        }
-    }
-    failures
-}
-
-/// Renders a side-by-side diff of two runs; the `bool` is `true` when
-/// run `b` regresses beyond `cfg` relative to run `a`.
+/// Renders a side-by-side diff of two runs over the run table's
+/// columns. The `bool` is `true` when run `b` fails the run gates with
+/// run `a` as its baseline — the verdict [`check`] reaches when `a` is
+/// the last entry with `b`'s profile and config.
 pub fn render_diff(a: &RunData, b: &RunData, cfg: &CheckConfig) -> (String, bool) {
-    let ma = run_metrics(a);
-    let mb = run_metrics(b);
-    let mut out = String::new();
-    let _ = writeln!(out, "# slm-report diff: {} vs {}", a.name, b.name);
-    let _ = writeln!(out);
+    let (ea, eb) = (entry_from_run(a, 0), entry_from_run(b, 0));
+    let mut out = format!("# slm-report diff: {} vs {}\n\n", a.name, b.name);
     let _ = writeln!(out, "| metric | {} | {} | delta |", a.name, b.name);
     let _ = writeln!(out, "|---|---:|---:|---:|");
-    let mut row = |name: &str, va: f64, vb: f64, unit: &str| {
+    for &(head, cell) in RUN.columns {
+        let Cell::Num(field, _) = cell else { continue };
+        let (va, vb) = (ea.get_num(field), eb.get_num(field));
         let delta = vb - va;
-        let rel = if va.abs() > 1e-12 {
-            format!(" ({:+.1}%)", 100.0 * delta / va)
-        } else {
-            String::new()
-        };
-        let _ = writeln!(
-            out,
-            "| {name} | {va:.3} {unit} | {vb:.3} {unit} | {delta:+.3}{rel} |"
-        );
-    };
-    let ra = ma.val_rmse_db.unwrap_or(f64::NAN);
-    let rb = mb.val_rmse_db.unwrap_or(f64::NAN);
-    row("val RMSE", ra, rb, "dB");
-    row("sim elapsed", ma.sim_elapsed_s(), mb.sim_elapsed_s(), "s");
-    row("sim compute", ma.sim_compute_s, mb.sim_compute_s, "s");
-    row("sim airtime", ma.sim_airtime_s, mb.sim_airtime_s, "s");
-    row(
-        "steps applied",
-        ma.steps_applied as f64,
-        mb.steps_applied as f64,
-        "",
-    );
-    row("model host", ma.model_host_s, mb.model_host_s, "s");
-    row("wall", a.wall_s, b.wall_s, "s");
-    let regressed = (rb.is_finite() && ra.is_finite() && rb > ra * (1.0 + cfg.tol_rmse_rel) + 0.05)
-        || mb.sim_elapsed_s() > ma.sim_elapsed_s() * (1.0 + cfg.tol_time_rel);
-    let _ = writeln!(out);
+        let rel = (va.abs() > 1e-12).then(|| format!(" ({:+.1}%)", 100.0 * delta / va));
+        let rel = rel.unwrap_or_default();
+        let _ = writeln!(out, "| {head} | {va:.3} | {vb:.3} | {delta:+.3}{rel} |");
+    }
+    let failures = compare(&RUN, &eb, Some(&ea), cfg);
     let _ = writeln!(
         out,
-        "Regression (tol rmse +{:.0}%, time +{:.0}%): {}",
+        "\nRegression (tol rmse +{:.0}%, time +{:.0}%, loss +{:.0}%): {}",
         100.0 * cfg.tol_rmse_rel,
         100.0 * cfg.tol_time_rel,
-        if regressed { "YES" } else { "no" }
+        100.0 * cfg.tol_loss_rel,
+        if failures.is_empty() { "no" } else { "YES" }
     );
-    (out, regressed)
+    for f in &failures {
+        let _ = writeln!(out, "- {f}");
+    }
+    (out, !failures.is_empty())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn entry(profile: &str, hash: &str, rmse: f64, sim: f64) -> BenchEntry {
-        BenchEntry {
-            timestamp_s: 1,
-            profile: profile.to_string(),
-            config_hash: hash.to_string(),
-            val_rmse_db: rmse,
-            sim_elapsed_s: sim,
-            steps_applied: 100,
-            wall_s: 2.0,
-            model_host_s: 1.0,
-            layer_host_s: 0.98,
-            health_events: 0,
-            lint_findings: 0,
-            lint_allowlist: 0,
-            lint_waived: 0,
-            lint_keys: 0,
-            lint_knobs: 0,
-            lint_protocol: 0,
-            lint_determinism: 0,
-            final_loss: 0.5,
-        }
+    fn entry(profile: &str, hash: &str, rmse: f64, sim: f64) -> Entry {
+        Entry::new()
+            .num("timestamp_s", 1.0)
+            .str("profile", profile)
+            .str("config_hash", hash)
+            .num("val_rmse_db", rmse)
+            .num("sim_elapsed_s", sim)
+            .num("steps_applied", 100.0)
+            .num("wall_s", 2.0)
+            .num("model_host_s", 1.0)
+            .num("layer_host_s", 0.98)
+            .num("health_events", 0.0)
+            .num("lint_findings", 0.0)
+            .num("lint_allowlist", 0.0)
+            .num("lint_waived", 0.0)
+            .num("lint_keys", 0.0)
+            .num("lint_knobs", 0.0)
+            .num("lint_protocol", 0.0)
+            .num("lint_determinism", 0.0)
+            .num("final_loss", 0.5)
     }
 
-    fn kentry(kernel: &str, ts: u64, bitwise: bool) -> KernelsEntry {
-        KernelsEntry {
-            timestamp_s: ts,
-            kernel: kernel.to_string(),
-            shape: "8x8x8".to_string(),
-            threads: 4,
-            ref_gflops: 1.0,
-            serial_gflops: 2.0,
-            pooled_gflops: 4.0,
-            simd_gflops: 6.0,
-            bitwise_equal: bitwise,
+    fn kentry(kernel: &str, ts: u64, bitwise: bool) -> Entry {
+        Entry::new()
+            .num("timestamp_s", ts as f64)
+            .str("kernel", kernel)
+            .str("shape", "8x8x8")
+            .num("threads", 4.0)
+            .num("ref_gflops", 1.0)
+            .num("serial_gflops", 2.0)
+            .num("pooled_gflops", 4.0)
+            .num("simd_gflops", 6.0)
+            .bool("bitwise_equal", bitwise)
+    }
+
+    fn reload(kind: &Kind, e: &Entry) -> Entry {
+        Entry::from_json(kind, &json::parse(&e.to_json()).unwrap()).unwrap()
+    }
+
+    /// `e`'s JSON object with `keys` removed, as an older writer left it.
+    fn without(e: &Entry, keys: &[&str]) -> JsonValue {
+        let mut obj = json::parse(&e.to_json()).unwrap().as_obj().unwrap().clone();
+        for k in keys {
+            obj.remove(*k);
         }
+        JsonValue::Obj(obj)
+    }
+
+    fn check_run(e: &Entry, history: &[Entry], cfg: &CheckConfig) -> Vec<String> {
+        check(&RUN, std::slice::from_ref(e), history, cfg)
     }
 
     #[test]
     fn kernels_entry_round_trips_and_derives_speedups() {
         let e = kentry("matmul", 7, true);
-        let back = KernelsEntry::from_json(&json::parse(&e.to_json()).unwrap()).unwrap();
+        let back = reload(&KERNELS, &e);
         assert_eq!(back, e);
-        assert_eq!(back.serial_speedup(), 2.0);
-        assert_eq!(back.pool_speedup(), 2.0);
-        assert_eq!(back.total_speedup(), 4.0);
-        assert_eq!(back.simd_speedup(), 3.0);
+        // serial× 2, pool× 2, simd× 3, total× 4.
+        let md = render_table(&KERNELS, &[back]);
+        assert!(md.contains("| 2.00 | 2.00 | 3.00 | 4.00 | ok |"), "{md}");
     }
 
     #[test]
     fn pre_simd_kernels_entries_load_as_nan_and_are_not_gated() {
         let e = kentry("matmul", 7, true);
-        let v = json::parse(&e.to_json()).unwrap();
-        let mut obj = v.as_obj().unwrap().clone();
-        obj.remove("simd_gflops");
-        let old = KernelsEntry::from_json(&JsonValue::Obj(obj)).unwrap();
-        assert!(old.simd_gflops.is_nan());
-        assert!(check_kernels(std::slice::from_ref(&old)).is_empty());
+        let old = Entry::from_json(&KERNELS, &without(&e, &["simd_gflops"])).unwrap();
+        assert!(old.get_num("simd_gflops").is_nan());
+        assert!(check(
+            &KERNELS,
+            std::slice::from_ref(&old),
+            &[],
+            &CheckConfig::default()
+        )
+        .is_empty());
         // NaN serializes as null and reloads as NaN.
         assert!(old.to_json().contains("\"simd_gflops\":null"));
+        assert!(reload(&KERNELS, &old).get_num("simd_gflops").is_nan());
         // A measured-but-dead simd tier still fails the gate.
-        let mut dead = kentry("matmul", 7, true);
-        dead.simd_gflops = 0.0;
-        let failures = check_kernels(&[dead]);
+        let dead = kentry("matmul", 7, true).num("simd_gflops", 0.0);
+        let failures = check(&KERNELS, &[dead], &[], &CheckConfig::default());
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("simd throughput"), "{failures:?}");
     }
@@ -1589,70 +1422,82 @@ mod tests {
     fn kernels_trajectory_appends_and_batches() {
         let dir = std::env::temp_dir().join(format!("slm-kern-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
-        let path = kernels_bench_path(&dir);
+        let path = trajectory_path(&dir, KERNELS.name);
         let _ = fs::remove_file(&path);
-        assert!(load_kernels_trajectory(&path).unwrap().is_empty());
-        append_kernels_trajectory(&path, &[kentry("matmul", 1, true)]).unwrap();
-        let n = append_kernels_trajectory(
+        assert!(load_trajectory(&KERNELS, &path).unwrap().is_empty());
+        append_trajectory(&KERNELS, &path, "kernels", &[kentry("matmul", 1, true)]).unwrap();
+        let n = append_trajectory(
+            &KERNELS,
             &path,
+            "kernels",
             &[kentry("matmul", 2, true), kentry("conv2d_fwd", 2, true)],
         )
         .unwrap();
         assert_eq!(n, 3);
-        let all = load_kernels_trajectory(&path).unwrap();
+        let all = load_trajectory(&KERNELS, &path).unwrap();
         assert_eq!(all.len(), 3);
-        let batch = latest_kernels_batch(&all);
+        let batch = latest_batch(&all);
         assert_eq!(batch.len(), 2);
-        assert!(batch.iter().all(|e| e.timestamp_s == 2));
+        assert!(batch.iter().all(|e| e.get_num("timestamp_s") == 2.0));
         let _ = fs::remove_file(&path);
         let _ = fs::remove_dir(&dir);
     }
 
     #[test]
     fn kernels_check_gates_determinism_not_speed() {
-        assert_eq!(check_kernels(&[]).len(), 1);
+        let cfg = CheckConfig::default();
+        assert_eq!(check(&KERNELS, &[], &[], &cfg).len(), 1);
         // Slow is fine: pooled below serial is reported, not gated.
-        let mut slow = kentry("matmul", 1, true);
-        slow.pooled_gflops = 0.5;
-        assert!(check_kernels(&[slow]).is_empty());
+        let slow = kentry("matmul", 1, true).num("pooled_gflops", 0.5);
+        assert!(check(&KERNELS, &[slow], &[], &cfg).is_empty());
         // A bitwise mismatch or dead tier is not fine.
         let bad = kentry("matmul", 1, false);
-        let mut dead = kentry("conv2d_fwd", 1, true);
-        dead.ref_gflops = 0.0;
-        let failures = check_kernels(&[bad, dead]);
+        let dead = kentry("conv2d_fwd", 1, true).num("ref_gflops", 0.0);
+        let failures = check(&KERNELS, &[bad, dead], &[], &cfg);
         assert_eq!(failures.len(), 2);
         assert!(failures[0].contains("bitwise"));
         assert!(failures[1].contains("ref throughput"));
     }
 
-    fn sentry(workload: &str, codec: &str, ts: u64, ratio: f64) -> StoreEntry {
-        StoreEntry {
-            timestamp_s: ts,
-            workload: workload.to_string(),
-            codec: codec.to_string(),
-            threads: 4,
-            raw_mb: 5.12,
-            encode_mbps: 800.0,
-            decode_mbps: 1200.0,
-            ratio,
-            lossless: true,
-        }
+    #[test]
+    fn committed_kernels_trajectory_passes_and_rewrites_byte_identical() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_kernels.json");
+        let text = fs::read_to_string(&path).unwrap();
+        let all = load_trajectory(&KERNELS, &path).unwrap();
+        assert!(!all.is_empty());
+        let failures = check(&KERNELS, latest_batch(&all), &[], &CheckConfig::default());
+        assert!(failures.is_empty(), "{failures:?}");
+        assert_eq!(trajectory_json("kernels", &all) + "\n", text);
+    }
+
+    fn sentry(workload: &str, codec: &str, ts: u64, ratio: f64) -> Entry {
+        Entry::new()
+            .num("timestamp_s", ts as f64)
+            .str("workload", workload)
+            .str("codec", codec)
+            .num("threads", 4.0)
+            .num("raw_mb", 5.12)
+            .num("encode_mbps", 800.0)
+            .num("decode_mbps", 1200.0)
+            .num("ratio", ratio)
+            .bool("lossless", true)
     }
 
     #[test]
     fn store_entry_round_trips_and_batches() {
         let e = sentry("frames", "delta+rle", 7, 3.5);
-        let back = StoreEntry::from_json(&json::parse(&e.to_json()).unwrap()).unwrap();
-        assert_eq!(back, e);
+        assert_eq!(reload(&STORE, &e), e);
 
         let dir = std::env::temp_dir().join(format!("slm-store-traj-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
-        let path = store_bench_path(&dir);
+        let path = trajectory_path(&dir, STORE.name);
         let _ = fs::remove_file(&path);
-        assert!(load_store_trajectory(&path).unwrap().is_empty());
-        append_store_trajectory(&path, &[sentry("frames", "raw", 1, 1.0)]).unwrap();
-        let n = append_store_trajectory(
+        assert!(load_trajectory(&STORE, &path).unwrap().is_empty());
+        append_trajectory(&STORE, &path, "store", &[sentry("frames", "raw", 1, 1.0)]).unwrap();
+        let n = append_trajectory(
+            &STORE,
             &path,
+            "store",
             &[
                 sentry("frames", "raw", 2, 1.0),
                 sentry("frames", "delta+rle", 2, 3.0),
@@ -1660,91 +1505,84 @@ mod tests {
         )
         .unwrap();
         assert_eq!(n, 3);
-        let all = load_store_trajectory(&path).unwrap();
-        let batch = latest_store_batch(&all);
+        let all = load_trajectory(&STORE, &path).unwrap();
+        let batch = latest_batch(&all);
         assert_eq!(batch.len(), 2);
-        assert!(batch.iter().all(|e| e.timestamp_s == 2));
+        assert!(batch.iter().all(|e| e.get_num("timestamp_s") == 2.0));
         let _ = fs::remove_file(&path);
         let _ = fs::remove_dir(&dir);
     }
 
     #[test]
     fn store_check_gates_losslessness_and_compression_win() {
-        assert_eq!(check_store(&[]).len(), 1);
+        let cfg = CheckConfig::default();
+        let store = |batch: &[Entry]| check(&STORE, batch, &[], &cfg);
+        assert_eq!(store(&[]).len(), 1);
         // A healthy batch passes; speed is reported, never gated.
         let good = [
             sentry("frames", "raw", 1, 1.0),
             sentry("frames", "delta+rle", 1, 3.0),
             sentry("activations", "bitpack8", 1, 4.0),
         ];
-        assert!(check_store(&good).is_empty());
+        assert!(store(&good).is_empty());
         // A lossy round-trip fails.
-        let mut lossy = sentry("frames", "raw", 1, 1.0);
-        lossy.lossless = false;
-        let failures = check_store(std::slice::from_ref(&lossy));
+        let lossy = sentry("frames", "raw", 1, 1.0).bool("lossless", false);
+        let failures = store(std::slice::from_ref(&lossy));
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("lossless"));
         // A dead rate fails.
-        let mut dead = sentry("frames", "raw", 1, 1.0);
-        dead.decode_mbps = 0.0;
-        assert!(check_store(&[dead])[0].contains("decode"));
+        let dead = sentry("frames", "raw", 1, 1.0).num("decode_mbps", 0.0);
+        assert!(store(&[dead])[0].contains("decode"));
         // delta+rle not beating raw on depth frames fails.
         let tie = [
             sentry("frames", "raw", 1, 1.0),
             sentry("frames", "delta+rle", 1, 1.0),
         ];
-        let failures = check_store(&tie);
+        let failures = store(&tie);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("does not beat"), "{failures:?}");
         // Rendering marks losslessness.
-        let md = render_store(&good);
+        let md = render_table(&STORE, &good);
         assert!(md.contains("| frames | delta+rle |"));
         assert!(md.contains(" ok |"));
     }
 
     #[test]
-    fn bench_entry_round_trips_lint_fields() {
-        let mut e = entry("smoke", "abc", 3.0, 10.0);
-        e.lint_findings = 1;
-        e.lint_allowlist = 65;
-        e.lint_waived = 9;
-        let v = json::parse(&e.to_json()).unwrap();
-        let back = BenchEntry::from_json(&v).unwrap();
-        assert_eq!(back, e);
+    fn run_entry_round_trips_lint_fields() {
+        let e = entry("smoke", "abc", 3.0, 10.0)
+            .num("lint_findings", 1.0)
+            .num("lint_allowlist", 65.0)
+            .num("lint_waived", 9.0);
+        assert_eq!(reload(&RUN, &e), e);
     }
 
     #[test]
-    fn bench_entry_lint_fields_default_for_pre_lint_trajectories() {
+    fn run_entry_lint_fields_default_for_pre_lint_trajectories() {
         // Entries written before the lint stage existed have no lint_*
         // keys; they must still load, with zeros.
         let old = entry("smoke", "abc", 3.0, 10.0);
-        let v = json::parse(&old.to_json()).unwrap();
-        let mut obj = v.as_obj().unwrap().clone();
-        obj.remove("lint_findings");
-        obj.remove("lint_allowlist");
-        obj.remove("lint_waived");
-        let stripped = JsonValue::Obj(obj);
-        let back = BenchEntry::from_json(&stripped).unwrap();
-        assert_eq!(back.lint_allowlist, 0);
-        assert_eq!(back.lint_findings, 0);
-        assert_eq!(back.lint_waived, 0);
-        assert_eq!(back.profile, "smoke");
+        let stripped = without(&old, &["lint_findings", "lint_allowlist", "lint_waived"]);
+        let back = Entry::from_json(&RUN, &stripped).unwrap();
+        assert_eq!(back.get_num("lint_allowlist"), 0.0);
+        assert_eq!(back.get_num("lint_findings"), 0.0);
+        assert_eq!(back.get_num("lint_waived"), 0.0);
+        assert_eq!(back.get_str("profile"), "smoke");
+        // A required field stays required.
+        assert!(Entry::from_json(&RUN, &without(&old, &["val_rmse_db"])).is_err());
     }
 
     #[test]
-    fn bench_entry_final_loss_nan_serializes_as_null_and_reloads() {
-        let mut e = entry("smoke", "abc", 3.0, 10.0);
-        e.final_loss = f64::NAN;
+    fn run_entry_final_loss_nan_serializes_as_null_and_reloads() {
+        let e = entry("smoke", "abc", 3.0, 10.0).num("final_loss", f64::NAN);
         let text = e.to_json();
         assert!(text.contains("\"final_loss\":null"), "{text}");
-        let back = BenchEntry::from_json(&json::parse(&text).unwrap()).unwrap();
-        assert!(back.final_loss.is_nan());
+        assert!(reload(&RUN, &e).get_num("final_loss").is_nan());
         // Pre-series entries (no final_loss key at all) also load as NaN.
-        let v = json::parse(&entry("smoke", "abc", 3.0, 10.0).to_json()).unwrap();
-        let mut obj = v.as_obj().unwrap().clone();
-        obj.remove("final_loss");
-        let old = BenchEntry::from_json(&JsonValue::Obj(obj)).unwrap();
-        assert!(old.final_loss.is_nan());
+        let old = without(&entry("smoke", "abc", 3.0, 10.0), &["final_loss"]);
+        assert!(Entry::from_json(&RUN, &old)
+            .unwrap()
+            .get_num("final_loss")
+            .is_nan());
     }
 
     #[test]
@@ -1753,22 +1591,15 @@ mod tests {
         let base = entry("smoke", "abc", 4.0, 10.0); // final_loss 0.5
         let hist = vec![base];
         // 2x the baseline's final loss fails the gate.
-        let mut worse = entry("smoke", "abc", 4.0, 10.0);
-        worse.final_loss = 1.0;
-        let out = check(&worse, &hist, &cfg);
-        match out {
-            CheckOutcome::Fail { failures, .. } => {
-                assert!(failures[0].contains("final training loss"), "{failures:?}");
-            }
-            o => panic!("expected failure, got {o:?}"),
-        }
+        let worse = entry("smoke", "abc", 4.0, 10.0).num("final_loss", 1.0);
+        let failures = check_run(&worse, &hist, &cfg);
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("final training loss"), "{failures:?}");
         // A pre-series entry on either side is never gated.
-        let mut no_series = entry("smoke", "abc", 4.0, 10.0);
-        no_series.final_loss = f64::NAN;
-        assert!(check(&no_series, &hist, &cfg).passed());
-        let mut old_hist = hist.clone();
-        old_hist[0].final_loss = f64::NAN;
-        assert!(check(&worse, &old_hist, &cfg).passed());
+        let no_series = entry("smoke", "abc", 4.0, 10.0).num("final_loss", f64::NAN);
+        assert!(check_run(&no_series, &hist, &cfg).is_empty());
+        let old_hist = vec![hist[0].clone().num("final_loss", f64::NAN)];
+        assert!(check_run(&worse, &old_hist, &cfg).is_empty());
     }
 
     #[test]
@@ -1841,9 +1672,15 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let e1 = entry("smoke", "abc", 4.5, 10.0);
         let e2 = entry("smoke", "abc", 4.2, 10.0);
-        assert_eq!(append_trajectory(&path, "x", &e1).unwrap(), 1);
-        assert_eq!(append_trajectory(&path, "x", &e2).unwrap(), 2);
-        let back = load_trajectory(&path).unwrap();
+        assert_eq!(
+            append_trajectory(&RUN, &path, "x", std::slice::from_ref(&e1)).unwrap(),
+            1
+        );
+        assert_eq!(
+            append_trajectory(&RUN, &path, "x", std::slice::from_ref(&e2)).unwrap(),
+            2
+        );
+        let back = load_trajectory(&RUN, &path).unwrap();
         assert_eq!(back, vec![e1, e2]);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1854,25 +1691,126 @@ mod tests {
         let base = entry("smoke", "abc", 4.0, 10.0);
         let hist = vec![entry("smoke", "other", 1.0, 1.0), base.clone()];
 
-        assert_eq!(
-            check(&entry("smoke", "new-config", 9.0, 9.0), &hist, &cfg),
-            CheckOutcome::NoBaseline
-        );
-        assert!(check(&entry("smoke", "abc", 4.3, 10.0), &hist, &cfg).passed());
+        let fresh = entry("smoke", "new-config", 9.0, 9.0);
+        assert_eq!(baseline(&RUN, &fresh, &hist), None);
+        assert!(check_run(&fresh, &hist, &cfg).is_empty());
+        assert!(check_run(&entry("smoke", "abc", 4.3, 10.0), &hist, &cfg).is_empty());
         // 2× RMSE must fail the gate.
-        let out = check(&entry("smoke", "abc", 8.0, 10.0), &hist, &cfg);
-        match out {
-            CheckOutcome::Fail { failures, .. } => {
-                assert!(failures[0].contains("val RMSE regressed"), "{failures:?}");
-            }
-            o => panic!("expected failure, got {o:?}"),
-        }
+        let failures = check_run(&entry("smoke", "abc", 8.0, 10.0), &hist, &cfg);
+        assert!(!failures.is_empty());
+        assert!(failures[0].contains("val RMSE regressed"), "{failures:?}");
         // Slower simulated time fails; faster passes.
-        assert!(!check(&entry("smoke", "abc", 4.0, 20.0), &hist, &cfg).passed());
-        assert!(check(&entry("smoke", "abc", 4.0, 5.0), &hist, &cfg).passed());
+        assert!(!check_run(&entry("smoke", "abc", 4.0, 20.0), &hist, &cfg).is_empty());
+        assert!(check_run(&entry("smoke", "abc", 4.0, 5.0), &hist, &cfg).is_empty());
         // Health events fail even without a baseline.
-        let mut sick = entry("smoke", "brand-new", 4.0, 10.0);
-        sick.health_events = 1;
-        assert!(!check(&sick, &hist, &cfg).passed());
+        let sick = entry("smoke", "brand-new", 4.0, 10.0).num("health_events", 1.0);
+        assert!(!check_run(&sick, &hist, &cfg).is_empty());
+    }
+
+    #[test]
+    fn check_fails_a_non_finite_rmse_against_a_baseline() {
+        let cfg = CheckConfig::default();
+        let hist = vec![entry("smoke", "abc", 4.0, 10.0)];
+        for rmse in [f64::NAN, f64::INFINITY] {
+            let failures = check_run(&entry("smoke", "abc", rmse, 10.0), &hist, &cfg);
+            assert_eq!(failures, vec!["val RMSE is non-finite".to_string()]);
+        }
+        // The baseline is the last entry with the same profile and
+        // config hash: the same config under another profile has none.
+        let other = entry("paper", "abc", f64::NAN, 10.0);
+        assert_eq!(baseline(&RUN, &other, &hist), None);
+        assert!(check_run(&other, &hist, &cfg).is_empty());
+    }
+
+    #[test]
+    fn baseline_is_the_last_entry_with_the_same_identity() {
+        let cfg = CheckConfig::default();
+        let hist = vec![
+            entry("smoke", "abc", 1.0, 10.0),
+            entry("smoke", "abc", 4.0, 10.0),
+            entry("smoke", "other", 1.0, 10.0),
+        ];
+        let fresh = entry("smoke", "abc", 4.3, 10.0);
+        assert_eq!(baseline(&RUN, &fresh, &hist), Some(&hist[1]));
+        assert!(check_run(&fresh, &hist, &cfg).is_empty());
+        // Against the first entry alone, 4.3 dB is a regression.
+        assert!(!check_run(&fresh, &hist[..1], &cfg).is_empty());
+    }
+
+    #[test]
+    fn positive_gates_fail_every_dead_rate() {
+        let cfg = CheckConfig::default();
+        let tiers = [
+            "ref_gflops",
+            "serial_gflops",
+            "pooled_gflops",
+            "simd_gflops",
+        ];
+        let rates = ["encode_mbps", "decode_mbps", "ratio"];
+        for bad in [0.0, -1.0, f64::INFINITY, f64::NAN] {
+            for field in tiers {
+                let e = kentry("matmul", 1, true).num(field, bad);
+                let failures = check(&KERNELS, &[e], &[], &cfg);
+                // An unmeasured (NaN) simd tier is the one pass.
+                let want = usize::from(!(field == "simd_gflops" && bad.is_nan()));
+                assert_eq!(failures.len(), want, "{field} = {bad}: {failures:?}");
+            }
+            for field in rates {
+                let e = sentry("frames", "raw", 1, 1.0).num(field, bad);
+                let failures = check(&STORE, &[e], &[], &cfg);
+                assert_eq!(failures.len(), 1, "{field} = {bad}: {failures:?}");
+            }
+        }
+    }
+
+    /// A run whose snapshot carries `rmse` (none when NaN) and `sim`
+    /// seconds of compute, with `health` health events.
+    fn run_data(rmse: f64, sim: f64, health: usize) -> RunData {
+        let mut reg = sl_telemetry::MetricsRegistry::new();
+        if !rmse.is_nan() {
+            reg.gauge_set("train.val_rmse_db", rmse);
+        }
+        reg.gauge_set("sim.compute_s", sim);
+        RunData {
+            dir: std::env::temp_dir().join("slm_report_diff_test/none"),
+            name: "x".to_string(),
+            profile: "smoke".to_string(),
+            config_hashes: vec!["abc".to_string()],
+            run_labels: vec!["RF".to_string()],
+            wall_s: 1.0,
+            snapshot: reg.snapshot(),
+            health_events: vec![
+                HealthEvent {
+                    kind: "health.diverged".to_string(),
+                    metric: "loss_ema".to_string(),
+                    detail: String::new(),
+                    action: "warn".to_string(),
+                };
+                health
+            ],
+            spans: Vec::new(),
+            series: None,
+        }
+    }
+
+    #[test]
+    fn diff_and_check_reach_the_same_verdict() {
+        let cfg = CheckConfig::default();
+        let a = run_data(4.0, 10.0, 0);
+        for (b, regressed) in [
+            (run_data(4.1, 10.0, 0), false),
+            (run_data(4.0, 5.0, 0), false),
+            (run_data(8.0, 10.0, 0), true),
+            (run_data(4.0, 20.0, 0), true),
+            (run_data(f64::NAN, 10.0, 0), true),
+            (run_data(4.0, 10.0, 1), true),
+        ] {
+            let (md, diff_says) = render_diff(&a, &b, &cfg);
+            let history = [entry_from_run(&a, 1)];
+            let failures = check_run(&entry_from_run(&b, 2), &history, &cfg);
+            assert_eq!(diff_says, regressed, "{md}");
+            assert_eq!(failures.is_empty(), !regressed, "{failures:?}");
+            assert!(md.contains("| val RMSE dB |"), "{md}");
+        }
     }
 }

@@ -10,7 +10,7 @@ use sl_rng::rngs::StdRng;
 
 use sl_bench::report::{
     append_trajectory, bench_path, check, entry_from_run, load_run, load_trajectory,
-    render_markdown, run_metrics, CheckConfig,
+    render_markdown, run_metrics, CheckConfig, RUN,
 };
 use sl_bench::{Experiment, Profile};
 use sl_core::{ExperimentConfig, PoolingDim, Scheme, SplitTrainer};
@@ -73,20 +73,24 @@ fn report_golden_round_trip() {
 
     // Trajectory entry round-trips through the hand-rolled JSON parser.
     let entry = entry_from_run(&run, 123);
-    assert!(entry.val_rmse_db.is_finite());
+    assert!(entry.get_num("val_rmse_db").is_finite());
     let traj = bench_path(&run);
     assert!(traj.ends_with("BENCH_goldenexp.json"), "{traj:?}");
-    assert_eq!(append_trajectory(&traj, &run.name, &entry).unwrap(), 1);
-    let back = load_trajectory(&traj).unwrap();
+    assert_eq!(
+        append_trajectory(&RUN, &traj, &run.name, std::slice::from_ref(&entry)).unwrap(),
+        1
+    );
+    let back = load_trajectory(&RUN, &traj).unwrap();
     assert_eq!(back, vec![entry.clone()]);
 
     // The gate: identical metrics pass, an injected 2× RMSE regression
     // fails.
     let cfg = CheckConfig::default();
-    assert!(check(&entry, &back, &cfg).passed());
-    let mut regressed = entry.clone();
-    regressed.val_rmse_db *= 2.0;
-    assert!(!check(&regressed, &back, &cfg).passed());
+    assert!(check(&RUN, std::slice::from_ref(&entry), &back, &cfg).is_empty());
+    let regressed = entry
+        .clone()
+        .num("val_rmse_db", 2.0 * entry.get_num("val_rmse_db"));
+    assert!(!check(&RUN, &[regressed], &back, &cfg).is_empty());
 
     std::fs::remove_dir_all(&base).ok();
 }

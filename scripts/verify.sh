@@ -19,6 +19,11 @@ fi
 
 declare -a results=()
 overall=0
+# Set when a stage that later stages build on fails (fmt, clippy, lint,
+# build); those later stages are then skipped. A failing `test` stage
+# blocks nothing: every stage after it runs its own checks, and the
+# script still exits non-zero.
+blocked=0
 
 stage() {
     local name="$1"
@@ -31,17 +36,18 @@ stage() {
         echo "FAIL  $name"
         results+=("FAIL  $name")
         overall=1
+        return 1
     fi
 }
 
-stage fmt cargo fmt --all -- --check
-stage clippy cargo clippy --workspace --all-targets -- -D warnings
+stage fmt cargo fmt --all -- --check || blocked=1
+stage clippy cargo clippy --workspace --all-targets -- -D warnings || blocked=1
 
 # Static analysis: workspace rules (unwrap/nondeterminism/print/float-eq/
 # lossy-cast/deps policy, ratcheted by crates/lint/allowlist.txt) plus the
 # offline shape-contract check of every experiment profile's wiring.
-if [[ "$overall" -eq 0 ]]; then
-    stage lint cargo run -q -p sl-lint --bin slm-lint -- --shapes
+if [[ "$blocked" -eq 0 ]]; then
+    stage lint cargo run -q -p sl-lint --bin slm-lint -- --shapes || blocked=1
 fi
 
 # Semantic contract passes on the item-level index: telemetry key
@@ -50,19 +56,19 @@ fi
 # (--protocol) and kernel accumulator-order heuristics (--determinism).
 # Writes results/lint.json (with per-pass counts) so slm-report can
 # track the allowlist burn-down and the semantic surface.
-if [[ "$overall" -eq 0 ]]; then
+if [[ "$blocked" -eq 0 ]]; then
     stage lint-semantic cargo run -q -p sl-lint --bin slm-lint -- \
-        --semantic --json-out results/lint.json
+        --semantic --json-out results/lint.json || blocked=1
 fi
 
-if [[ "$fast" -eq 0 && "$overall" -eq 0 ]]; then
-    stage build cargo build --release
+if [[ "$fast" -eq 0 && "$blocked" -eq 0 ]]; then
+    stage build cargo build --release || blocked=1
 fi
 
 # Every crate's suite, not just the umbrella package's: the unit tests,
 # the seeded property suites and the integration tests. --no-fail-fast
 # so one failing test binary does not hide the results of the others.
-if [[ "$overall" -eq 0 ]]; then
+if [[ "$blocked" -eq 0 ]]; then
     stage test cargo test -q --workspace --no-fail-fast
 fi
 
@@ -72,7 +78,7 @@ fi
 # (2 × 2 stages) — the env pair selects what the process-wide pool and
 # global backend resolve to, and global_backend_matches_scalar_reference
 # closes the loop.
-if [[ "$overall" -eq 0 ]]; then
+if [[ "$blocked" -eq 0 ]]; then
     for backend in scalar simd; do
         for threads in 1 4; do
             stage "kernels-eq-$backend-${threads}t" \
@@ -87,15 +93,15 @@ fi
 # non-zero when any correctness check fails — per-run outputs, digests
 # across repeats, train-1px == net-1px learning curves, the train-rf
 # checkpoint resume — so this is the end-to-end bitwise gate.
-if [[ "$overall" -eq 0 ]]; then
+if [[ "$blocked" -eq 0 ]]; then
     stage splitbench-test cargo test --offline --manifest-path splitbench/Cargo.toml
 fi
-if [[ "$fast" -eq 0 && "$overall" -eq 0 ]]; then
+if [[ "$fast" -eq 0 && "$blocked" -eq 0 ]]; then
     stage splitbench-check cargo run --release --offline --manifest-path splitbench/Cargo.toml \
         -- all --seed 7 --repeats 1 --seconds 2
 fi
 
-if [[ "$fast" -eq 0 && "$overall" -eq 0 ]]; then
+if [[ "$fast" -eq 0 && "$blocked" -eq 0 ]]; then
     # Seconds-scale profiled training runs, then the regression gate:
     # slm-report renders results/fig3a into a markdown report, appends a
     # trajectory entry to results/BENCH_fig3a.json and fails on metric
@@ -190,10 +196,8 @@ if [[ "$fast" -eq 0 && "$overall" -eq 0 ]]; then
             }
             stage live-metrics live_metrics_seen
         fi
-        stage "net-smoke-$tag" wait "$ue_pid"
-        if [[ "$overall" -ne 0 ]]; then
-            kill "$bs_pid" 2>/dev/null || true
-        fi
+        # A failed UE leaves the server waiting for its sessions.
+        stage "net-smoke-$tag" wait "$ue_pid" || kill "$bs_pid" 2>/dev/null || true
         wait "$bs_pid" 2>/dev/null || true
         rm -f results/fig3a_net/bs.port results/fig3a_net/bs.metrics
         stage "net-trace-$tag" cargo run --release -q -p sl-bench --bin slm-trace -- \
@@ -220,7 +224,7 @@ fi
 # the GFLOP/s trajectory accumulates; the report stage then gates the
 # determinism contract (throughput itself is host-dependent and never
 # gated).
-if [[ "$overall" -eq 0 ]]; then
+if [[ "$blocked" -eq 0 ]]; then
     stage kernels-bench env SLM_THREADS=4 \
         cargo run --release -q -p sl-bench --bin kernels
     stage kernels-report cargo run --release -q -p sl-bench --bin slm-report -- \
@@ -234,7 +238,7 @@ fi
 # threads must be byte-identical file by file — and the checkpoint
 # resume gate: an interrupted + resumed smoke training must reproduce
 # the uninterrupted learning curve bitwise.
-if [[ "$overall" -eq 0 ]]; then
+if [[ "$blocked" -eq 0 ]]; then
     stage store-bench env SLM_THREADS=4 \
         cargo run --release -q -p sl-bench --bin store
     stage store-report cargo run --release -q -p sl-bench --bin slm-report -- \

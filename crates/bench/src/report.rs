@@ -7,7 +7,7 @@
 //!
 //! * a **markdown run report** — config fingerprints, the simulated
 //!   compute/airtime split, a per-layer host-time/FLOP table from the
-//!   `nn.{ue,bs}.layer.*` profiler metrics, health events and the
+//!   `nn.{ue,bs}.layer.*` per-layer metrics, health events and the
 //!   paper-comparable metrics;
 //! * a **trajectory entry** appended to `results/BENCH_<exp>.json`, one
 //!   per reported run, so metric drift is visible across sessions;
@@ -192,7 +192,7 @@ fn load_health_events(path: &Path) -> Vec<HealthEvent> {
 }
 
 /// One row of the per-layer profile table, rebuilt from the
-/// `nn.<side>.layer.<idx>.<name>.*` metrics the profiler published.
+/// `nn.<side>.layer.<idx>.<name>.*` metrics the host recorder published.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LayerRow {
     /// Which half of the split model (`ue` | `bs`).
@@ -311,7 +311,7 @@ impl RunMetrics {
     }
 
     /// `layer_host_s / model_host_s` — how much of the trainer's model
-    /// time the per-layer profiler accounts for (1.0 = perfect).
+    /// time the per-layer metrics account for (1.0 = perfect).
     pub fn profile_coverage(&self) -> Option<f64> {
         (self.model_host_s > 0.0).then(|| self.layer_host_s / self.model_host_s)
     }

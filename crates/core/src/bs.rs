@@ -3,7 +3,6 @@
 use sl_rng::Rng;
 
 use sl_nn::{Dense, Gru, Layer, Lstm, Sequential};
-use sl_telemetry::Telemetry;
 use sl_tensor::Tensor;
 
 /// Which recurrent cell the BS half uses.
@@ -36,8 +35,8 @@ impl RnnCell {
 /// mapping the final hidden state to the predicted (normalized) future
 /// received power.
 ///
-/// Both layers live in one [`Sequential`], so the per-layer profiler
-/// sees the recurrent cell and the head separately.
+/// Both layers live in one [`Sequential`] labelled `nn.bs`, so the
+/// per-layer metrics show the recurrent cell and the head separately.
 pub struct BsNetwork {
     net: Sequential,
     feature_dim: usize,
@@ -54,9 +53,10 @@ pub(crate) fn build_stack(
     cell: RnnCell,
     rng: &mut impl Rng,
 ) -> Sequential {
+    let net = Sequential::new().labelled("nn.bs");
     match cell {
-        RnnCell::Lstm => Sequential::new().push(Lstm::new(feature_dim, hidden_dim, rng)),
-        RnnCell::Gru => Sequential::new().push(Gru::new(feature_dim, hidden_dim, rng)),
+        RnnCell::Lstm => net.push(Lstm::new(feature_dim, hidden_dim, rng)),
+        RnnCell::Gru => net.push(Gru::new(feature_dim, hidden_dim, rng)),
     }
     .push(Dense::new(hidden_dim, 1, rng))
 }
@@ -129,21 +129,6 @@ impl BsNetwork {
     /// Total trainable parameters.
     pub fn parameter_count(&mut self) -> usize {
         self.net.parameter_count()
-    }
-
-    /// Turns on per-layer profiling of the BS stack.
-    pub fn enable_profiling(&mut self) {
-        self.net.enable_profiling();
-    }
-
-    /// Turns off per-layer profiling.
-    pub fn disable_profiling(&mut self) {
-        self.net.disable_profiling();
-    }
-
-    /// Publishes accumulated per-layer stats under `{prefix}.layer.*`.
-    pub fn publish_profile(&mut self, tele: &mut Telemetry, prefix: &str) {
-        self.net.publish_profile(tele, prefix);
     }
 
     /// Modelled forward FLOPs per sequence of length `seq_len`.

@@ -217,9 +217,10 @@ pub fn save(
 
 /// Loads a checkpoint previously written by [`save`]. Corruption in any
 /// chunk surfaces as [`CheckpointError::Store`]; a malformed or
-/// version-skewed `state.json` as [`CheckpointError::Parse`].
+/// version-skewed `state.json` as [`CheckpointError::Parse`]; a missing
+/// `dir` as [`CheckpointError::Store`], leaving no directory behind.
 pub fn load(dir: &Path, metrics: &mut StoreMetrics) -> Result<TrainCheckpoint, CheckpointError> {
-    let storage = DirStorage::create(dir)?;
+    let storage = DirStorage::open(dir)?;
     let bytes = sl_store::StorageRead::get(&storage, STATE_OBJECT)?;
     let text = String::from_utf8(bytes)
         .map_err(|_| CheckpointError::Parse("state.json is not UTF-8".into()))?;
@@ -355,6 +356,19 @@ mod tests {
             other => panic!("expected missing-object error, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn loading_a_missing_directory_fails_without_creating_it() {
+        let root = std::env::temp_dir().join(format!("slm_ckpt_absent_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let dir = root.join("nested");
+        let mut metrics = StoreMetrics::default();
+        assert!(matches!(
+            load(&dir, &mut metrics),
+            Err(CheckpointError::Store(StoreError::Io(_)))
+        ));
+        assert!(!root.exists());
     }
 
     #[test]

@@ -444,34 +444,6 @@ impl SplitModel {
         }
     }
 
-    /// Turns on per-layer profiling in both halves.
-    pub fn enable_profiling(&mut self) {
-        if let Some(u) = self.ue.as_mut() {
-            u.enable_profiling();
-        }
-        self.bs.enable_profiling();
-    }
-
-    /// Turns off per-layer profiling in both halves (accumulated stats
-    /// remain until the next publish).
-    pub fn disable_profiling(&mut self) {
-        if let Some(u) = self.ue.as_mut() {
-            u.disable_profiling();
-        }
-        self.bs.disable_profiling();
-    }
-
-    /// Publishes both halves' per-layer stats to `tele`, tagged by side:
-    /// the UE half under `nn.ue.layer.*`, the BS half under
-    /// `nn.bs.layer.*` — so snapshots show where compute lives relative
-    /// to the split point. Resets the accumulated stats.
-    pub fn publish_profiles(&mut self, tele: &mut sl_telemetry::Telemetry) {
-        if let Some(u) = self.ue.as_mut() {
-            u.publish_profile(tele, "nn.ue");
-        }
-        self.bs.publish_profile(tele, "nn.bs");
-    }
-
     /// Total trainable parameters across both halves.
     pub fn parameter_count(&mut self) -> usize {
         let ue = self.ue.as_mut().map(|u| u.parameter_count()).unwrap_or(0);

@@ -2,37 +2,23 @@
 //!
 //! Saves and restores the parameters of a [`SplitModel`] so a model
 //! trained once (minutes) can be deployed many times (milliseconds).
-//! Two on-disk layouts share one canonical tensor order (UE half first,
-//! then BS half) and one validation path:
-//!
-//! * the legacy whole-file format (`.slw`): a magic header followed by
-//!   each parameter tensor (rank, dims, little-endian `f32` data);
-//! * the chunked `sl-store` layout ([`SplitModel::save_weights_chunked`]):
-//!   a directory holding a checksummed `weights` array plus a
-//!   `weights.meta.json` shape table — corruption-detecting and
-//!   streamable, the checkpoint-era replacement.
-//!
-//! [`SplitModel::load_weights_auto`] dispatches on the path kind
-//! (directory → chunked, file → legacy), so existing `.slw` files keep
-//! loading. Loading validates every shape against the *current*
+//! [`SplitModel::save_weights_chunked`] writes a directory holding a
+//! checksummed `sl-store` `weights` array (UE half first, then BS half)
+//! plus a `weights.meta.json` shape table — corruption-detecting and
+//! streamable. Loading validates every shape against the *current*
 //! architecture, naming the exact half and tensor that failed, so
 //! weights can only be restored into a model built with the same
 //! configuration.
 
-use std::fs;
-use std::io::{self, Read, Write};
 use std::path::Path;
 
 use sl_store::{
     read_array, write_array, Codec, DirStorage, StorageRead, StorageWrite, StoreError, StoreMetrics,
 };
 use sl_telemetry::json::{parse, JsonArray, JsonObject};
-use sl_telemetry::Telemetry;
 use sl_tensor::ComputePool;
 
 use crate::model::SplitModel;
-
-const MAGIC: &[u8; 8] = b"SLWGHT1\0";
 
 /// Chunked-layout objects inside a weight directory.
 const WEIGHTS_ARRAY: &str = "weights";
@@ -42,13 +28,9 @@ const WEIGHTS_META_VERSION: u64 = 1;
 /// Errors from weight I/O.
 #[derive(Debug)]
 pub enum WeightIoError {
-    /// Underlying I/O failure.
-    Io(io::Error),
-    /// Not a weight file.
-    BadMagic,
-    /// The file's tensors do not match the model's architecture.
+    /// The stored tensors do not match the model's architecture.
     ArchitectureMismatch(String),
-    /// Structurally invalid file.
+    /// Structurally invalid shape table.
     Corrupt(&'static str),
     /// The chunked store failed (IO, checksum mismatch, bad manifest).
     Store(StoreError),
@@ -57,24 +39,16 @@ pub enum WeightIoError {
 impl std::fmt::Display for WeightIoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WeightIoError::Io(e) => write!(f, "weight I/O error: {e}"),
-            WeightIoError::BadMagic => write!(f, "not a SLWGHT1 weight file"),
             WeightIoError::ArchitectureMismatch(what) => {
-                write!(f, "weight file does not match model architecture: {what}")
+                write!(f, "stored weights do not match model architecture: {what}")
             }
-            WeightIoError::Corrupt(what) => write!(f, "corrupt weight file: {what}"),
+            WeightIoError::Corrupt(what) => write!(f, "corrupt weight directory: {what}"),
             WeightIoError::Store(e) => write!(f, "weight store error: {e}"),
         }
     }
 }
 
 impl std::error::Error for WeightIoError {}
-
-impl From<io::Error> for WeightIoError {
-    fn from(e: io::Error) -> Self {
-        WeightIoError::Io(e)
-    }
-}
 
 impl From<StoreError> for WeightIoError {
     fn from(e: StoreError) -> Self {
@@ -83,93 +57,6 @@ impl From<StoreError> for WeightIoError {
 }
 
 impl SplitModel {
-    /// Writes all parameters (UE half first, then BS half) to `path`.
-    pub fn save_weights(&mut self, path: impl AsRef<Path>) -> Result<(), WeightIoError> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        // Snapshot the parameters (UE half first, then BS half) — the
-        // canonical order `load_weights` restores in.
-        let mut tensors = Vec::new();
-        for (p, _) in self.ue_params_and_grads() {
-            tensors.push(p.clone());
-        }
-        for (p, _) in self.bs_params_and_grads() {
-            tensors.push(p.clone());
-        }
-        buf.extend_from_slice(&(tensors.len() as u32).to_le_bytes());
-        for t in &tensors {
-            buf.extend_from_slice(&(t.shape().rank() as u32).to_le_bytes());
-            for &d in t.dims() {
-                buf.extend_from_slice(&(d as u32).to_le_bytes());
-            }
-            for &v in t.data() {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        let mut file = fs::File::create(path)?;
-        file.write_all(&buf)?;
-        Ok(())
-    }
-
-    /// Restores parameters previously written by
-    /// [`SplitModel::save_weights`] into this model.
-    ///
-    /// The model must have been constructed with the same scheme,
-    /// pooling, sizes and cell type; any shape mismatch is rejected.
-    pub fn load_weights(&mut self, path: impl AsRef<Path>) -> Result<(), WeightIoError> {
-        let mut bytes = Vec::new();
-        fs::File::open(path)?.read_to_end(&mut bytes)?;
-        if bytes.len() < 12 || &bytes[..8] != MAGIC {
-            return Err(WeightIoError::BadMagic);
-        }
-        let mut off = 8usize;
-        let read_u32 = |bytes: &[u8], off: &mut usize| -> Result<u32, WeightIoError> {
-            if *off + 4 > bytes.len() {
-                return Err(WeightIoError::Corrupt("truncated header"));
-            }
-            let v = u32::from_le_bytes([
-                bytes[*off],
-                bytes[*off + 1],
-                bytes[*off + 2],
-                bytes[*off + 3],
-            ]);
-            *off += 4;
-            Ok(v)
-        };
-        let count = read_u32(&bytes, &mut off)? as usize;
-
-        // Parse all tensors first, then commit — a half-applied load
-        // would leave the model in a broken state.
-        let mut parsed: Vec<(Vec<usize>, Vec<f32>)> = Vec::with_capacity(count);
-        for _ in 0..count {
-            let rank = read_u32(&bytes, &mut off)? as usize;
-            if rank > 8 {
-                return Err(WeightIoError::Corrupt("implausible tensor rank"));
-            }
-            let mut dims = Vec::with_capacity(rank);
-            for _ in 0..rank {
-                dims.push(read_u32(&bytes, &mut off)? as usize);
-            }
-            let numel: usize = dims.iter().product();
-            if off + numel * 4 > bytes.len() {
-                return Err(WeightIoError::Corrupt("truncated tensor data"));
-            }
-            let data: Vec<f32> = (0..numel)
-                .map(|i| {
-                    let o = off + i * 4;
-                    f32::from_le_bytes([bytes[o], bytes[o + 1], bytes[o + 2], bytes[o + 3]])
-                })
-                .collect();
-            off += numel * 4;
-            parsed.push((dims, data));
-        }
-        if off != bytes.len() {
-            return Err(WeightIoError::Corrupt("trailing bytes"));
-        }
-
-        self.apply_parsed(parsed)
-    }
-
     /// Validates `parsed` tensors against the current architecture and
     /// commits them — the shared tail of every load path. A mismatch
     /// names the half (UE/BS) and the per-half tensor index that failed.
@@ -182,7 +69,7 @@ impl SplitModel {
         }
         if parsed.len() != expected {
             return Err(WeightIoError::ArchitectureMismatch(format!(
-                "file has {} tensors, model has {expected}",
+                "stored weights have {} tensors, model has {expected}",
                 parsed.len()
             )));
         }
@@ -198,7 +85,7 @@ impl SplitModel {
                     let (dims, _) = &parsed[idx];
                     if p.dims() != &dims[..] {
                         return Err(WeightIoError::ArchitectureMismatch(format!(
-                            "{side} tensor {i} (file tensor {idx}): file {:?} vs model {:?}",
+                            "{side} tensor {i} (stored tensor {idx}): stored {:?} vs model {:?}",
                             dims,
                             p.dims()
                         )));
@@ -268,9 +155,10 @@ impl SplitModel {
     /// Restores parameters from a chunked weight directory written by
     /// [`SplitModel::save_weights_chunked`]. Chunk corruption surfaces
     /// as [`WeightIoError::Store`] with the failing chunk's checksum
-    /// detail; shape skew as [`WeightIoError::ArchitectureMismatch`].
+    /// detail; shape skew as [`WeightIoError::ArchitectureMismatch`]; a
+    /// missing `dir` as an error, leaving no directory behind.
     pub fn load_weights_chunked(&mut self, dir: impl AsRef<Path>) -> Result<(), WeightIoError> {
-        let storage = DirStorage::create(dir.as_ref())?;
+        let storage = DirStorage::open(dir.as_ref())?;
         let meta_bytes = storage.get(WEIGHTS_META)?;
         let meta_text = String::from_utf8(meta_bytes)
             .map_err(|_| WeightIoError::Corrupt("weight meta is not UTF-8"))?;
@@ -320,38 +208,6 @@ impl SplitModel {
         }
         self.apply_parsed(parsed)
     }
-
-    /// Loads weights from either layout: a directory loads the chunked
-    /// `sl-store` format, anything else the legacy whole-file `.slw` —
-    /// so pre-chunking weight files keep working unchanged.
-    pub fn load_weights_auto(&mut self, path: impl AsRef<Path>) -> Result<(), WeightIoError> {
-        if path.as_ref().is_dir() {
-            self.load_weights_chunked(path)
-        } else {
-            self.load_weights(path)
-        }
-    }
-
-    /// [`SplitModel::load_weights_auto`] with failures routed through
-    /// telemetry like every other runtime warning (the error — including
-    /// which half/tensor mismatched — lands in the journal as a `warn`
-    /// event before being returned).
-    pub fn load_weights_logged(
-        &mut self,
-        path: impl AsRef<Path>,
-        tele: &mut Telemetry,
-    ) -> Result<(), WeightIoError> {
-        match self.load_weights_auto(path.as_ref()) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                tele.warn(&format!(
-                    "weight load from {} failed: {e}",
-                    path.as_ref().display()
-                ));
-                Err(e)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -362,14 +218,21 @@ mod tests {
     use sl_rng::rngs::StdRng;
     use sl_tensor::Tensor;
 
+    /// A fresh (absent) directory under the temp dir.
     fn tmp(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("slw_test_{name}_{}.slw", std::process::id()))
+        let dir = std::env::temp_dir().join(format!("slw_test_{name}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
     }
 
     fn model(seed: u64) -> SplitModel {
+        model_pooled(PoolingDim::new(4, 4), seed)
+    }
+
+    fn model_pooled(pooling: PoolingDim, seed: u64) -> SplitModel {
         SplitModel::new(
             Scheme::ImgRf,
-            PoolingDim::new(4, 4),
+            pooling,
             8,
             8,
             3,
@@ -387,77 +250,35 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_restores_predictions() {
-        let mut a = model(1);
-        let mut b = model(2); // different init
-        let before_a = predict(&mut a);
-        let before_b = predict(&mut b);
-        assert!(
-            (before_a - before_b).abs() > 1e-6,
-            "models must differ initially"
-        );
-
-        let path = tmp("round_trip");
-        a.save_weights(&path).unwrap();
-        b.load_weights(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        let after_b = predict(&mut b);
-        assert!(
-            (after_b - before_a).abs() < 1e-6,
-            "loaded model must predict like the saved one: {after_b} vs {before_a}"
-        );
-    }
-
-    #[test]
     fn rejects_architecture_mismatch() {
         let mut a = model(3);
-        let path = tmp("mismatch");
-        a.save_weights(&path).unwrap();
+        let dir = tmp("mismatch");
+        a.save_weights_chunked(&dir).unwrap();
         // Different pooling -> different BS input width.
-        let mut other = SplitModel::new(
-            Scheme::ImgRf,
-            PoolingDim::new(8, 8),
-            8,
-            8,
-            3,
-            2,
-            4,
-            8,
-            &mut StdRng::seed_from_u64(4),
-        );
+        let mut other = model_pooled(PoolingDim::new(8, 8), 4);
         let before = predict(&mut other);
         assert!(matches!(
-            other.load_weights(&path),
+            other.load_weights_chunked(&dir),
             Err(WeightIoError::ArchitectureMismatch(_))
         ));
         // Failed load must not corrupt the model.
         assert_eq!(predict(&mut other), before);
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn mismatch_error_names_the_half_and_tensor() {
         let mut a = model(8);
-        let path = tmp("named_mismatch");
-        a.save_weights(&path).unwrap();
+        let dir = tmp("named_mismatch");
+        a.save_weights_chunked(&dir).unwrap();
         // Different pooling -> the BS half's input width changes while
         // the UE half is untouched; the error must say so.
-        let mut other = SplitModel::new(
-            Scheme::ImgRf,
-            PoolingDim::new(8, 8),
-            8,
-            8,
-            3,
-            2,
-            4,
-            8,
-            &mut StdRng::seed_from_u64(9),
-        );
-        let err = other.load_weights(&path).unwrap_err();
+        let mut other = model_pooled(PoolingDim::new(8, 8), 9);
+        let err = other.load_weights_chunked(&dir).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("BS tensor"), "unhelpful mismatch: {msg}");
         assert!(!msg.contains("UE tensor"), "wrong half blamed: {msg}");
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -467,11 +288,9 @@ mod tests {
         let before_a = predict(&mut a);
         assert!((before_a - predict(&mut b)).abs() > 1e-6);
 
-        let dir = std::env::temp_dir().join(format!("slw_chunked_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = tmp("chunked");
         a.save_weights_chunked(&dir).unwrap();
-        // The auto loader dispatches on the path kind.
-        b.load_weights_auto(&dir).unwrap();
+        b.load_weights_chunked(&dir).unwrap();
         assert!((predict(&mut b) - before_a).abs() < 1e-6);
 
         // Chunk corruption is a typed store error, not garbage weights.
@@ -484,77 +303,20 @@ mod tests {
         bytes[0] ^= 0xff;
         std::fs::write(chunk.path(), &bytes).unwrap();
         assert!(matches!(
-            model(12).load_weights_auto(&dir),
+            model(12).load_weights_chunked(&dir),
             Err(WeightIoError::Store(sl_store::StoreError::Checksum { .. }))
         ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn auto_loader_still_reads_legacy_files() {
-        let mut a = model(13);
-        let path = tmp("legacy_auto");
-        a.save_weights(&path).unwrap();
-        let mut b = model(14);
-        b.load_weights_auto(&path).unwrap();
-        assert!((predict(&mut b) - predict(&mut a)).abs() < 1e-6);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn logged_loader_warns_into_the_journal() {
-        use sl_telemetry::{MemorySink, Telemetry, TelemetryMode};
-        let mut a = model(15);
-        let path = tmp("logged_mismatch");
-        a.save_weights(&path).unwrap();
-        let mut other = SplitModel::new(
-            Scheme::ImgRf,
-            PoolingDim::new(8, 8),
-            8,
-            8,
-            3,
-            2,
-            4,
-            8,
-            &mut StdRng::seed_from_u64(16),
-        );
-        let (sink, events) = MemorySink::new();
-        let mut tele = Telemetry::with_sink(TelemetryMode::Jsonl, Box::new(sink));
-        assert!(other.load_weights_logged(&path, &mut tele).is_err());
-        drop(tele);
-        let evs = events.borrow();
-        let warn = evs
-            .iter()
-            .find(|e| e.kind == "warn")
-            .expect("no warn event emitted");
-        let msg = format!("{warn:?}");
-        assert!(msg.contains("BS tensor"), "warn lacks the half: {msg}");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        let path = tmp("garbage");
-        std::fs::write(&path, b"junk").unwrap();
+    fn loading_a_missing_directory_fails_without_creating_it() {
+        let dir = tmp("missing").join("nested");
         assert!(matches!(
-            model(5).load_weights(&path),
-            Err(WeightIoError::BadMagic)
+            model(5).load_weights_chunked(&dir),
+            Err(WeightIoError::Store(_))
         ));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn rejects_truncation() {
-        let mut a = model(6);
-        let path = tmp("trunc");
-        a.save_weights(&path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.truncate(bytes.len() - 3);
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            model(7).load_weights(&path),
-            Err(WeightIoError::Corrupt(_))
-        ));
-        std::fs::remove_file(&path).unwrap();
+        assert!(!dir.exists());
+        assert!(!dir.parent().unwrap().exists());
     }
 }

@@ -32,7 +32,8 @@ use sl_nn::{clip_global_norm, mse_loss, rmse, Adam, Optimizer};
 use sl_rng::rngs::StdRng;
 use sl_scene::SequenceDataset;
 use sl_store::{ActivationLog, DirStorage, StoreMetrics};
-use sl_telemetry::{sim_us, EventBuilder, OpenSpan, SimSpan, Stopwatch, Telemetry, Tracer, Value};
+use sl_telemetry::host::{self, Recording};
+use sl_telemetry::{sim_us, EventBuilder, OpenSpan, SimSpan, Telemetry, Tracer, Value};
 use sl_tensor::Tensor;
 
 use crate::batch::Batch;
@@ -236,9 +237,9 @@ pub trait BsLink {
 /// The BS half of one SGD step: forward → MSE → backward → clip →
 /// Adam, plus the update ratio when `want_ratio`. `powers` is `[B, L]`
 /// and `targets` `[B, 1]`. The forward and backward are timed into
-/// `train.model.host_s`. The cut gradient ships unclipped: clipping
-/// applies to parameter gradients, and the UE clips its own.
-#[allow(clippy::too_many_arguments)]
+/// `train.model.host_s` while the thread records ([`host`]). The cut
+/// gradient ships unclipped: clipping applies to parameter gradients,
+/// and the UE clips its own.
 pub fn bs_half_step(
     model: &mut SplitModel,
     opt_bs: &mut Adam,
@@ -247,15 +248,13 @@ pub fn bs_half_step(
     targets: &Tensor,
     grad_clip: f32,
     want_ratio: bool,
-    tele: &mut Telemetry,
 ) -> BsReply {
-    let watch = tele.is_enabled().then(Stopwatch::start);
-    let pred = model.forward_bs(cut, powers, powers.dims()[0], powers.dims()[1]);
-    let loss = mse_loss(&pred, targets);
-    let cut_grad = model.backward_bs(&loss.grad);
-    if let Some(w) = watch {
-        w.observe(tele, "train.model");
-    }
+    let (loss, cut_grad) = host::time("train.model", || {
+        let pred = model.forward_bs(cut, powers, powers.dims()[0], powers.dims()[1]);
+        let loss = mse_loss(&pred, targets);
+        let cut_grad = model.backward_bs(&loss.grad);
+        (loss, cut_grad)
+    });
     let grad_norm = clip_params(model.bs_params_and_grads(), grad_clip);
     let prev = want_ratio.then(|| snapshot(model.bs_params_and_grads()));
     opt_bs.step(&mut model.bs_params_and_grads());
@@ -312,7 +311,6 @@ impl BsLink for LocalBs {
             &step.batch.targets_norm,
             self.grad_clip,
             step.want_ratio,
-            tele,
         ))
     }
 
@@ -545,9 +543,10 @@ impl<L: BsLink> StepEngine<L> {
     ///   `train.step.{host_s,compute_s,airtime_s}` and `train.model.host_s`
     ///   histograms, plus the `train.steps.{applied,voided}` and
     ///   `train.nonfinite.{loss,grad}` counters;
-    /// * per layer — host-time/FLOP/parameter stats under
-    ///   `nn.{ue,bs}.layer.<idx>.<name>.*` (profiling is enabled for the
-    ///   whole run whenever `tele` is enabled);
+    /// * per layer and kernel — host-time/FLOP/parameter stats under
+    ///   `nn.{ue,bs}.layer.<idx>.<name>.*` and `tensor.kernel.<name>.host_s`
+    ///   (the thread's [`host`] recorder is on for the whole run whenever
+    ///   `tele` is enabled, and drains into `tele` at the end);
     /// * health — a `health.diverged` event if the [`HealthMonitor`]
     ///   trips (under `SLM_HEALTH=abort` the run then stops with
     ///   [`StopReason::HealthAborted`]);
@@ -581,16 +580,15 @@ impl<L: BsLink> StepEngine<L> {
         let b = self.config.batch_size;
         let steps_per_epoch = dataset.steps_per_epoch(b);
         let mut st = resume.unwrap_or_default();
-        if tele.is_enabled() {
-            // Per-layer profiling rides along with telemetry: every layer
-            // forward/backward below lands in `nn.{ue,bs}.layer.*`.
-            self.model.enable_profiling();
-        }
+        // Host-time recording rides along with telemetry: every step,
+        // model pass, layer and kernel below lands in this thread's
+        // recorder.
+        let recording = Recording::start(tele.is_enabled());
 
         // Epoch-0 point: the untrained model (skipped on resume — the
         // restored curve already has it).
         let mut val = if st.epoch == 0 {
-            let v = self.validate(dataset, tele)?;
+            let v = self.validate(dataset)?;
             st.curve.push(CurvePoint {
                 elapsed_s: self.clock.elapsed_s(),
                 epoch: 0,
@@ -612,11 +610,9 @@ impl<L: BsLink> StepEngine<L> {
         };
         'outer: for epoch in st.epoch + 1..=last_epoch {
             for _ in 0..steps_per_epoch {
-                let host = tele.is_enabled().then(Stopwatch::start);
                 let span = SimSpan::begin(self.clock.compute_s(), self.clock.airtime_s());
-                let result = self.step(dataset, b, tele)?;
-                if let Some(host) = host {
-                    host.observe(tele, "train.step");
+                let result = host::time("train.step", || self.step(dataset, b, tele))?;
+                if tele.is_enabled() {
                     let clock = self.clock;
                     span.observe(tele, "train.step", clock.compute_s(), clock.airtime_s());
                 }
@@ -645,7 +641,7 @@ impl<L: BsLink> StepEngine<L> {
                 }
             }
             st.epoch = epoch;
-            val = self.validate(dataset, tele)?;
+            val = self.validate(dataset)?;
             st.curve.push(CurvePoint {
                 elapsed_s: self.clock.elapsed_s(),
                 epoch,
@@ -679,10 +675,9 @@ impl<L: BsLink> StepEngine<L> {
         }
 
         if tele.is_enabled() {
-            self.model.publish_profiles(tele);
-            self.model.disable_profiling();
-            // Compute-backend counters (thread pool, per-kernel host time)
-            // so reports can relate throughput to `SLM_THREADS`.
+            recording.finish(tele);
+            // Compute-pool counters, so reports can relate throughput to
+            // `SLM_THREADS`.
             sl_tensor::ComputePool::global().publish_metrics(tele);
             tele.add("train.steps.applied", st.steps_applied);
             tele.add("train.steps.voided", st.steps_voided);
@@ -784,11 +779,7 @@ impl<L: BsLink> StepEngine<L> {
         let instrument = tele.is_enabled();
         let idx = dataset.sample_train_batch(b, &mut self.rng);
         let batch = Batch::assemble(dataset, dataset.normalizer(), &idx, uses_images);
-        let fwd = instrument.then(Stopwatch::start);
-        let cut = self.model.forward_ue(&batch);
-        if let Some(w) = fwd {
-            w.observe(tele, "train.model");
-        }
+        let cut = host::time("train.model", || self.model.forward_ue(&batch));
         // Whether the watchdog is watching: it can only stop inside
         // `observe_step` below, so one read serves the whole step.
         let watching = self.health.wants_update_ratio();
@@ -813,13 +804,11 @@ impl<L: BsLink> StepEngine<L> {
         };
         let reply = self.link.exchange(&mut self.model, step, tele)?;
 
-        let bwd = instrument.then(Stopwatch::start);
-        if let Some(cut_grad) = &reply.cut_grad {
-            self.model.backward_ue(cut_grad);
-        }
-        if let Some(w) = bwd {
-            w.observe(tele, "train.model");
-        }
+        host::time("train.model", || {
+            if let Some(cut_grad) = &reply.cut_grad {
+                self.model.backward_ue(cut_grad);
+            }
+        });
         let ue_norm = clip_params(self.model.ue_params_and_grads(), self.config.grad_clip);
         let (loss, bs_norm) = (reply.loss, reply.grad_norm);
         if instrument {
@@ -892,17 +881,13 @@ impl<L: BsLink> StepEngine<L> {
     }
 
     /// Validation RMSE in dB over the (possibly subsampled) validation
-    /// set, with each chunk's forward timed into `train.model.host_s`.
-    /// Does not advance the simulated clock (the paper's elapsed axis
-    /// measures training, and validation can run concurrently at the
-    /// BS).
-    pub fn validate(
-        &mut self,
-        dataset: &SequenceDataset,
-        tele: &mut Telemetry,
-    ) -> Result<f32, L::Error> {
+    /// set, with each chunk's forward timed into `train.model.host_s`
+    /// while the thread records. Does not advance the simulated clock
+    /// (the paper's elapsed axis measures training, and validation can
+    /// run concurrently at the BS).
+    pub fn validate(&mut self, dataset: &SequenceDataset) -> Result<f32, L::Error> {
         let indices = subsample(dataset.val_indices(), self.config.val_subsample);
-        self.rmse_over(dataset, &indices, tele)
+        self.rmse_over(dataset, &indices)
     }
 
     /// Samples per validation chunk. While the UE CNN runs, at most one
@@ -920,12 +905,7 @@ impl<L: BsLink> StepEngine<L> {
 
     /// RMSE (dB) over arbitrary dataset indices, through the
     /// cache-free forward of both halves.
-    fn rmse_over(
-        &mut self,
-        dataset: &SequenceDataset,
-        indices: &[usize],
-        tele: &mut Telemetry,
-    ) -> Result<f32, L::Error> {
+    fn rmse_over(&mut self, dataset: &SequenceDataset, indices: &[usize]) -> Result<f32, L::Error> {
         assert!(!indices.is_empty(), "rmse_over: no indices");
         let normalizer = dataset.normalizer();
         let uses_images = self.config.scheme.uses_images();
@@ -933,13 +913,11 @@ impl<L: BsLink> StepEngine<L> {
         let mut targets = Vec::with_capacity(indices.len());
         for chunk in indices.chunks(self.val_chunk()) {
             let batch = Batch::assemble(dataset, normalizer, chunk, uses_images);
-            let watch = tele.is_enabled().then(Stopwatch::start);
-            let cut = self.model.infer_ue(&batch);
-            self.link
-                .eval(&self.model, cut.as_ref(), &batch, &mut preds)?;
-            if let Some(w) = watch {
-                w.observe(tele, "train.model");
-            }
+            host::time("train.model", || {
+                let cut = self.model.infer_ue(&batch);
+                self.link
+                    .eval(&self.model, cut.as_ref(), &batch, &mut preds)
+            })?;
             targets.extend_from_slice(batch.targets_norm.data());
         }
         let r = rmse(&Tensor::from_slice(&preds), &Tensor::from_slice(&targets));
@@ -1128,15 +1106,13 @@ impl SplitTrainer {
     /// Validation RMSE in dB over the (possibly subsampled) validation
     /// set. Does not advance the simulated clock.
     pub fn validate(&mut self, dataset: &SequenceDataset) -> f32 {
-        let Ok(v) = self.engine.validate(dataset, &mut Telemetry::disabled());
+        let Ok(v) = self.engine.validate(dataset);
         v
     }
 
     /// RMSE (dB) over arbitrary dataset indices.
     pub fn rmse_over(&mut self, dataset: &SequenceDataset, indices: &[usize]) -> f32 {
-        let Ok(v) = self
-            .engine
-            .rmse_over(dataset, indices, &mut Telemetry::disabled());
+        let Ok(v) = self.engine.rmse_over(dataset, indices);
         v
     }
 
@@ -1574,6 +1550,19 @@ mod tests {
             snap.histograms["train.step.host_s"].count(),
             out.steps_applied + out.steps_voided
         );
+        // The thread's recorder drained per-layer and per-kernel host
+        // time: one UE forward per applied step plus the validation
+        // chunks.
+        let ue_fwd = snap.histograms["nn.ue.layer.0.fused_cnn.fwd.host_s"].count();
+        assert!(ue_fwd > out.steps_applied, "{ue_fwd}");
+        assert_eq!(
+            snap.histograms["nn.ue.layer.0.fused_cnn.bwd.host_s"].count(),
+            out.steps_applied
+        );
+        assert_eq!(
+            snap.histograms["tensor.kernel.fused_cnn_fwd.host_s"].count(),
+            ue_fwd
+        );
         // The split scheme used both link directions.
         assert_eq!(
             snap.counter("train.uplink.transfers"),
@@ -1598,6 +1587,16 @@ mod tests {
         assert_eq!(plain.steps_applied, instrumented.steps_applied);
         assert_eq!(plain.compute_s, instrumented.compute_s);
         assert_eq!(plain.airtime_s, instrumented.airtime_s);
+    }
+
+    #[test]
+    fn disabled_telemetry_leaves_nothing_to_drain() {
+        let ds = dataset(78);
+        let cfg = ExperimentConfig::quick(Scheme::ImgRf, PoolingDim::new(16, 16));
+        SplitTrainer::new(cfg, &ds).train(&ds);
+        let mut tele = sl_telemetry::Telemetry::summary();
+        Recording::start(true).finish(&mut tele);
+        assert!(tele.snapshot().is_empty());
     }
 
     #[test]

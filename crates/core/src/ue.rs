@@ -3,7 +3,6 @@
 use sl_rng::Rng;
 
 use sl_nn::{AvgPool2d, FusedCnn, Layer, Sequential};
-use sl_telemetry::Telemetry;
 use sl_tensor::Tensor;
 
 use crate::pooling::PoolingDim;
@@ -19,6 +18,7 @@ pub(crate) const CNN_LAYERS: usize = 1;
 /// contracts report non-tiling pools instead.
 pub(crate) fn build_stack(channels: usize, pooling: PoolingDim, rng: &mut impl Rng) -> Sequential {
     Sequential::new()
+        .labelled("nn.ue")
         .push(FusedCnn::new(channels, 3, rng))
         .push(AvgPool2d::new(pooling.h, pooling.w))
 }
@@ -36,7 +36,8 @@ pub(crate) fn build_stack(channels: usize, pooling: PoolingDim, rng: &mut impl R
 /// image's `C`-channel hidden map inside its pool job and recomputes it
 /// in the backward; the stack is `[fused_cnn, avg_pool2d]`, bit for bit
 /// the four separate layers plus the pool. The whole stack lives in one
-/// [`Sequential`], so the per-layer profiler sees both UE-side layers;
+/// [`Sequential`] labelled `nn.ue`, so the per-layer metrics cover both
+/// UE-side layers;
 /// the pre-pool CNN map is recovered with a partial inference. The
 /// inference methods never touch the training caches or gradients, so
 /// they may run between a step's [`UeNetwork::forward`] and
@@ -144,21 +145,6 @@ impl UeNetwork {
     /// Total trainable parameters.
     pub fn parameter_count(&mut self) -> usize {
         self.net.parameter_count()
-    }
-
-    /// Turns on per-layer profiling of the UE stack.
-    pub fn enable_profiling(&mut self) {
-        self.net.enable_profiling();
-    }
-
-    /// Turns off per-layer profiling.
-    pub fn disable_profiling(&mut self) {
-        self.net.disable_profiling();
-    }
-
-    /// Publishes accumulated per-layer stats under `{prefix}.layer.*`.
-    pub fn publish_profile(&mut self, tele: &mut Telemetry, prefix: &str) {
-        self.net.publish_profile(tele, prefix);
     }
 
     /// Modelled forward FLOPs per image: two 'same' 3×3 convolutions.

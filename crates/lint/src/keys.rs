@@ -2,11 +2,12 @@
 //!
 //! Harvests every key literal published through the `sl-telemetry`
 //! publish surface (`inc`/`add`/`gauge_set`/`gauge_add`/`observe`/
-//! `merge_histogram`/`series_point`, including `format!`-built keys
-//! whose placeholders become `*` wildcard segments and bare scoped
-//! names which are absorbed under a prefix and therefore harvest as
-//! `*.<name>`), then cross-checks the harvest against the declared key
-//! registry:
+//! `merge_histogram`/`series_point`, and the host recorder's
+//! `host::{time,add,set}`, whose `time` keys gain `.host_s`), including
+//! `format!`/`format_args!`-built keys whose placeholders become `*`
+//! wildcard segments and bare scoped names which are absorbed under a
+//! prefix and therefore harvest as `*.<name>`, then cross-checks the
+//! harvest against the declared key registry:
 //!
 //! - `key-undeclared` — a publish site whose key unifies with no
 //!   declared pattern (namespace drift at the source).
@@ -67,6 +68,10 @@ const PUBLISH_METHODS: &[&str] = &[
     "series_point",
 ];
 
+/// `sl_telemetry::host` recorder functions whose first argument is a
+/// key, with the suffix the recorder appends to it.
+const RECORDER_FNS: &[(&str, &str)] = &[("time", ".host_s"), ("add", ""), ("set", "")];
+
 /// Reader lookup methods whose first argument is a key.
 const CONSUME_METHODS: &[&str] = &["counter", "gauge"];
 
@@ -117,16 +122,17 @@ pub fn harvest_publishes(files: &[FileIndex]) -> Vec<KeySite> {
 /// and are dropped.
 fn publish_pattern(s: &StrRef) -> Option<String> {
     let call = s.call.as_ref()?;
+    let (site, from_format) =
+        if call.is_macro && ["format", "format_args"].contains(&call.callee.as_str()) {
+            (s.outer_call.as_ref()?, true)
+        } else {
+            (call, false)
+        };
     let pattern =
-        if call.method && call.first_arg && PUBLISH_METHODS.contains(&call.callee.as_str()) {
-            normalize(&s.text, false)
-        } else if call.callee == "format" && call.is_macro {
-            let outer = s.outer_call.as_ref()?;
-            if outer.method && outer.first_arg && PUBLISH_METHODS.contains(&outer.callee.as_str()) {
-                normalize(&s.text, true)
-            } else {
-                return None;
-            }
+        if site.method && site.first_arg && PUBLISH_METHODS.contains(&site.callee.as_str()) {
+            normalize(&s.text, from_format)
+        } else if let Some((_, suffix)) = recorder_fn(site) {
+            normalize(&format!("{}{suffix}", s.text), from_format)
         } else {
             return None;
         };
@@ -134,6 +140,14 @@ fn publish_pattern(s: &StrRef) -> Option<String> {
         return None;
     }
     Some(pattern)
+}
+
+/// The [`RECORDER_FNS`] entry a `host::<fn>(key, ..)` call names.
+fn recorder_fn(site: &crate::index::CallSite) -> Option<&'static (&'static str, &'static str)> {
+    if site.method || !site.first_arg || site.qualifier.as_deref() != Some("host") {
+        return None;
+    }
+    RECORDER_FNS.iter().find(|(name, _)| *name == site.callee)
 }
 
 /// Harvests reader lookups from the configured reader files, keyed by
@@ -434,6 +448,20 @@ mod tests {
             .unwrap();
         assert_eq!(undeclared.line, 1);
         assert!(undeclared.message.contains("bogus.key"));
+    }
+
+    #[test]
+    fn host_recorder_calls_are_harvested() {
+        let src = "fn f() { host::time(\"train.step\", || ()); \
+                   host::time(format_args!(\"{key}.fwd\"), || ()); \
+                   host::add(format_args!(\"{key}.flops\"), 1.0); \
+                   time(\"not.recorded\", || ()); }";
+        let files = vec![index_file(src, "crates/x/src/lib.rs", "x", TargetKind::Lib)];
+        let patterns: Vec<String> = harvest_publishes(&files)
+            .into_iter()
+            .map(|s| s.pattern)
+            .collect();
+        assert_eq!(patterns, ["train.step.host_s", "*.fwd.host_s", "*.flops"]);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use sl_rng::rngs::StdRng;
 
 use sl_core::{bs_half_step, session_label, SplitModel, WiringSpec};
 use sl_nn::Adam;
-use sl_telemetry::{SpanRecord, Telemetry, Tracer, Value, BS_SPAN_NAMESPACE};
+use sl_telemetry::{SpanRecord, Tracer, Value, BS_SPAN_NAMESPACE};
 use sl_tensor::Tensor;
 
 use crate::client::Connection;
@@ -200,7 +200,6 @@ impl Session {
             &targets,
             self.spec.grad_clip,
             want_ratio,
-            &mut Telemetry::disabled(),
         );
         Ok(StepReply {
             loss: reply.loss,

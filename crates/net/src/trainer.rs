@@ -265,6 +265,6 @@ impl<S: Read + Write> NetTrainer<S> {
     /// Validation RMSE in dB over the (possibly subsampled) validation
     /// set, with each chunk's BS forward crossing the link.
     pub fn validate(&mut self, dataset: &SequenceDataset) -> Result<f32, NetError> {
-        self.engine.validate(dataset, &mut Telemetry::disabled())
+        self.engine.validate(dataset)
     }
 }

@@ -165,8 +165,8 @@ pub trait Layer {
     /// Modelled floating-point operations for one forward pass over an
     /// input of shape `input_dims`, following the usual convention of
     /// 2 FLOPs per multiply-accumulate. This is an analytic estimate for
-    /// profiling (the backward pass is charged at 2× forward by the
-    /// profiler), not a measurement; stateless reshapes return 0.
+    /// the per-layer metrics (the backward pass is charged at 2× forward
+    /// by [`Sequential`]), not a measurement; stateless reshapes return 0.
     fn flops_forward(&self, _input_dims: &[usize]) -> f64 {
         0.0
     }

@@ -1,9 +1,8 @@
 //! A sequential container chaining layers.
 
-use std::cell::{Ref, RefCell};
-use std::time::Instant;
+use std::fmt;
 
-use sl_telemetry::{Profiler, Telemetry};
+use sl_telemetry::host;
 use sl_tensor::Tensor;
 
 use crate::shape::{ShapeError, ShapeStep, ShapeTrace};
@@ -24,31 +23,49 @@ use crate::Layer;
 /// discards the input gradient, letting the first layer skip it (the UE's
 /// fused CNN skips the depth-image gradient this way).
 ///
-/// Each container owns a [`Profiler`] (disabled by default). With
-/// [`Sequential::enable_profiling`] every forward, backward and whole
-/// inference pass ([`Sequential::infer_partial`] is not profiled) records
-/// per-layer host time and modelled FLOPs, published to a
-/// [`Telemetry`] handle via [`Sequential::publish_profile`]. The disabled
-/// path costs one branch per layer.
-#[derive(Default)]
+/// While the calling thread records ([`sl_telemetry::host`]), every
+/// forward, backward and whole inference pass ([`Sequential::infer_partial`]
+/// is not recorded) files each layer's host time under
+/// `{label}.layer.<idx>.<name>.{fwd,bwd}.host_s`, its modelled FLOPs
+/// under `.flops` and its parameter count under `.params`. Off, each
+/// layer costs one flag test.
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
-    /// In a cell so that inference, which takes `&self`, is profiled too.
-    profiler: RefCell<Profiler>,
+    /// Key prefix of the per-layer metrics ([`Sequential::labelled`]).
+    label: &'static str,
+    /// Each layer's FLOPs on its last recorded forward; its backward is
+    /// charged twice that (one pass for input gradients, one for
+    /// parameter gradients).
+    fwd_flops: Vec<f64>,
+}
+
+impl Default for Sequential {
+    fn default() -> Self {
+        Sequential::new()
+    }
 }
 
 impl Sequential {
-    /// An empty container.
+    /// An empty container labelled `nn`.
     pub fn new() -> Self {
         Sequential {
             layers: Vec::new(),
-            profiler: RefCell::new(Profiler::disabled()),
+            label: "nn",
+            fwd_flops: Vec::new(),
         }
+    }
+
+    /// Sets the key prefix of the per-layer metrics (builder style): the
+    /// trainer labels the UE stack `nn.ue` and the BS stack `nn.bs`.
+    pub fn labelled(mut self, label: &'static str) -> Self {
+        self.label = label;
+        self
     }
 
     /// Appends a layer (builder style).
     pub fn push(mut self, layer: impl Layer + 'static) -> Self {
         self.layers.push(Box::new(layer));
+        self.fwd_flops.push(0.0);
         self
     }
 
@@ -67,38 +84,10 @@ impl Sequential {
         self.layers.iter().map(|l| l.name()).collect()
     }
 
-    /// Turns on per-layer profiling and records each layer's parameter
-    /// count into the profiler.
-    pub fn enable_profiling(&mut self) {
-        let profiler = self.profiler.get_mut();
-        profiler.enable();
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            let params = layer.parameter_count() as u64;
-            profiler.set_params(i, layer.name(), params);
-        }
-    }
-
-    /// Turns off per-layer profiling (accumulated stats are kept until
-    /// the next [`Sequential::publish_profile`]).
-    pub fn disable_profiling(&mut self) {
-        self.profiler.get_mut().disable();
-    }
-
-    /// The accumulated per-layer profile.
-    pub fn profiler(&self) -> Ref<'_, Profiler> {
-        self.profiler.borrow()
-    }
-
-    /// Folds the accumulated per-layer stats into `tele` under
-    /// `{prefix}.layer.<idx>.<name>.*` and resets the profiler's stats.
-    pub fn publish_profile(&mut self, tele: &mut Telemetry, prefix: &str) {
-        self.profiler.get_mut().publish_to(tele, prefix);
-    }
-
     /// [`Layer::infer`] through only the first `upto` layers (used for
     /// visualizing intermediate activations, e.g. the pre-pool CNN map).
     /// Like every inference it leaves layer caches and gradients alone.
-    /// Partial passes are never profiled, so each layer's profile counts
+    /// Partial passes are never recorded, so each layer's metrics count
     /// only whole passes.
     ///
     /// Panics when `upto` exceeds the layer count.
@@ -109,19 +98,28 @@ impl Sequential {
             upto,
             self.layers.len()
         );
-        self.run_infer(upto, Operand::Borrowed(input), &mut Profiler::disabled())
+        self.run_infer(upto, Operand::Borrowed(input), false)
     }
 
-    /// Inference through the first `upto` layers into `profiler`; `input`
-    /// is borrowed by the first.
-    fn run_infer(&self, upto: usize, input: Operand, profiler: &mut Profiler) -> Tensor {
+    /// Inference through the first `upto` layers, recorded when `record`
+    /// and the thread records; `input` is borrowed by the first.
+    fn run_infer(&self, upto: usize, input: Operand, record: bool) -> Tensor {
+        let record = record && host::is_recording();
         let mut x = input;
         for (i, layer) in self.layers[..upto].iter().enumerate() {
-            let pass = Pass::fwd(profiler, layer.as_ref(), x.dims());
-            let y = timed(profiler, i, layer.name(), pass, || match x {
+            let key = LayerKey(self.label, i, layer.name());
+            if record {
+                host::add(format_args!("{key}.flops"), layer.flops_forward(x.dims()));
+            }
+            let pass = || match x {
                 Operand::Borrowed(t) => layer.infer(t),
                 Operand::Owned(t) => layer.infer_owned(t),
-            });
+            };
+            let y = if record {
+                host::time(format_args!("{key}.fwd"), pass)
+            } else {
+                pass()
+            };
             x = Operand::Owned(y);
         }
         x.into_owned()
@@ -129,11 +127,17 @@ impl Sequential {
 
     /// Forward through every layer; `input` is borrowed by the first.
     fn run_forward(&mut self, input: Operand) -> Tensor {
-        let profiler = self.profiler.get_mut();
+        let record = host::is_recording();
         let mut x = input;
         for (i, layer) in self.layers.iter_mut().enumerate() {
-            let pass = Pass::fwd(profiler, layer.as_ref(), x.dims());
-            let y = timed(profiler, i, layer.name(), pass, || match x {
+            let key = LayerKey(self.label, i, layer.name());
+            if record {
+                let flops = layer.flops_forward(x.dims());
+                host::add(format_args!("{key}.flops"), flops);
+                host::set(format_args!("{key}.params"), layer.parameter_count() as f64);
+                self.fwd_flops[i] = flops;
+            }
+            let y = host::time(format_args!("{key}.fwd"), || match x {
                 Operand::Borrowed(t) => layer.forward(t),
                 Operand::Owned(t) => layer.forward_owned(t),
             });
@@ -145,10 +149,11 @@ impl Sequential {
     /// Backward through layers `from..` (last to first), returning the
     /// gradient with respect to layer `from`'s input.
     fn run_backward<'a>(&mut self, grad_out: Operand<'a>, from: usize) -> Operand<'a> {
-        let profiler = self.profiler.get_mut();
         let mut g = grad_out;
         for (i, layer) in self.layers.iter_mut().enumerate().skip(from).rev() {
-            let y = timed(profiler, i, layer.name(), Pass::Bwd, || match g {
+            let key = LayerKey(self.label, i, layer.name());
+            host::add(format_args!("{key}.flops"), 2.0 * self.fwd_flops[i]);
+            let y = host::time(format_args!("{key}.bwd"), || match g {
                 Operand::Borrowed(t) => layer.backward(t),
                 Operand::Owned(t) => layer.backward_owned(t),
             });
@@ -238,45 +243,14 @@ impl Operand<'_> {
     }
 }
 
-/// Which pass [`timed`] records; a forward carries its modelled FLOPs.
-enum Pass {
-    Fwd(f64),
-    Bwd,
-}
+/// Layer `.1` of a container labelled `.0`, named `.2`: the stem of
+/// the layer's metric keys.
+struct LayerKey(&'static str, usize, &'static str);
 
-impl Pass {
-    /// A forward of `layer` on an input of shape `dims` (FLOPs modelled
-    /// only when profiling).
-    fn fwd(profiler: &Profiler, layer: &dyn Layer, dims: &[usize]) -> Pass {
-        Pass::Fwd(if profiler.is_enabled() {
-            layer.flops_forward(dims)
-        } else {
-            0.0
-        })
+impl fmt::Display for LayerKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}.layer.{}.{}", self.0, self.1, self.2)
     }
-}
-
-/// Runs `f` as layer `i`'s pass, recording its host time (and, forward,
-/// its modelled FLOPs) when `profiler` is enabled.
-fn timed<R>(
-    profiler: &mut Profiler,
-    i: usize,
-    name: &'static str,
-    pass: Pass,
-    f: impl FnOnce() -> R,
-) -> R {
-    if !profiler.is_enabled() {
-        return f();
-    }
-    // slm-lint: allow(no-nondeterminism) the profiler's whole job is measuring wall time; readings feed telemetry only, never the model
-    let t0 = Instant::now();
-    let out = f();
-    let host_s = t0.elapsed().as_secs_f64();
-    match pass {
-        Pass::Fwd(flops) => profiler.record_fwd(i, name, host_s, flops),
-        Pass::Bwd => profiler.record_bwd(i, name, host_s),
-    }
-    out
 }
 
 impl Layer for Sequential {
@@ -289,13 +263,11 @@ impl Layer for Sequential {
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
-        let profiler = &mut *self.profiler.borrow_mut();
-        self.run_infer(self.layers.len(), Operand::Borrowed(input), profiler)
+        self.run_infer(self.layers.len(), Operand::Borrowed(input), true)
     }
 
     fn infer_owned(&self, input: Tensor) -> Tensor {
-        let profiler = &mut *self.profiler.borrow_mut();
-        self.run_infer(self.layers.len(), Operand::Owned(input), profiler)
+        self.run_infer(self.layers.len(), Operand::Owned(input), true)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -310,16 +282,12 @@ impl Layer for Sequential {
     fn backward_params(&mut self, grad_out: &Tensor) {
         let g = self.run_backward(Operand::Borrowed(grad_out), 1);
         if let Some(first) = self.layers.first_mut() {
-            timed(
-                self.profiler.get_mut(),
-                0,
-                first.name(),
-                Pass::Bwd,
-                || match g {
-                    Operand::Borrowed(t) => first.backward_params(t),
-                    Operand::Owned(t) => first.backward_params(&t),
-                },
-            );
+            let key = LayerKey(self.label, 0, first.name());
+            host::add(format_args!("{key}.flops"), 2.0 * self.fwd_flops[0]);
+            host::time(format_args!("{key}.bwd"), || match g {
+                Operand::Borrowed(t) => first.backward_params(t),
+                Operand::Owned(t) => first.backward_params(&t),
+            });
         }
     }
 
@@ -343,7 +311,7 @@ impl Layer for Sequential {
 
     fn flops_forward(&self, _input_dims: &[usize]) -> f64 {
         // A container cannot know intermediate shapes without running;
-        // per-layer FLOPs are recorded by the profiler instead.
+        // per-layer FLOPs are recorded while running instead.
         0.0
     }
 }
@@ -353,7 +321,36 @@ mod tests {
     use super::*;
     use crate::{Activation, AvgPool2d, Conv2d, Dense};
     use sl_rng::rngs::StdRng;
+    use sl_telemetry::host::Recording;
+    use sl_telemetry::{MemorySink, Snapshot, Telemetry, TelemetryMode};
     use sl_tensor::Padding;
+
+    /// What `f` records on this thread, drained into a fresh handle.
+    fn recorded(f: impl FnOnce()) -> Snapshot {
+        let (sink, _events) = MemorySink::new();
+        let mut tele = Telemetry::with_sink(TelemetryMode::Jsonl, Box::new(sink));
+        let rec = Recording::start(true);
+        f();
+        rec.finish(&mut tele);
+        tele.snapshot()
+    }
+
+    /// Sample count of histogram `{layer}.{dir}.host_s` (0 when absent).
+    fn count(s: &Snapshot, layer: &str, dir: &str) -> u64 {
+        s.histograms
+            .get(&format!("{layer}.{dir}.host_s"))
+            .map_or(0, |h| h.count())
+    }
+
+    /// The key stems of `net`'s layers under label `nn`.
+    fn stems(net: &Sequential) -> Vec<String> {
+        let names = net.layer_names();
+        names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| format!("nn.layer.{i}.{n}"))
+            .collect()
+    }
 
     fn tiny_cnn(rng: &mut StdRng) -> Sequential {
         Sequential::new()
@@ -415,27 +412,31 @@ mod tests {
         // Prefix of length 4 is the pre-pool activation map.
         let partial = net.infer_partial(4, &x);
         assert_eq!(partial.dims(), &[2, 1, 4, 4]);
-        // Full forward still works afterwards and nothing was profiled.
+        // Full forward still works afterwards and, with the thread not
+        // recording, nothing was recorded.
         let full = net.forward(&x);
         assert_eq!(full.dims(), &[2, 1, 1, 1]);
         assert_eq!(net.infer(&x), full);
-        assert!(net.profiler().is_empty());
+        assert!(recorded(|| {}).is_empty());
     }
 
     #[test]
-    fn only_whole_inference_passes_are_profiled() {
+    fn only_whole_inference_passes_are_recorded() {
         let mut rng = StdRng::seed_from_u64(12);
-        let mut net = tiny_cnn(&mut rng);
-        net.enable_profiling();
+        let net = tiny_cnn(&mut rng);
         let x = sl_tensor::randn([2, 1, 4, 4], 0.0, 1.0, &mut rng);
-        net.infer_partial(4, &x);
-        assert!(net.profiler().layers().all(|(_, p)| p.fwd.count() == 0));
-        net.infer(&x);
-        net.infer_partial(4, &x);
+        let stems = stems(&net);
+        let partial = recorded(|| {
+            net.infer_partial(4, &x);
+        });
+        assert!(stems.iter().all(|l| count(&partial, l, "fwd") == 0));
+        let s = recorded(|| {
+            net.infer(&x);
+            net.infer_partial(4, &x);
+        });
         // One sample per layer: the whole pass, not the prefix.
-        let profile = net.profiler();
-        assert_eq!(profile.layers().count(), 7);
-        assert!(profile.layers().all(|(_, p)| p.fwd.count() == 1));
+        assert_eq!(stems.len(), 7);
+        assert!(stems.iter().all(|l| count(&s, l, "fwd") == 1));
     }
 
     #[test]
@@ -469,13 +470,14 @@ mod tests {
         let mut borrowed = tiny_cnn(&mut rng);
         let mut rng = StdRng::seed_from_u64(11);
         let mut owned = tiny_cnn(&mut rng);
-        owned.enable_profiling();
         let x = sl_tensor::randn([3, 1, 4, 4], 0.0, 1.0, &mut rng);
         let y = borrowed.forward(&x);
-        assert_eq!(owned.forward_owned(x.clone()), y);
         let g = Tensor::ones(y.dims());
         borrowed.backward(&g);
-        owned.backward_params(&g);
+        let s = recorded(|| {
+            assert_eq!(owned.forward_owned(x.clone()), y);
+            owned.backward_params(&g);
+        });
         for ((_, a), (_, b)) in borrowed
             .params_and_grads()
             .into_iter()
@@ -483,54 +485,60 @@ mod tests {
         {
             assert_eq!(a.data(), b.data());
         }
-        // The params-only backward still profiles every layer.
-        assert!(owned.profiler().layers().all(|(_, p)| p.bwd.count() == 1));
+        // The params-only backward still records every layer once.
+        assert!(stems(&owned).iter().all(|l| count(&s, l, "bwd") == 1));
     }
 
     #[test]
-    fn profiling_does_not_change_outputs() {
+    fn recording_does_not_change_outputs() {
         let mut rng = StdRng::seed_from_u64(6);
         let mut plain = tiny_cnn(&mut rng);
         let mut rng = StdRng::seed_from_u64(6);
-        let mut profiled = tiny_cnn(&mut rng);
-        profiled.enable_profiling();
+        let mut recorded_net = tiny_cnn(&mut rng);
         let x = sl_tensor::randn([3, 1, 4, 4], 0.0, 1.0, &mut rng);
         let a = plain.forward(&x);
-        let b = profiled.forward(&x);
-        assert_eq!(a.data(), b.data());
         let ga = plain.backward(&Tensor::ones(a.dims()));
-        let gb = profiled.backward(&Tensor::ones(b.dims()));
+        let mut outputs = None;
+        let s = recorded(|| {
+            let b = recorded_net.forward(&x);
+            let gb = recorded_net.backward(&Tensor::ones(b.dims()));
+            outputs = Some((b, gb));
+        });
+        let Some((b, gb)) = outputs else {
+            unreachable!("the recorded pass ran")
+        };
+        assert_eq!(a.data(), b.data());
         assert_eq!(ga.data(), gb.data());
         // Every layer recorded one forward and one backward sample.
-        let profile = profiled.profiler();
-        let layers: Vec<_> = profile.layers().collect();
-        assert_eq!(layers.len(), 7);
-        for (_, p) in &layers {
-            assert_eq!(p.fwd.count(), 1);
-            assert_eq!(p.bwd.count(), 1);
+        let stems = stems(&recorded_net);
+        assert_eq!(stems.len(), 7);
+        for l in &stems {
+            assert_eq!(count(&s, l, "fwd"), 1);
+            assert_eq!(count(&s, l, "bwd"), 1);
         }
-        // Parameterized layers report their counts; conv FLOPs dominate.
-        assert_eq!(layers[0].1.params, 20);
-        assert!(layers[0].1.flops > 0.0);
+        // Parameterized layers report their counts; the backward is
+        // charged at 2× the forward's FLOPs.
+        assert_eq!(s.gauge("nn.layer.0.conv2d.params"), Some(20.0));
+        let conv = Conv2d::new(1, 2, 3, Padding::Same, &mut rng);
+        let fwd_flops = conv.flops_forward(&[3, 1, 4, 4]);
+        assert!(fwd_flops > 0.0);
+        assert_eq!(s.gauge("nn.layer.0.conv2d.flops"), Some(3.0 * fwd_flops));
     }
 
     #[test]
-    fn publish_profile_emits_layer_metrics() {
-        use sl_telemetry::{MemorySink, Telemetry, TelemetryMode};
-        let (sink, _events) = MemorySink::new();
-        let mut tele = Telemetry::with_sink(TelemetryMode::Jsonl, Box::new(sink));
+    fn recording_publishes_layer_metrics_and_resets() {
         let mut rng = StdRng::seed_from_u64(7);
-        let mut net = tiny_cnn(&mut rng);
-        net.enable_profiling();
+        let mut net = tiny_cnn(&mut rng).labelled("nn.ue");
         let x = sl_tensor::randn([2, 1, 4, 4], 0.0, 1.0, &mut rng);
-        let y = net.forward(&x);
-        net.backward(&Tensor::ones(y.dims()));
-        net.publish_profile(&mut tele, "nn.ue");
-        let s = tele.snapshot();
+        let s = recorded(|| {
+            let y = net.forward(&x);
+            net.backward(&Tensor::ones(y.dims()));
+        });
         assert_eq!(s.histograms["nn.ue.layer.0.conv2d.fwd.host_s"].count(), 1);
         assert_eq!(s.histograms["nn.ue.layer.5.conv2d.bwd.host_s"].count(), 1);
         assert_eq!(s.gauge("nn.ue.layer.5.conv2d.params"), Some(5.0));
-        assert!(net.profiler().is_empty());
+        // Drained: the next recording starts empty.
+        assert!(recorded(|| {}).is_empty());
     }
 
     #[test]

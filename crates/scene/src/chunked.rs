@@ -1,7 +1,8 @@
 //! Chunked trace persistence over `sl-store`.
 //!
-//! The whole-file `.slt` format (see [`crate::TraceIoError`]'s module)
-//! loads everything or nothing; beyond the paper's 13k-frame scale that
+//! Generated traces are saved and reloaded so that experiments across
+//! processes share the exact same dataset. A whole-file format would
+//! load everything or nothing; beyond the paper's 13k-frame scale that
 //! means minutes of IO for a scene when an experiment only needs a
 //! window of it. The chunked layout stores a trace as a directory of
 //! checksummed `sl-store` arrays:
@@ -28,8 +29,34 @@ use sl_store::{
 use sl_telemetry::json::{parse, JsonObject};
 use sl_tensor::{ComputePool, Tensor};
 
-use crate::io::TraceIoError;
 use crate::trace::MeasurementTrace;
+
+/// Errors from trace persistence.
+#[derive(Debug)]
+pub enum TraceIoError {
+    /// Structurally invalid contents.
+    Corrupt(&'static str),
+    /// The chunked store failed (IO, missing directory, checksum
+    /// mismatch, bad range).
+    Store(sl_store::StoreError),
+}
+
+impl std::fmt::Display for TraceIoError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TraceIoError::Corrupt(what) => write!(f, "corrupt trace: {what}"),
+            TraceIoError::Store(e) => write!(f, "trace store error: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for TraceIoError {}
+
+impl From<sl_store::StoreError> for TraceIoError {
+    fn from(e: sl_store::StoreError) -> Self {
+        TraceIoError::Store(e)
+    }
+}
 
 const META: &str = "meta.json";
 const META_VERSION: u64 = 1;
@@ -139,7 +166,7 @@ impl MeasurementTrace {
         dir: impl AsRef<Path>,
         metrics: &mut StoreMetrics,
     ) -> Result<MeasurementTrace, TraceIoError> {
-        let storage = DirStorage::create(dir.as_ref())?;
+        let storage = DirStorage::open(dir.as_ref())?;
         let meta = load_meta(&storage)?;
         let pool = ComputePool::global();
         let powers_manifest = read_manifest(&storage, POWERS)?;
@@ -163,7 +190,7 @@ impl MeasurementTrace {
         start: usize,
         count: usize,
     ) -> Result<Vec<Tensor>, TraceIoError> {
-        let storage = DirStorage::create(dir.as_ref())?;
+        let storage = DirStorage::open(dir.as_ref())?;
         let meta = load_meta(&storage)?;
         let mut metrics = StoreMetrics::default();
         load_range(
@@ -215,6 +242,23 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(seed);
         Scene::generate(cfg, &mut rng).simulate(&mut rng)
+    }
+
+    #[test]
+    fn loading_a_missing_directory_fails_without_creating_it() {
+        let root = tmp("absent");
+        let _ = std::fs::remove_dir_all(&root);
+        let dir = root.join("nested");
+        let mut metrics = StoreMetrics::default();
+        assert!(matches!(
+            MeasurementTrace::load_chunked(&dir, &mut metrics),
+            Err(TraceIoError::Store(StoreError::Io(_)))
+        ));
+        assert!(matches!(
+            MeasurementTrace::load_frame_range(&dir, 0, 1),
+            Err(TraceIoError::Store(StoreError::Io(_)))
+        ));
+        assert!(!root.exists());
     }
 
     #[test]

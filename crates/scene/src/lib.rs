@@ -30,15 +30,14 @@ mod camera;
 mod chunked;
 mod config;
 mod dataset;
-mod io;
 mod pedestrian;
 mod power;
 mod trace;
 
 pub use camera::DepthCamera;
+pub use chunked::TraceIoError;
 pub use config::{CameraConfig, SceneConfig};
 pub use dataset::{PowerNormalizer, SequenceDataset, SequenceSample, SplitIndices, PAPER_SEQ_LEN};
-pub use io::TraceIoError;
 pub use pedestrian::Pedestrian;
 pub use power::PowerModel;
 pub use trace::{ascii_frame, MeasurementTrace, Scene};

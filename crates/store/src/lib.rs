@@ -2,11 +2,10 @@
 //!
 //! The workspace's persistence layer for large `f32` streams: depth
 //! frames (`sl-scene`), quantized cut-layer activations (the privacy
-//! audit log) and model/optimizer state (`sl-core` checkpoints). The
-//! whole-file formats (`.slt`, `.slw`) are fine at the paper's 13k-frame
-//! scale; this crate is the ROADMAP's chunked store for everything
-//! beyond it — streaming frame-range reads, resumable checkpoints and
-//! append-only logs, all std-only and deterministic.
+//! audit log) and model/optimizer state (`sl-core` checkpoints and
+//! weights) — the workspace's only on-disk format: streaming
+//! frame-range reads, resumable checkpoints and append-only logs, all
+//! std-only and deterministic.
 //!
 //! An **array** is a flat `f32` buffer of `items × item_len` values
 //! split into fixed-size chunks (ragged for append-logs). Each chunk is

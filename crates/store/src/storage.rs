@@ -58,10 +58,24 @@ pub struct DirStorage {
 }
 
 impl DirStorage {
-    /// Opens (creating if needed) the directory at `root`.
+    /// Opens (creating if needed) the directory at `root`, for writers.
     pub fn create(root: impl Into<PathBuf>) -> Result<Self, StoreError> {
         let root = root.into();
         fs::create_dir_all(&root)?;
+        Ok(DirStorage { root })
+    }
+
+    /// Opens the existing directory at `root`, for readers: a missing
+    /// directory is an [`ErrorKind::NotFound`] I/O error, and nothing is
+    /// created.
+    pub fn open(root: impl Into<PathBuf>) -> Result<Self, StoreError> {
+        let root = root.into();
+        if !root.is_dir() {
+            return Err(StoreError::Io(std::io::Error::new(
+                ErrorKind::NotFound,
+                format!("no store directory at {}", root.display()),
+            )));
+        }
         Ok(DirStorage { root })
     }
 
@@ -163,7 +177,25 @@ mod tests {
         assert!(s.exists("x.chunk-000000.slc"));
         assert_eq!(s.get("x.chunk-000000.slc").unwrap(), vec![9, 8]);
         assert!(matches!(s.get("nope"), Err(StoreError::Missing(_))));
+        assert_eq!(
+            DirStorage::open(&root)
+                .unwrap()
+                .get("x.chunk-000000.slc")
+                .unwrap(),
+            vec![9, 8]
+        );
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn open_never_creates_the_directory() {
+        let root = std::env::temp_dir().join(format!("slstore_absent_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let missing = root.join("nested");
+        assert!(
+            matches!(DirStorage::open(&missing), Err(StoreError::Io(e)) if e.kind() == ErrorKind::NotFound)
+        );
+        assert!(!root.exists());
     }
 
     #[test]

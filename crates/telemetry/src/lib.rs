@@ -9,11 +9,12 @@
 //!
 //! * [`MetricsRegistry`] — named counters, gauges and log-bucketed
 //!   [`Histogram`]s (count/sum/min/max/p50/p90/p99).
-//! * [`Stopwatch`] / [`SimSpan`] — scope timers for host wall-clock and
-//!   for `sl-core`'s simulated compute/airtime split.
-//! * [`Profiler`] — per-layer forward/backward host-time histograms and
-//!   FLOP/parameter counts, threaded through `sl-nn::Sequential` and
-//!   published under `nn.{ue,bs}.layer.<idx>.<name>.*`.
+//! * [`host`] — the one host timer: a per-thread recorder of
+//!   `<key>.host_s` histograms (per step, model pass, layer and kernel)
+//!   plus the per-layer FLOP/parameter gauges, drained into a
+//!   [`Telemetry`] handle by the run that switched it on.
+//! * [`SimSpan`] — a scope timer for `sl-core`'s simulated
+//!   compute/airtime split.
 //! * [`Event`] journal with pluggable [`Sink`]s — dropped, summarized on
 //!   stderr, or appended as JSON lines — selected by the
 //!   `SLM_TELEMETRY` environment variable (`off` | `summary` | `jsonl`,
@@ -21,15 +22,16 @@
 //! * [`Snapshot`] — a serializable (hand-rolled JSON, no serde) copy of
 //!   all metrics; snapshots merge losslessly.
 //!
-//! Everything funnels through one owned [`Telemetry`] value — no global
-//! state, no locks, no external crates — and every recording call
-//! no-ops when the mode is `off`, so instrumented hot loops cost one
-//! branch when observability is disabled.
+//! Everything funnels through one owned [`Telemetry`] value — the host
+//! recorder's per-thread samples drain into it; no locks, no external
+//! crates — and every recording call no-ops when the mode is `off`, so
+//! instrumented hot loops cost one branch when observability is
+//! disabled.
 
 mod events;
+pub mod host;
 pub mod json;
 mod metrics;
-mod profiler;
 pub mod registry;
 mod series;
 mod snapshot;
@@ -38,10 +40,9 @@ pub mod trace;
 
 pub use events::{Event, EventBuilder, JsonlSink, MemorySink, NullSink, Sink, StderrSink, Value};
 pub use metrics::{Histogram, MetricsRegistry, BUCKETS_PER_OCTAVE};
-pub use profiler::{LayerProfile, Profiler};
 pub use series::{Series, SeriesStore, DEFAULT_SERIES_CAPACITY};
 pub use snapshot::Snapshot;
-pub use timer::{SimSpan, Stopwatch};
+pub use timer::SimSpan;
 pub use trace::{
     check_spans, chrome_trace_json, latency_breakdown, sim_us, spans_from_jsonl, trace_env_enabled,
     LatencyRow, OpenSpan, SpanRecord, TraceStats, Tracer, BS_SPAN_NAMESPACE,

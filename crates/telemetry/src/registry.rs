@@ -214,18 +214,17 @@ pub const KEYS: &[KeyDecl] = &[
         &[],
         "cumulative worker idle/steal time",
     ),
-    key("tensor.kernel.*.calls", &[], "per-kernel invocation count"),
     key(
         "tensor.kernel.*.host_s",
         &[],
-        "per-kernel host time histogram",
+        "per-kernel host time histogram (its count is the call count)",
     ),
     key(
         "tensor.backend",
         &[],
         "selected compute backend (0 = scalar, 2 = simd; 1 was the removed blocked tier)",
     ),
-    // -- per-layer profiler (sl-telemetry::Profiler via sl-nn) ----------
+    // -- per-layer metrics (sl-nn::Sequential via sl-telemetry::host) ---
     key(
         "nn.ue.layer.*",
         &[],

@@ -1,44 +1,14 @@
-//! Scope timers for host wall-clock and simulated time.
+//! A scope timer for simulated time.
 //!
 //! Two clocks matter in this workspace: the **host** clock (how long the
-//! process actually takes) and the **simulated** clock (`sl-core`'s
-//! modelled compute seconds plus slot-accurate airtime — Fig. 3a's
-//! x-axis). [`Stopwatch`] scopes the former; [`SimSpan`] scopes the
+//! process actually takes, recorded by [`crate::host`]) and the
+//! **simulated** clock (`sl-core`'s modelled compute seconds plus
+//! slot-accurate airtime — Fig. 3a's x-axis). [`SimSpan`] scopes the
 //! latter by bracketing the caller's compute/airtime totals, so any
 //! crate can bridge its own simulated clock into the metrics registry
 //! without `sl-telemetry` depending on it.
 
-use std::time::Instant;
-
 use crate::Telemetry;
-
-/// Measures host wall-clock time for a scope.
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    start: Instant,
-}
-
-impl Stopwatch {
-    /// Starts timing now.
-    pub fn start() -> Self {
-        Stopwatch {
-            start: Instant::now(),
-        }
-    }
-
-    /// Seconds elapsed since start.
-    pub fn elapsed_s(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
-    /// Records the elapsed seconds into histogram `{name}.host_s` and
-    /// returns them.
-    pub fn observe(&self, tele: &mut Telemetry, name: &str) -> f64 {
-        let s = self.elapsed_s();
-        tele.observe(&format!("{name}.host_s"), s);
-        s
-    }
-}
 
 /// Brackets a span of *simulated* time, split by cause.
 ///
@@ -84,17 +54,6 @@ impl SimSpan {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stopwatch_measures_nonnegative_time() {
-        let mut tele = Telemetry::summary();
-        let sw = Stopwatch::start();
-        let s = sw.observe(&mut tele, "scope");
-        assert!(s >= 0.0);
-        let h = tele.registry().histogram("scope.host_s").unwrap();
-        assert_eq!(h.count(), 1);
-        assert!(h.max().unwrap() >= 0.0);
-    }
 
     #[test]
     fn sim_span_records_deltas() {

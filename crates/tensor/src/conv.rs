@@ -126,8 +126,10 @@
 use std::cell::RefCell;
 use std::ops::Range;
 
+use sl_telemetry::host;
+
 use crate::backend::{global_backend, Backend, PaddedConv, TapRegion};
-use crate::pool::{ComputePool, KernelKind};
+use crate::pool::ComputePool;
 use crate::tensor::Tensor;
 
 /// Spatial padding policy for [`conv2d`].
@@ -566,24 +568,24 @@ pub fn conv2d_with(
     );
     let (c_out, p_sz, x_per) = (gm.c_out, gm.p(), gm.x_per());
 
-    let timer = pool.start_kernel(KernelKind::Conv2dFwd);
-    let x = input.data();
-    let wt = weight.data();
-    let b = bias.data();
+    host::time("tensor.kernel.conv2d_fwd", || {
+        let x = input.data();
+        let wt = weight.data();
+        let b = bias.data();
 
-    let mut out = vec![0.0f32; gm.n * c_out * p_sz];
-    if !out.is_empty() {
-        // One image per job: each job owns a disjoint [C_out × P] output
-        // slab and unrolls into its thread's scratch.
-        pool.run_chunks(&mut out, c_out * p_sz, |img, chunk| {
-            let x_n = &x[img * x_per..(img + 1) * x_per];
-            with_scratch(padded_len(gm), |s| {
-                forward_image(backend, chunk, x_n, wt, b, gm, s)
+        let mut out = vec![0.0f32; gm.n * c_out * p_sz];
+        if !out.is_empty() {
+            // One image per job: each job owns a disjoint [C_out × P] output
+            // slab and unrolls into its thread's scratch.
+            pool.run_chunks(&mut out, c_out * p_sz, |img, chunk| {
+                let x_n = &x[img * x_per..(img + 1) * x_per];
+                with_scratch(padded_len(gm), |s| {
+                    forward_image(backend, chunk, x_n, wt, b, gm, s)
+                });
             });
-        });
-    }
-    pool.record_kernel(timer);
-    Tensor::from_parts([gm.n, c_out, gm.ho, gm.wo], out)
+        }
+        Tensor::from_parts([gm.n, c_out, gm.ho, gm.wo], out)
+    })
 }
 
 /// Gradients produced by [`conv2d_backward`].
@@ -631,23 +633,23 @@ pub fn conv2d_backward_with(
     padding: Padding,
 ) -> Conv2dGrads {
     let gm = backward_geom(input, weight, grad_out, padding);
-    let timer = pool.start_kernel(KernelKind::Conv2dBwd);
-    let (grad_weight, grad_bias) = param_grads(
-        pool,
-        backend,
-        gm,
-        input.data(),
-        weight.data(),
-        grad_out.data(),
-    );
-    let mut gx = vec![0.0f32; input.numel()];
-    input_grads(pool, gm, weight.data(), grad_out.data(), &mut gx);
-    pool.record_kernel(timer);
-    Conv2dGrads {
-        grad_input: Tensor::from_parts(input.shape().clone(), gx),
-        grad_weight,
-        grad_bias,
-    }
+    host::time("tensor.kernel.conv2d_bwd", || {
+        let (grad_weight, grad_bias) = param_grads(
+            pool,
+            backend,
+            gm,
+            input.data(),
+            weight.data(),
+            grad_out.data(),
+        );
+        let mut gx = vec![0.0f32; input.numel()];
+        input_grads(pool, gm, weight.data(), grad_out.data(), &mut gx);
+        Conv2dGrads {
+            grad_input: Tensor::from_parts(input.shape().clone(), gx),
+            grad_weight,
+            grad_bias,
+        }
+    })
 }
 
 /// [`ConvGeom::new`] plus the check that `grad_out` has the forward
@@ -872,32 +874,32 @@ pub fn fused_cnn_with(
 ) -> Tensor {
     let fg = FusedGeom::new(input, params);
     let (c, p_sz) = (fg.c(), fg.p());
-    let timer = pool.start_kernel(KernelKind::FusedCnnFwd);
-    let (x, w1, b1) = (input.data(), params.w1.data(), params.b1.data());
-    let (w2, b2) = (params.w2.data(), params.b2.data()[0]);
-    let mut out = vec![0.0f32; fg.conv1.n * p_sz];
-    if !out.is_empty() {
-        // One image per job; its C-channel hidden map lives in the
-        // thread's scratch and never leaves it.
-        pool.run_chunks(&mut out, p_sz, |img, out_n| {
-            let x_n = &x[img * p_sz..(img + 1) * p_sz];
-            with_scratch(c * p_sz + fg.forward_scratch(), |s| {
-                let (h, rest) = s.split_at_mut(c * p_sz);
-                // conv1 + b1, then ReLU on the way into conv2's padded
-                // planes, then conv2's direct sums (one output channel,
-                // as `forward_image` runs it), + b2 and the sigmoid.
-                forward_image(backend, h, x_n, w1, b1, fg.conv1, rest);
-                let xpad = &mut rest[..padded_len(fg.conv2)];
-                pad_planes(xpad, h, fg.conv2, |v| v.max(0.0));
-                backend.conv_direct(out_n, xpad, w2, fg.conv2.padded());
-                for o in out_n.iter_mut() {
-                    *o = sigmoid(*o + b2);
-                }
+    host::time("tensor.kernel.fused_cnn_fwd", || {
+        let (x, w1, b1) = (input.data(), params.w1.data(), params.b1.data());
+        let (w2, b2) = (params.w2.data(), params.b2.data()[0]);
+        let mut out = vec![0.0f32; fg.conv1.n * p_sz];
+        if !out.is_empty() {
+            // One image per job; its C-channel hidden map lives in the
+            // thread's scratch and never leaves it.
+            pool.run_chunks(&mut out, p_sz, |img, out_n| {
+                let x_n = &x[img * p_sz..(img + 1) * p_sz];
+                with_scratch(c * p_sz + fg.forward_scratch(), |s| {
+                    let (h, rest) = s.split_at_mut(c * p_sz);
+                    // conv1 + b1, then ReLU on the way into conv2's padded
+                    // planes, then conv2's direct sums (one output channel,
+                    // as `forward_image` runs it), + b2 and the sigmoid.
+                    forward_image(backend, h, x_n, w1, b1, fg.conv1, rest);
+                    let xpad = &mut rest[..padded_len(fg.conv2)];
+                    pad_planes(xpad, h, fg.conv2, |v| v.max(0.0));
+                    backend.conv_direct(out_n, xpad, w2, fg.conv2.padded());
+                    for o in out_n.iter_mut() {
+                        *o = sigmoid(*o + b2);
+                    }
+                });
             });
-        });
-    }
-    pool.record_kernel(timer);
-    Tensor::from_parts(fg.image_dims(), out)
+        }
+        Tensor::from_parts(fg.image_dims(), out)
+    })
 }
 
 /// Backward pass of [`fused_cnn`], on the process-wide pool and backend.
@@ -949,46 +951,46 @@ pub fn fused_cnn_backward_with(
     }
     let (c, p_sz, params_len) = (fg.c(), fg.p(), fg.params_len());
     let slot = params_len + if with_input_grad { p_sz } else { 0 };
-    let timer = pool.start_kernel(KernelKind::FusedCnnBwd);
-    let (x, y, g) = (input.data(), output.data(), grad_out.data());
-    let weights = BackwardWeights::new(params, fg);
-    // Per image one slot `[∂w1 | ∂b1 | ∂w2 | ∂b2 | ∂x_n?]`; the parameter
-    // parts are reduced below in ascending image order.
-    let mut slots = vec![0.0f32; fg.conv1.n * slot];
-    if !slots.is_empty() {
-        pool.run_chunks(&mut slots, slot, |img, slot_n| {
-            let r = img * p_sz..(img + 1) * p_sz;
-            let image = (&x[r.clone()], &y[r.clone()], &g[r]);
-            with_scratch(fg.backward_scratch(), |s| {
-                fused_backward_image(backend, slot_n, image, &weights, fg, s)
+    host::time("tensor.kernel.fused_cnn_bwd", || {
+        let (x, y, g) = (input.data(), output.data(), grad_out.data());
+        let weights = BackwardWeights::new(params, fg);
+        // Per image one slot `[∂w1 | ∂b1 | ∂w2 | ∂b2 | ∂x_n?]`; the parameter
+        // parts are reduced below in ascending image order.
+        let mut slots = vec![0.0f32; fg.conv1.n * slot];
+        if !slots.is_empty() {
+            pool.run_chunks(&mut slots, slot, |img, slot_n| {
+                let r = img * p_sz..(img + 1) * p_sz;
+                let image = (&x[r.clone()], &y[r.clone()], &g[r]);
+                with_scratch(fg.backward_scratch(), |s| {
+                    fused_backward_image(backend, slot_n, image, &weights, fg, s)
+                });
             });
-        });
-    }
-    let mut grads = vec![0.0f32; params_len];
-    for slot_n in slots.chunks_exact(slot) {
-        // Per element one exactly-rounded add per image, as in
-        // `param_grads`.
-        backend.add_assign(&mut grads, &slot_n[..params_len]);
-    }
-    let grad_input = with_input_grad.then(|| {
-        let mut gx = vec![0.0f32; fg.conv1.n * p_sz];
-        for (gx_n, slot_n) in gx.chunks_exact_mut(p_sz).zip(slots.chunks_exact(slot)) {
-            gx_n.copy_from_slice(&slot_n[params_len..]);
         }
-        Tensor::from_parts(dims, gx)
-    });
-    pool.record_kernel(timer);
-    let (k1, kh, kw) = (fg.conv1.k(), fg.conv1.kh, fg.conv1.kw);
-    let (gw1, rest) = grads.split_at(c * k1);
-    let (gb1, rest) = rest.split_at(c);
-    let (gw2, gb2) = rest.split_at(c * k1);
-    FusedCnnGrads {
-        grad_input,
-        grad_w1: Tensor::from_parts([c, 1, kh, kw], gw1.to_vec()),
-        grad_b1: Tensor::from_slice(gb1),
-        grad_w2: Tensor::from_parts([1, c, kh, kw], gw2.to_vec()),
-        grad_b2: Tensor::from_slice(gb2),
-    }
+        let mut grads = vec![0.0f32; params_len];
+        for slot_n in slots.chunks_exact(slot) {
+            // Per element one exactly-rounded add per image, as in
+            // `param_grads`.
+            backend.add_assign(&mut grads, &slot_n[..params_len]);
+        }
+        let grad_input = with_input_grad.then(|| {
+            let mut gx = vec![0.0f32; fg.conv1.n * p_sz];
+            for (gx_n, slot_n) in gx.chunks_exact_mut(p_sz).zip(slots.chunks_exact(slot)) {
+                gx_n.copy_from_slice(&slot_n[params_len..]);
+            }
+            Tensor::from_parts(dims, gx)
+        });
+        let (k1, kh, kw) = (fg.conv1.k(), fg.conv1.kh, fg.conv1.kw);
+        let (gw1, rest) = grads.split_at(c * k1);
+        let (gb1, rest) = rest.split_at(c);
+        let (gw2, gb2) = rest.split_at(c * k1);
+        FusedCnnGrads {
+            grad_input,
+            grad_w1: Tensor::from_parts([c, 1, kh, kw], gw1.to_vec()),
+            grad_b1: Tensor::from_slice(gb1),
+            grad_w2: Tensor::from_parts([1, c, kh, kw], gw2.to_vec()),
+            grad_b2: Tensor::from_slice(gb2),
+        }
+    })
 }
 
 /// The backward's per-call operands: conv1's weights transposed to

@@ -83,7 +83,7 @@ pub use linalg::{
     matmul, matmul_a_bt, matmul_a_bt_in, matmul_a_bt_with, matmul_at_b, matmul_at_b_in,
     matmul_at_b_with, matmul_in, matmul_with, matvec, outer, transpose,
 };
-pub use pool::{ComputePool, KernelKind, MAX_THREADS};
+pub use pool::{ComputePool, MAX_THREADS};
 pub use pooling::{avg_pool2d, avg_pool2d_backward};
 pub use shape::{broadcastable, Shape};
 pub use simd::supported as simd_supported;

@@ -24,7 +24,9 @@
 //! health watchdog exists to catch.
 
 use crate::backend::{global_backend, Backend};
-use crate::pool::{ComputePool, KernelKind};
+use sl_telemetry::host;
+
+use crate::pool::ComputePool;
 use crate::tensor::Tensor;
 
 /// Output rows per pool job. Small enough to load-balance the paper's
@@ -131,11 +133,11 @@ pub fn matmul_with(pool: &ComputePool, backend: &dyn Backend, a: &Tensor, b: &Te
         a.shape(),
         b.shape()
     );
-    let timer = pool.start_kernel(KernelKind::Matmul);
-    let mut out = vec![0.0f32; m * n];
-    gemm_ab(pool, backend, &mut out, a.data(), b.data(), ka, n);
-    pool.record_kernel(timer);
-    Tensor::from_parts([m, n], out)
+    host::time("tensor.kernel.matmul", || {
+        let mut out = vec![0.0f32; m * n];
+        gemm_ab(pool, backend, &mut out, a.data(), b.data(), ka, n);
+        Tensor::from_parts([m, n], out)
+    })
 }
 
 /// `C = Aᵀ · B` for `A: [k, m]`, `B: [k, n]` (yields `[m, n]`), computed
@@ -167,11 +169,11 @@ pub fn matmul_at_b_with(
         a.shape(),
         b.shape()
     );
-    let timer = pool.start_kernel(KernelKind::MatmulAtB);
-    let mut out = vec![0.0f32; m * n];
-    gemm_at_b(pool, backend, &mut out, a.data(), b.data(), m, n);
-    pool.record_kernel(timer);
-    Tensor::from_parts([m, n], out)
+    host::time("tensor.kernel.matmul_at_b", || {
+        let mut out = vec![0.0f32; m * n];
+        gemm_at_b(pool, backend, &mut out, a.data(), b.data(), m, n);
+        Tensor::from_parts([m, n], out)
+    })
 }
 
 /// `C = A · Bᵀ` for `A: [m, k]`, `B: [n, k]` (yields `[m, n]`), computed
@@ -203,11 +205,11 @@ pub fn matmul_a_bt_with(
         a.shape(),
         b.shape()
     );
-    let timer = pool.start_kernel(KernelKind::MatmulABt);
-    let mut out = vec![0.0f32; m * n];
-    gemm_a_bt(pool, backend, &mut out, a.data(), b.data(), ka, n);
-    pool.record_kernel(timer);
-    Tensor::from_parts([m, n], out)
+    host::time("tensor.kernel.matmul_a_bt", || {
+        let mut out = vec![0.0f32; m * n];
+        gemm_a_bt(pool, backend, &mut out, a.data(), b.data(), ka, n);
+        Tensor::from_parts([m, n], out)
+    })
 }
 
 /// Matrix-vector product `A · x` for `A: [m, n]`, `x: [n]` (yields `[m]`).

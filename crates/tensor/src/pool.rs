@@ -16,10 +16,11 @@
 //! warn through `sl_telemetry` instead of silently falling back.
 //!
 //! Observability: the pool counts dispatched jobs and accumulated
-//! load-imbalance idle time, and each public kernel records its host
-//! time per kernel family; [`ComputePool::publish_metrics`] pushes all
-//! of it into a [`Telemetry`] handle as `tensor.pool.*` /
-//! `tensor.kernel.*` gauges.
+//! load-imbalance idle time; [`ComputePool::publish_metrics`] pushes
+//! both into a [`Telemetry`] handle as `tensor.pool.*` gauges. Each
+//! public kernel times itself through `sl_telemetry::host` into
+//! `tensor.kernel.<name>.host_s`, on the calling thread and only while
+//! that thread records.
 //!
 //! This module is the one place in the numeric crates where OS threads
 //! and wall clocks are allowed; the `no-nondeterminism` lint flags both
@@ -138,75 +139,6 @@ unsafe impl Send for BufPtr {}
 // slm-lint: allow(unsafe-containment) disjoint-chunk buffer sharing, justified by the SAFETY note above
 unsafe impl Sync for BufPtr {}
 
-/// Per-kernel-family host-time accounting (atomics so kernels can record
-/// through the shared global pool).
-#[derive(Default)]
-struct KernelStat {
-    calls: AtomicU64,
-    nanos: AtomicU64,
-}
-
-/// The kernel families the backend times individually.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelKind {
-    /// `C = A · B`.
-    Matmul,
-    /// `C = Aᵀ · B`.
-    MatmulAtB,
-    /// `C = A · Bᵀ`.
-    MatmulABt,
-    /// im2col + GEMM convolution forward.
-    Conv2dFwd,
-    /// Convolution backward (all three gradients).
-    Conv2dBwd,
-    /// Fused UE CNN forward (`conv → relu → conv → sigmoid`).
-    FusedCnnFwd,
-    /// Fused UE CNN backward (recompute plus all four gradients).
-    FusedCnnBwd,
-}
-
-impl KernelKind {
-    const ALL: [KernelKind; 7] = [
-        KernelKind::Matmul,
-        KernelKind::MatmulAtB,
-        KernelKind::MatmulABt,
-        KernelKind::Conv2dFwd,
-        KernelKind::Conv2dBwd,
-        KernelKind::FusedCnnFwd,
-        KernelKind::FusedCnnBwd,
-    ];
-
-    fn name(self) -> &'static str {
-        match self {
-            KernelKind::Matmul => "matmul",
-            KernelKind::MatmulAtB => "matmul_at_b",
-            KernelKind::MatmulABt => "matmul_a_bt",
-            KernelKind::Conv2dFwd => "conv2d_fwd",
-            KernelKind::Conv2dBwd => "conv2d_bwd",
-            KernelKind::FusedCnnFwd => "fused_cnn_fwd",
-            KernelKind::FusedCnnBwd => "fused_cnn_bwd",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            KernelKind::Matmul => 0,
-            KernelKind::MatmulAtB => 1,
-            KernelKind::MatmulABt => 2,
-            KernelKind::Conv2dFwd => 3,
-            KernelKind::Conv2dBwd => 4,
-            KernelKind::FusedCnnFwd => 5,
-            KernelKind::FusedCnnBwd => 6,
-        }
-    }
-}
-
-/// A started per-kernel timer; finish it with [`ComputePool::record_kernel`].
-pub struct KernelTimer {
-    kind: KernelKind,
-    start: Instant,
-}
-
 /// A reusable worker pool with deterministic job partitioning.
 ///
 /// See the module docs for the determinism contract. Construct explicit
@@ -218,7 +150,6 @@ pub struct ComputePool {
     threads: usize,
     jobs: AtomicU64,
     steal_idle_nanos: AtomicU64,
-    kernel_stats: [KernelStat; 7],
 }
 
 impl ComputePool {
@@ -246,7 +177,6 @@ impl ComputePool {
             threads,
             jobs: AtomicU64::new(0),
             steal_idle_nanos: AtomicU64::new(0),
-            kernel_stats: Default::default(),
         }
     }
 
@@ -355,37 +285,9 @@ impl ComputePool {
         });
     }
 
-    /// Starts a host-time timer for one kernel invocation.
-    pub fn start_kernel(&self, kind: KernelKind) -> KernelTimer {
-        KernelTimer {
-            kind,
-            // slm-lint: allow(no-nondeterminism) observability-only timestamp; results never depend on it
-            start: Instant::now(),
-        }
-    }
-
-    /// Finishes a [`KernelTimer`], folding its elapsed time into the
-    /// per-kernel stats.
-    pub fn record_kernel(&self, timer: KernelTimer) {
-        let stat = &self.kernel_stats[timer.kind.index()];
-        stat.calls.fetch_add(1, Ordering::Relaxed);
-        let nanos = u64::try_from(timer.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        stat.nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Accumulated `(calls, host_seconds)` for one kernel family.
-    pub fn kernel_totals(&self, kind: KernelKind) -> (u64, f64) {
-        let stat = &self.kernel_stats[kind.index()];
-        (
-            stat.calls.load(Ordering::Relaxed),
-            stat.nanos.load(Ordering::Relaxed) as f64 * 1e-9,
-        )
-    }
-
-    /// Publishes the pool and per-kernel counters as telemetry gauges:
-    /// `tensor.pool.{threads,jobs,steal_idle_s}`, the selected
-    /// `tensor.backend` (its [`crate::backend::BackendKind::index`]) and
-    /// `tensor.kernel.<name>.{calls,host_s}`.
+    /// Publishes the pool counters as telemetry gauges:
+    /// `tensor.pool.{threads,jobs,steal_idle_s}` and the selected
+    /// `tensor.backend` (its [`crate::backend::BackendKind::index`]).
     pub fn publish_metrics(&self, tele: &mut Telemetry) {
         tele.gauge_set("tensor.pool.threads", self.threads as f64);
         tele.gauge_set(
@@ -394,17 +296,6 @@ impl ComputePool {
         );
         tele.gauge_set("tensor.pool.jobs", self.jobs_dispatched() as f64);
         tele.gauge_set("tensor.pool.steal_idle_s", self.steal_idle_s());
-        for kind in KernelKind::ALL {
-            let (calls, host_s) = self.kernel_totals(kind);
-            if calls == 0 {
-                continue;
-            }
-            tele.gauge_set(
-                &format!("tensor.kernel.{}.calls", kind.name()),
-                calls as f64,
-            );
-            tele.gauge_set(&format!("tensor.kernel.{}.host_s", kind.name()), host_s);
-        }
     }
 }
 
@@ -506,17 +397,13 @@ mod tests {
     }
 
     #[test]
-    fn kernel_stats_accumulate() {
+    fn publish_metrics_sets_pool_gauges() {
         let pool = ComputePool::new(1);
-        let t = pool.start_kernel(KernelKind::Matmul);
-        pool.record_kernel(t);
-        let (calls, host_s) = pool.kernel_totals(KernelKind::Matmul);
-        assert_eq!(calls, 1);
-        assert!(host_s >= 0.0);
+        pool.run(3, |_| {});
         let mut tele = Telemetry::summary();
         pool.publish_metrics(&mut tele);
         let snap = tele.snapshot();
         assert_eq!(snap.gauge("tensor.pool.threads"), Some(1.0));
-        assert_eq!(snap.gauge("tensor.kernel.matmul.calls"), Some(1.0));
+        assert_eq!(snap.gauge("tensor.pool.jobs"), Some(3.0));
     }
 }

@@ -25,6 +25,17 @@ overall=0
 # script still exits non-zero.
 blocked=0
 
+# The trajectory files the benches and report gates append to live in a
+# scratch directory under target/, so a verify run leaves the tree as
+# it found it. It persists across runs (each gate still compares
+# against the entries earlier runs appended) and is seeded once with
+# the repo's trajectories.
+bench_dir=target/verify-results
+mkdir -p "$bench_dir"
+for f in results/BENCH_*.json; do
+    [[ -e "$f" && ! -e "$bench_dir/$(basename "$f")" ]] && cp "$f" "$bench_dir/"
+done
+
 stage() {
     local name="$1"
     shift
@@ -93,6 +104,10 @@ fi
 # non-zero when any correctness check fails — per-run outputs, digests
 # across repeats, train-1px == net-1px learning curves, the train-rf
 # checkpoint resume — so this is the end-to-end bitwise gate.
+# Building splitbench rewrites its lock file, which still lists the
+# workspace's old `rand` dependency; the lock changes only with the
+# benchmark, so the copy found here is put back afterwards.
+cp splitbench/Cargo.lock "$bench_dir/splitbench.Cargo.lock"
 if [[ "$blocked" -eq 0 ]]; then
     stage splitbench-test cargo test --offline --manifest-path splitbench/Cargo.toml
 fi
@@ -100,12 +115,14 @@ if [[ "$fast" -eq 0 && "$blocked" -eq 0 ]]; then
     stage splitbench-check cargo run --release --offline --manifest-path splitbench/Cargo.toml \
         -- all --seed 7 --repeats 1 --seconds 2
 fi
+cp "$bench_dir/splitbench.Cargo.lock" splitbench/Cargo.lock
 
 if [[ "$fast" -eq 0 && "$blocked" -eq 0 ]]; then
     # Seconds-scale profiled training runs, then the regression gate:
-    # slm-report renders results/fig3a into a markdown report, appends a
-    # trajectory entry to results/BENCH_fig3a.json and fails on metric
-    # or simulated-time regressions against the last same-config entry.
+    # slm-report renders a copy of results/fig3a into a markdown report,
+    # appends a trajectory entry to $bench_dir/BENCH_fig3a.json and
+    # fails on metric or simulated-time regressions against the last
+    # same-config entry.
     # The smoke run executes twice — single-threaded and on a 4-thread
     # pool — and the figure CSV must come out byte-identical: training
     # results never depend on SLM_THREADS. The 1t run records the span
@@ -139,8 +156,10 @@ if [[ "$fast" -eq 0 && "$blocked" -eq 0 ]]; then
             cmp results/fig3a/fig3a_1t.csv results/fig3a/fig3a.csv
     done
     rm -f results/fig3a/fig3a_1t.csv results/fig3a/series_1t.jsonl
+    rm -rf "$bench_dir/fig3a"
+    cp -r results/fig3a "$bench_dir/fig3a"
     stage report cargo run --release -q -p sl-bench --bin slm-report -- \
-        --check results/fig3a
+        --check "$bench_dir/fig3a"
 
     # Networked runtime: the same five smoke configurations over a real
     # loopback socket (slm-bs serving one session per configuration)
@@ -219,20 +238,20 @@ fi
 
 # Kernel micro-benchmarks: record the pre-backend reference loops, the
 # scalar backend at 1 and SLM_THREADS threads (the serial/pooled tiers)
-# and the simd backend into results/BENCH_kernels.json on every verify
+# and the simd backend into $bench_dir/BENCH_kernels.json on every verify
 # run — --fast included — so
 # the GFLOP/s trajectory accumulates; the report stage then gates the
 # determinism contract (throughput itself is host-dependent and never
 # gated).
 if [[ "$blocked" -eq 0 ]]; then
     stage kernels-bench env SLM_THREADS=4 \
-        cargo run --release -q -p sl-bench --bin kernels
+        cargo run --release -q -p sl-bench --bin kernels -- "$bench_dir"
     stage kernels-report cargo run --release -q -p sl-bench --bin slm-report -- \
-        --kernels --check results
+        --kernels --check "$bench_dir"
 fi
 
 # Chunked array store (sl-store): codec throughput/ratio trajectory into
-# results/BENCH_store.json, gated like the kernels (losslessness and the
+# $bench_dir/BENCH_store.json, gated like the kernels (losslessness and the
 # delta+rle compression win, never throughput); then the determinism
 # contract end to end — the fig3a smoke scene chunk-encoded at 1 and 4
 # threads must be byte-identical file by file — and the checkpoint
@@ -240,9 +259,9 @@ fi
 # the uninterrupted learning curve bitwise.
 if [[ "$blocked" -eq 0 ]]; then
     stage store-bench env SLM_THREADS=4 \
-        cargo run --release -q -p sl-bench --bin store
+        cargo run --release -q -p sl-bench --bin store -- "$bench_dir"
     stage store-report cargo run --release -q -p sl-bench --bin slm-report -- \
-        --store --check results
+        --store --check "$bench_dir"
     rm -rf results/store_scene_1t results/store_scene_4t
     stage store-encode-1t env SLM_THREADS=1 \
         cargo run --release -q -p sl-bench --bin store -- \

@@ -1,9 +1,13 @@
 //! `kernels` — compute-backend micro-benchmark recorder.
 //!
-//! Measures the paper-shaped hot-path kernels at four tiers:
+//! Measures the paper-shaped hot-path kernels, and the fused UE CNN the
+//! 1-pixel training step runs (`fused_cnn_fwd` / `fused_cnn_bwd`), at
+//! four tiers:
 //!
 //! * **ref** — the pre-backend scalar loops (naive i-k-j matmul, direct
-//!   seven-loop convolution), reimplemented here as the fixed baseline;
+//!   seven-loop convolution, and for the fused CNN the chain of those
+//!   convolutions with a ReLU and a sigmoid), reimplemented here as the
+//!   fixed baseline;
 //! * **serial** — the portable `scalar` backend on an explicit
 //!   one-thread [`ComputePool`];
 //! * **pooled** — the `scalar` backend on the process-wide pool
@@ -41,8 +45,9 @@ use sl_bench::report::{
     append_trajectory, check, render_table, trajectory_path, CheckConfig, Entry, KERNELS,
 };
 use sl_tensor::{
-    backend_for, conv2d_backward_with, conv2d_with, matmul_with, randn, Backend, BackendKind,
-    ComputePool, Padding, Tensor,
+    backend_for, conv2d_backward_with, conv2d_with, fused_cnn_backward_with, fused_cnn_with,
+    matmul_with, randn, sigmoid, Backend, BackendKind, ComputePool, FusedCnnParams, Padding,
+    Tensor,
 };
 
 /// Fixed data seed so successive runs measure identical workloads.
@@ -130,6 +135,54 @@ fn main() -> ExitCode {
             |pool, be| {
                 let grads = conv2d_backward_with(pool, be, &x, &w, &g, pad);
                 [grads.grad_input, grads.grad_weight, grads.grad_bias]
+            },
+        ));
+    }
+
+    // The fused UE CNN at the step's shape, conv(1→8) → ReLU → conv(8→1)
+    // → sigmoid over four 40×40 frames: the kernels the 1-pixel step
+    // actually runs. The backward is the parameter-gradient pass the UE
+    // takes (no input gradient): a recomputed conv1, conv2's weight and
+    // input gradients and conv1's weight gradient, four convolutions'
+    // worth of multiply-adds.
+    {
+        let mut rng = StdRng::seed_from_u64(SEED ^ 0xf0);
+        let x = randn([4, 1, 40, 40], 0.0, 1.0, &mut rng);
+        let w1 = randn([8, 1, 3, 3], 0.0, 0.5, &mut rng);
+        let b1 = randn([8], 0.0, 0.1, &mut rng);
+        let w2 = randn([1, 8, 3, 3], 0.0, 0.5, &mut rng);
+        let b2 = randn([1], 0.0, 0.1, &mut rng);
+        let g = randn([4, 1, 40, 40], 0.0, 1.0, &mut rng);
+        let params = FusedCnnParams {
+            w1: &w1,
+            b1: &b1,
+            w2: &w2,
+            b2: &b2,
+        };
+        let conv_flops = 2.0 * (4 * 40 * 40) as f64 * (8 * 3 * 3) as f64;
+        let shape = "4x1x40x40*8x1x3x3*1x8x3x3";
+        batch.push(measure(
+            now_s,
+            pools,
+            ("fused_cnn_fwd", shape),
+            2.0 * conv_flops,
+            || {
+                std::hint::black_box(ref_fused_cnn(&x, [&w1, &b1, &w2, &b2]));
+            },
+            |pool, be| [fused_cnn_with(pool, be, &x, params)],
+        ));
+        let y = fused_cnn_with(&serial, backend_for(BackendKind::Scalar), &x, params);
+        batch.push(measure(
+            now_s,
+            pools,
+            ("fused_cnn_bwd", shape),
+            4.0 * conv_flops,
+            || {
+                std::hint::black_box(ref_fused_cnn_backward(&x, [&w1, &b1, &w2], &y, &g));
+            },
+            |pool, be| {
+                let grads = fused_cnn_backward_with(pool, be, &x, &y, params, &g, false);
+                [grads.grad_w1, grads.grad_b1, grads.grad_w2, grads.grad_b2]
             },
         ));
     }
@@ -316,6 +369,35 @@ fn ref_conv2d_backward(x: &Tensor, w: &Tensor, g: &Tensor, pad: Padding) -> (Ten
         }
     }
     (gx, gw)
+}
+
+/// The fused UE CNN as the pre-backend loops run it: [`ref_conv2d`],
+/// a ReLU, [`ref_conv2d`], a sigmoid.
+fn ref_fused_cnn(x: &Tensor, [w1, b1, w2, b2]: [&Tensor; 4]) -> Tensor {
+    let hidden = ref_conv2d(x, w1, b1, Padding::Same).map(|v| v.max(0.0));
+    ref_conv2d(&hidden, w2, b2, Padding::Same).map(sigmoid)
+}
+
+/// The parameter gradients of [`ref_fused_cnn`] from its output `y` and
+/// the upstream gradient `g`, through [`ref_conv2d_backward`]: the
+/// hidden map is recomputed, as the fused backward does.
+fn ref_fused_cnn_backward(
+    x: &Tensor,
+    [w1, b1, w2]: [&Tensor; 3],
+    y: &Tensor,
+    g: &Tensor,
+) -> (Tensor, Tensor) {
+    let hidden = ref_conv2d(x, w1, b1, Padding::Same).map(|v| v.max(0.0));
+    let mut gy = g.clone();
+    for (d, &yv) in gy.data_mut().iter_mut().zip(y.data()) {
+        *d *= yv * (1.0 - yv);
+    }
+    let (mut gh, gw2) = ref_conv2d_backward(&hidden, w2, &gy, Padding::Same);
+    for (d, &a) in gh.data_mut().iter_mut().zip(hidden.data()) {
+        *d *= if a > 0.0 { 1.0 } else { 0.0 };
+    }
+    let (_, gw1) = ref_conv2d_backward(x, w1, &gh, Padding::Same);
+    (gw1, gw2)
 }
 
 fn dims4(t: &Tensor) -> (usize, usize, usize, usize) {

@@ -11,7 +11,7 @@
 //!   bandwidth `W` is decoded iff `SNR_t > 2^{B/(τW)} − 1` (the Shannon
 //!   threshold — the paper's printed `1 − 2^{B/(τW)}` is an evident sign
 //!   typo; see DESIGN.md). Otherwise the payload is retransmitted in the
-//!   next slot, as in the paper and its reference [6]
+//!   next slot, as in the paper and its reference \[6\]
 //!   ([`decode_threshold`], [`TransferSimulator`]).
 //! * The uplink payload size follows the paper's formula
 //!   `B_UL = N_H·N_W·B·R·L / (w_H·w_W)` ([`PayloadSpec`]).

@@ -11,7 +11,7 @@ use crate::{decode_threshold, success_probability};
 /// How a payload is mapped onto time slots.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RetransmissionPolicy {
-    /// The paper's policy (after [6]): the whole payload is sent in one
+    /// The paper's policy (after \[6\]): the whole payload is sent in one
     /// slot and retransmitted in subsequent slots until it decodes.
     /// `max_slots` bounds the attempt count so that physically
     /// undecodable payloads (e.g. the 3.3 Mbit 1×1-pooling batch) fail

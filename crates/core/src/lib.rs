@@ -76,6 +76,7 @@ pub use trainer::{
     bs_half_step, run_tracer, session_label, subsample, BsLink, BsReply, BsStep, CurvePoint,
     LinkTrace, PredictionPoint, SplitTrainer, StepEngine, StopReason, TrainOutcome,
 };
+pub use ue::UeNetwork;
 
 /// The trainer's generator, under the name the benchmark's traced run
 /// imports it by. The next change to the benchmark names

@@ -2,7 +2,7 @@
 //!
 //! Every [`crate::Layer`] can describe the output shape it would produce
 //! for a given input shape *without* running (or allocating) anything —
-//! the [`crate::Layer::out_shape`] method. [`Sequential`] chains the
+//! the [`crate::Layer::out_shape`] method. [`crate::Sequential`] chains the
 //! contracts into a per-layer [`ShapeTrace`], and a mismatch anywhere in
 //! the stack surfaces as a [`ShapeError`] carrying the trace of every
 //! layer that *did* check out, so a miswired split network is rejected

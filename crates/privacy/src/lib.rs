@@ -3,7 +3,7 @@
 //! Table 1 of the paper quantifies the privacy leakage of the cut-layer
 //! payload as the similarity between each raw image `x_k` and its CNN
 //! output feature map `φ(x_k)`, "measured by multidimensional scaling
-//! algorithm" (after Hout et al. [2]). The pipeline implemented here:
+//! algorithm" (after Hout et al. \[2\]). The pipeline implemented here:
 //!
 //! 1. pairwise Euclidean [`distance_matrix`] over a sample of raw images
 //!    and over the matching feature maps,

@@ -92,7 +92,7 @@ pub fn congruence_coefficient(d1: &DistanceMatrix, d2: &DistanceMatrix) -> f64 {
 /// images' pairwise geometry an eavesdropper holding only the CNN output
 /// feature maps could reconstruct.
 ///
-/// Pipeline: MDS-embed (to [`LEAKAGE_MDS_DIM`]) the raw images and the
+/// Pipeline: MDS-embed (to `LEAKAGE_MDS_DIM` = 2 dimensions) the raw images and the
 /// matching feature maps, then measure [`procrustes_similarity`] between
 /// the two planar configurations. High ⇒ the cut-layer payload still
 /// mirrors the raw images (leaky); low ⇒ pooling has collapsed the

@@ -13,7 +13,7 @@ use crate::pedestrian::Pedestrian;
 
 /// A depth camera fixed at the UE, looking down the LoS path at the BS.
 ///
-/// Coordinate frame (see [`crate::pedestrian`]): BS at the origin, UE at
+/// Coordinate frame (the one [`crate::Pedestrian`] walks in): BS at the origin, UE at
 /// `(link_distance, 0)`; the camera sits at the UE at `height_m` above the
 /// floor and looks in the `-x` direction, with `+y` to image-right and
 /// `+z` up.

@@ -26,7 +26,7 @@ impl CameraConfig {
     /// A Kinect-like camera producing the paper's 40×40 CNN-input frames.
     ///
     /// The raw Kinect has a 57° horizontal FoV, but the source dataset
-    /// (Nishio et al. [4]) preprocesses frames to a region of interest
+    /// (Nishio et al. \[4\]) preprocesses frames to a region of interest
     /// around the link before feeding the CNN; we model that ROI crop as
     /// an effective 24° FoV. This matters for the one-pixel result: with
     /// the crop, "pedestrian in view" is tightly coupled to "blockage
@@ -67,7 +67,7 @@ pub struct SceneConfig {
     /// Mean pedestrian spawn rate in pedestrians per second (Poisson).
     pub pedestrian_rate_hz: f64,
     /// Where trajectories may cross the LoS line, as distances from the
-    /// BS in metres. The source testbed [3] funnels pedestrians through
+    /// BS in metres. The source testbed \[3\] funnels pedestrians through
     /// a fixed crossing region near the middle of the link; a narrow
     /// band is also what makes a *one-pixel* image a sufficient
     /// statistic for time-to-blockage.

@@ -3,7 +3,7 @@
 //! The paper evaluates on a private trace of 13,228 time-aligned
 //! (depth-image, received-power) samples captured with a Microsoft Kinect
 //! and a 60.48 GHz transmitter while pedestrians walked through the link
-//! (Nishio et al. [4]). That dataset is not public, so this crate builds
+//! (Nishio et al. \[4\]). That dataset is not public, so this crate builds
 //! the closest synthetic equivalent (see DESIGN.md §1):
 //!
 //! * a 2-D corridor with a BS and a UE `r = 4 m` apart and pedestrians

@@ -158,6 +158,126 @@ impl TapRegion {
     }
 }
 
+/// What a convolution kernel does with each finished sum on its way to
+/// memory, for output channel `j` (`bias` holds one value per output
+/// channel the kernel writes: one for [`Backend::conv_direct`], `c` for
+/// [`Backend::conv_channels_last`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Epilogue<'a> {
+    /// Store the sum.
+    Store,
+    /// Store `sum + bias[j]`.
+    Bias(&'a [f32]),
+    /// Store `max(sum + bias[j], 0.0)` (`f32::max`, so a NaN stores
+    /// `0.0`): a ReLU over the biased sum.
+    BiasRelu(&'a [f32]),
+}
+
+impl Epilogue<'_> {
+    /// Output channels whose bias this epilogue holds (`None` for
+    /// [`Epilogue::Store`]).
+    pub(crate) fn channels(self) -> Option<usize> {
+        match self {
+            Epilogue::Store => None,
+            Epilogue::Bias(b) | Epilogue::BiasRelu(b) => Some(b.len()),
+        }
+    }
+
+    /// The value stored for the finished sum `s` of output channel `j`.
+    #[inline]
+    pub(crate) fn apply(self, s: f32, j: usize) -> f32 {
+        match self {
+            Epilogue::Store => s,
+            Epilogue::Bias(b) => s + b[j],
+            Epilogue::BiasRelu(b) => (s + b[j]).max(0.0),
+        }
+    }
+
+    /// Applies the epilogue in place to `run`, whole pixels of
+    /// `bias.len()` channels each, as [`Epilogue::apply`] does.
+    pub(crate) fn finish(self, run: &mut [f32]) {
+        let (bias, relu) = match self {
+            Epilogue::Store => return,
+            Epilogue::Bias(b) => (b, false),
+            Epilogue::BiasRelu(b) => (b, true),
+        };
+        // Straight loops per case, so the compiler vectorizes them.
+        match (bias, relu) {
+            ([b], false) => run.iter_mut().for_each(|o| *o += b),
+            ([b], true) => run.iter_mut().for_each(|o| *o = (*o + b).max(0.0)),
+            (_, false) => {
+                for px in run.chunks_exact_mut(bias.len()) {
+                    px.iter_mut().zip(bias).for_each(|(o, &b)| *o += b);
+                }
+            }
+            (_, true) => {
+                for px in run.chunks_exact_mut(bias.len()) {
+                    px.iter_mut()
+                        .zip(bias)
+                        .for_each(|(o, &b)| *o = (*o + b).max(0.0));
+                }
+            }
+        }
+    }
+}
+
+/// The value an `f32` bias-gradient sum folds from: `-0.0`, the
+/// neutral element of IEEE addition and the start `Iterator::sum`
+/// takes, so a sum of nothing but `-0.0` stays `-0.0`.
+pub(crate) const SUM_START: f32 = -0.0;
+
+/// The ReLU′ mask and bias-gradient sum that
+/// [`Backend::conv_weight_channels_last`] folds into its pass over the
+/// gradient: what the backward of an [`Epilogue::BiasRelu`] needs.
+#[derive(Debug)]
+pub struct ReluGrad<'a> {
+    /// The ReLU's output as a channels-last map of the region's `c`
+    /// channels: region pixel `(r, q)` at `(r·act_stride + q)·c`. Each
+    /// gradient element is multiplied by `1.0` where its activation is
+    /// `> 0` and by `0.0` elsewhere (NaN included), so a NaN gradient
+    /// stays NaN.
+    pub act: &'a [f32],
+    /// Row stride of `act`, in pixels (`≥ cols`).
+    pub act_stride: usize,
+    /// Receives, per channel, the masked gradient summed over the
+    /// region's pixels in ascending `(r, q)` from `-0.0` (the fold
+    /// `Iterator::sum` computes): the bias gradient.
+    pub bias: &'a mut [f32],
+}
+
+impl ReluGrad<'_> {
+    /// Asserts that `act` covers the region and `bias` has one slot per
+    /// channel. The vector kernels index unchecked on the strength of
+    /// this check.
+    pub(crate) fn check(&self, gm: TapRegion) {
+        assert!(
+            gm.cols <= self.act_stride && self.bias.len() == gm.c,
+            "ReluGrad: stride {} bias {} for {gm:?}",
+            self.act_stride,
+            self.bias.len()
+        );
+        if gm.rows > 0 && gm.cols > 0 {
+            let end = ((gm.rows - 1) * self.act_stride + gm.cols) * gm.c;
+            assert!(
+                end <= self.act.len(),
+                "ReluGrad: act of {} floats, region ends at {end}",
+                self.act.len()
+            );
+        }
+    }
+}
+
+/// ReLU′ as a multiplier: `1.0` where the ReLU passed its input
+/// (`act > 0`), `0.0` elsewhere, NaN included.
+#[inline]
+pub(crate) fn relu_grad(act: f32) -> f32 {
+    if act > 0.0 {
+        1.0
+    } else {
+        0.0
+    }
+}
+
 /// Serial microkernels executed by one pool job on its disjoint output
 /// chunk. Implementations must preserve the determinism contract in the
 /// module docs: one accumulator per output element, ascending-`k`
@@ -182,22 +302,44 @@ pub trait Backend: Sync {
     fn add_assign(&self, dst: &mut [f32], src: &[f32]);
 
     /// One output channel of a convolution over the planar padded input
-    /// `xpad: [c_in × hp × wp]`: `out[oy·wo + ox] = Σ w[(ci·kh + dy)·kw
-    /// + dx] · xpad[(ci·hp + oy + dy)·wp + ox + dx]`, summed from `0.0`
-    /// in ascending tap order `(ci, dy, dx)` — the `ab` GEMM's sums.
-    fn conv_direct(&self, out: &mut [f32], xpad: &[f32], w: &[f32], gm: PaddedConv);
+    /// `xpad: [c_in × hp × wp]`: the sum `Σ w[(ci·kh + dy)·kw + dx] ·
+    /// xpad[(ci·hp + oy + dy)·wp + ox + dx]`, taken from `0.0` in
+    /// ascending tap order `(ci, dy, dx)` (the `ab` GEMM's sums), goes
+    /// through `epi` (one bias) into `out[oy·out_stride + ox]`. Row
+    /// stride `out_stride ≥ wo` lets the rows land in the interior of a
+    /// wider buffer (the next convolution's padded planes); the columns
+    /// between them are left alone.
+    fn conv_direct(
+        &self,
+        out: &mut [f32],
+        out_stride: usize,
+        xpad: &[f32],
+        w: &[f32],
+        gm: PaddedConv,
+        epi: Epilogue,
+    );
 
     /// Weight gradient over the channels-last padded input
     /// `xp: [hp × wp × c_in]` for `g: [C_out × ho·wo]`, in channels-last
     /// tap order: `acc[co·K + (dy·kw + dx)·c_in + ci] = Σ g[co·P + p] ·
     /// xp[((oy + dy)·wp + ox + dx)·c_in + ci]`, summed from `0.0` in
-    /// ascending `p = oy·wo + ox` (`K` taps, `P` pixels).
-    fn conv_weight_taps(&self, acc: &mut [f32], xp: &[f32], g: &[f32], gm: PaddedConv);
+    /// ascending `p = oy·wo + ox` (`K` taps, `P` pixels). With `bias`,
+    /// also the bias gradient `bias[co] = Σ_p g[co·P + p]`, in
+    /// ascending `p` from `-0.0` (the fold `Iterator::sum` computes).
+    fn conv_weight_taps(
+        &self,
+        acc: &mut [f32],
+        xp: &[f32],
+        g: &[f32],
+        gm: PaddedConv,
+        bias: Option<&mut [f32]>,
+    );
 
     /// A 1→C correlation into a channels-last map: for every pixel of
-    /// the region, `out[(r·cl_stride + q)·c + j] = Σ_i x[r·x_stride + q +
-    /// taps[i]] · w[i·c + j]`, summed from `0.0` in the order of `taps`
-    /// (`w: [taps × c]`). Pixels outside the region are left alone.
+    /// the region, the sum `Σ_i x[r·x_stride + q + taps[i]] · w[i·c +
+    /// j]`, taken from `0.0` in the order of `taps` (`w: [taps × c]`),
+    /// goes through `epi` (`c` biases) into `out[(r·cl_stride + q)·c +
+    /// j]`. Pixels outside the region are left alone.
     fn conv_channels_last(
         &self,
         out: &mut [f32],
@@ -205,12 +347,16 @@ pub trait Backend: Sync {
         w: &[f32],
         taps: &[usize],
         gm: TapRegion,
+        epi: Epilogue,
     );
 
-    /// The weight gradient of [`Backend::conv_channels_last`]:
-    /// `acc[i·c + j] = Σ x[r·x_stride + q + taps[i]] · g[(r·cl_stride +
+    /// The weight and bias gradients of a [`Backend::conv_channels_last`]
+    /// with an [`Epilogue::BiasRelu`], from the gradient `g` of its
+    /// output: `g'` is `g` times ReLU′ of the activation `relu.act`, and
+    /// `acc[i·c + j] = Σ x[r·x_stride + q + taps[i]] · g'[(r·cl_stride +
     /// q)·c + j]`, summed from `0.0` over the region's pixels in
-    /// ascending `(r, q)` (`acc: [taps × c]`).
+    /// ascending `(r, q)` (`acc: [taps × c]`), while `relu.bias`
+    /// receives the bias gradient (see [`ReluGrad`]).
     fn conv_weight_channels_last(
         &self,
         acc: &mut [f32],
@@ -218,44 +364,115 @@ pub trait Backend: Sync {
         g: &[f32],
         taps: &[usize],
         gm: TapRegion,
+        relu: ReluGrad,
     );
 }
 
-/// Scalar [`Backend::conv_direct`]: the output row is the accumulator,
-/// zeroed and then swept once per tap.
-pub(crate) fn scalar_conv_direct(out: &mut [f32], xpad: &[f32], w: &[f32], gm: PaddedConv) {
+impl PaddedConv {
+    /// Asserts that `out` holds `ho` rows of `wo` outputs at row stride
+    /// `out_stride`, `xpad` the padded input and `w` the taps, and that
+    /// `epi` carries one bias. The vector kernels index unchecked on the
+    /// strength of this check.
+    pub(crate) fn check_direct(
+        self,
+        out: &[f32],
+        out_stride: usize,
+        xpad: &[f32],
+        w: &[f32],
+        epi: Epilogue,
+    ) {
+        assert!(
+            out_stride >= self.wo && epi.channels().unwrap_or(1) == 1,
+            "conv_direct: stride {out_stride} for {self:?}, epilogue {epi:?}"
+        );
+        let end = self
+            .ho
+            .checked_sub(1)
+            .map_or(0, |r| r * out_stride + self.wo);
+        assert!(
+            end <= out.len(),
+            "conv_direct: out of {} floats, rows end at {end}",
+            out.len()
+        );
+        assert_eq!(xpad.len(), self.c_in * self.hp() * self.wp());
+        assert_eq!(w.len(), self.taps());
+    }
+}
+
+/// Output columns a scalar [`Backend::conv_direct`] sums in one
+/// [`DirectBlock`].
+const DIRECT_BLOCK: usize = 64;
+
+/// A cache-line-aligned run of row accumulators: each tap's
+/// read-modify-write sweep stays aligned whatever the alignment of the
+/// output rows (which land at odd offsets inside padded planes).
+#[repr(align(64))]
+struct DirectBlock([f32; DIRECT_BLOCK]);
+
+/// Scalar [`Backend::conv_direct`]: each block of a row's columns is a
+/// run of accumulators, zeroed, swept once per tap, then copied out and
+/// finished by the epilogue.
+pub(crate) fn scalar_conv_direct(
+    out: &mut [f32],
+    out_stride: usize,
+    xpad: &[f32],
+    w: &[f32],
+    gm: PaddedConv,
+    epi: Epilogue,
+) {
+    gm.check_direct(out, out_stride, xpad, w, epi);
     let (hp, wp, wo) = (gm.hp(), gm.wp(), gm.wo);
-    debug_assert_eq!(out.len(), gm.pixels());
-    debug_assert_eq!(xpad.len(), gm.c_in * hp * wp);
-    debug_assert_eq!(w.len(), gm.taps());
-    for (oy, row) in out.chunks_exact_mut(wo).enumerate() {
-        row.fill(0.0);
-        let mut taps = w.iter();
-        for ci in 0..gm.c_in {
-            for dy in 0..gm.kh {
-                let base = (ci * hp + oy + dy) * wp;
-                for (dx, &wv) in (0..gm.kw).zip(&mut taps) {
-                    for (o, &v) in row.iter_mut().zip(&xpad[base + dx..base + dx + wo]) {
-                        *o += wv * v;
+    let mut block = DirectBlock([0.0; DIRECT_BLOCK]);
+    for oy in 0..gm.ho {
+        let row = &mut out[oy * out_stride..][..wo];
+        for (b, dst) in row.chunks_mut(DIRECT_BLOCK).enumerate() {
+            let len = dst.len();
+            let acc = &mut block.0[..len];
+            acc.fill(0.0);
+            let mut taps = w.iter();
+            for ci in 0..gm.c_in {
+                for dy in 0..gm.kh {
+                    let base = (ci * hp + oy + dy) * wp + b * DIRECT_BLOCK;
+                    for (dx, &wv) in (0..gm.kw).zip(&mut taps) {
+                        for (o, &v) in acc.iter_mut().zip(&xpad[base + dx..base + dx + len]) {
+                            *o += wv * v;
+                        }
                     }
                 }
             }
+            dst.copy_from_slice(acc);
+            epi.finish(dst);
         }
     }
 }
 
 /// Scalar [`Backend::conv_weight_taps`]: pixel by pixel, each kernel
 /// row's `kw·c_in` taps are one contiguous run of `xp`, added into the
-/// matching run of accumulators.
-pub(crate) fn scalar_conv_weight_taps(acc: &mut [f32], xp: &[f32], g: &[f32], gm: PaddedConv) {
+/// matching run of accumulators, and the pixel's gradient into its bias
+/// sum.
+pub(crate) fn scalar_conv_weight_taps(
+    acc: &mut [f32],
+    xp: &[f32],
+    g: &[f32],
+    gm: PaddedConv,
+    mut bias: Option<&mut [f32]>,
+) {
     let (k_sz, p_sz, run, wp) = (gm.taps(), gm.pixels(), gm.kw * gm.c_in, gm.wp());
-    debug_assert_eq!(xp.len(), gm.hp() * wp * gm.c_in);
-    debug_assert_eq!(acc.len() / k_sz.max(1), g.len() / p_sz.max(1));
+    assert_eq!(xp.len(), gm.hp() * wp * gm.c_in);
+    assert_eq!(acc.len() / k_sz.max(1), g.len() / p_sz.max(1));
+    if let Some(b) = bias.as_deref_mut() {
+        assert_eq!(b.len(), g.len() / p_sz.max(1), "conv_weight_taps: bias");
+        b.fill(SUM_START);
+    }
     acc.fill(0.0);
     for (oy, ox) in (0..gm.ho).flat_map(|oy| (0..gm.wo).map(move |ox| (oy, ox))) {
         let p = oy * gm.wo + ox;
-        for (acc_co, g_co) in acc.chunks_exact_mut(k_sz).zip(g.chunks_exact(p_sz)) {
+        for (co, g_co) in g.chunks_exact(p_sz).enumerate() {
+            let acc_co = &mut acc[co * k_sz..(co + 1) * k_sz];
             let gp = g_co[p];
+            if let Some(b) = bias.as_deref_mut() {
+                b[co] += gp;
+            }
             for (dy, acc_run) in acc_co.chunks_exact_mut(run).enumerate() {
                 let src = ((oy + dy) * wp + ox) * gm.c_in;
                 for (a, &v) in acc_run.iter_mut().zip(&xp[src..src + run]) {
@@ -267,16 +484,19 @@ pub(crate) fn scalar_conv_weight_taps(acc: &mut [f32], xp: &[f32], g: &[f32], gm
 }
 
 /// Scalar [`Backend::conv_channels_last`]: each region row of the map
-/// is a run of accumulators, zeroed and then swept once per tap.
+/// is a run of accumulators, zeroed, swept once per tap, then finished
+/// by the epilogue.
 pub(crate) fn scalar_conv_channels_last(
     out: &mut [f32],
     x: &[f32],
     w: &[f32],
     taps: &[usize],
     gm: TapRegion,
+    epi: Epilogue,
 ) {
     gm.check(x.len(), out.len(), w.len(), taps);
     let (c, cols) = (gm.c, gm.cols);
+    assert!(epi.channels().is_none_or(|n| n == c), "epilogue {epi:?}");
     for r in 0..gm.rows {
         let row = &mut out[r * gm.cl_stride * c..][..cols * c];
         row.fill(0.0);
@@ -288,28 +508,46 @@ pub(crate) fn scalar_conv_channels_last(
                 }
             }
         }
+        epi.finish(row);
     }
 }
 
-/// Scalar [`Backend::conv_weight_channels_last`]: pixel by pixel, each
-/// tap's `c` accumulators take the pixel's gradient run times its `x`.
+/// Scalar [`Backend::conv_weight_channels_last`]: region row by region
+/// row, the row's gradient is masked into a copy whose pixels feed the
+/// bias sums; then pixel by pixel, each tap's `c` accumulators take the
+/// pixel's masked gradient run times its `x`.
 pub(crate) fn scalar_conv_weight_channels_last(
     acc: &mut [f32],
     x: &[f32],
     g: &[f32],
     taps: &[usize],
     gm: TapRegion,
+    relu: ReluGrad,
 ) {
     gm.check(x.len(), g.len(), acc.len(), taps);
-    let c = gm.c;
+    relu.check(gm);
+    let (c, cols) = (gm.c, gm.cols);
     acc.fill(0.0);
-    for (r, q) in (0..gm.rows).flat_map(|r| (0..gm.cols).map(move |q| (r, q))) {
-        let g_px = &g[(r * gm.cl_stride + q) * c..][..c];
-        let base = r * gm.x_stride + q;
-        for (acc_t, &off) in acc.chunks_exact_mut(c).zip(taps) {
-            let xv = x[base + off];
-            for (a, &gv) in acc_t.iter_mut().zip(g_px) {
-                *a += xv * gv;
+    relu.bias.fill(SUM_START);
+    let mut masked = vec![0.0f32; cols * c];
+    for r in 0..gm.rows {
+        let g_row = &g[r * gm.cl_stride * c..][..cols * c];
+        let a_row = &relu.act[r * relu.act_stride * c..][..cols * c];
+        for ((m, &gv), &a) in masked.iter_mut().zip(g_row).zip(a_row) {
+            *m = gv * relu_grad(a);
+        }
+        for px in masked.chunks_exact(c) {
+            for (b, &v) in relu.bias.iter_mut().zip(px) {
+                *b += v;
+            }
+        }
+        for (q, g_px) in masked.chunks_exact(c).enumerate() {
+            let base = r * gm.x_stride + q;
+            for (acc_t, &off) in acc.chunks_exact_mut(c).zip(taps) {
+                let xv = x[base + off];
+                for (a, &gv) in acc_t.iter_mut().zip(g_px) {
+                    *a += xv * gv;
+                }
             }
         }
     }
@@ -423,12 +661,27 @@ impl Backend for ScalarBackend {
         scalar_add_assign(dst, src);
     }
 
-    fn conv_direct(&self, out: &mut [f32], xpad: &[f32], w: &[f32], gm: PaddedConv) {
-        scalar_conv_direct(out, xpad, w, gm);
+    fn conv_direct(
+        &self,
+        out: &mut [f32],
+        out_stride: usize,
+        xpad: &[f32],
+        w: &[f32],
+        gm: PaddedConv,
+        epi: Epilogue,
+    ) {
+        scalar_conv_direct(out, out_stride, xpad, w, gm, epi);
     }
 
-    fn conv_weight_taps(&self, acc: &mut [f32], xp: &[f32], g: &[f32], gm: PaddedConv) {
-        scalar_conv_weight_taps(acc, xp, g, gm);
+    fn conv_weight_taps(
+        &self,
+        acc: &mut [f32],
+        xp: &[f32],
+        g: &[f32],
+        gm: PaddedConv,
+        bias: Option<&mut [f32]>,
+    ) {
+        scalar_conv_weight_taps(acc, xp, g, gm, bias);
     }
 
     fn conv_channels_last(
@@ -438,8 +691,9 @@ impl Backend for ScalarBackend {
         w: &[f32],
         taps: &[usize],
         gm: TapRegion,
+        epi: Epilogue,
     ) {
-        scalar_conv_channels_last(out, x, w, taps, gm);
+        scalar_conv_channels_last(out, x, w, taps, gm, epi);
     }
 
     fn conv_weight_channels_last(
@@ -449,12 +703,13 @@ impl Backend for ScalarBackend {
         g: &[f32],
         taps: &[usize],
         gm: TapRegion,
+        relu: ReluGrad,
     ) {
-        scalar_conv_weight_channels_last(acc, x, g, taps, gm);
+        scalar_conv_weight_channels_last(acc, x, g, taps, gm, relu);
     }
 }
 
-/// Explicit `std::arch` vector kernels (see [`crate::simd`]). Safe to
+/// Explicit `std::arch` vector kernels (the crate's `simd` module). Safe to
 /// construct on any host: each call re-checks the feature and falls back
 /// to the scalar kernels when unsupported.
 pub struct SimdBackend;
@@ -483,12 +738,27 @@ impl Backend for SimdBackend {
         simd::add_assign(dst, src);
     }
 
-    fn conv_direct(&self, out: &mut [f32], xpad: &[f32], w: &[f32], gm: PaddedConv) {
-        simd::conv_direct(out, xpad, w, gm);
+    fn conv_direct(
+        &self,
+        out: &mut [f32],
+        out_stride: usize,
+        xpad: &[f32],
+        w: &[f32],
+        gm: PaddedConv,
+        epi: Epilogue,
+    ) {
+        simd::conv_direct(out, out_stride, xpad, w, gm, epi);
     }
 
-    fn conv_weight_taps(&self, acc: &mut [f32], xp: &[f32], g: &[f32], gm: PaddedConv) {
-        simd::conv_weight_taps(acc, xp, g, gm);
+    fn conv_weight_taps(
+        &self,
+        acc: &mut [f32],
+        xp: &[f32],
+        g: &[f32],
+        gm: PaddedConv,
+        bias: Option<&mut [f32]>,
+    ) {
+        simd::conv_weight_taps(acc, xp, g, gm, bias);
     }
 
     fn conv_channels_last(
@@ -498,8 +768,9 @@ impl Backend for SimdBackend {
         w: &[f32],
         taps: &[usize],
         gm: TapRegion,
+        epi: Epilogue,
     ) {
-        simd::conv_channels_last(out, x, w, taps, gm);
+        simd::conv_channels_last(out, x, w, taps, gm, epi);
     }
 
     fn conv_weight_channels_last(
@@ -509,8 +780,9 @@ impl Backend for SimdBackend {
         g: &[f32],
         taps: &[usize],
         gm: TapRegion,
+        relu: ReluGrad,
     ) {
-        simd::conv_weight_channels_last(acc, x, g, taps, gm);
+        simd::conv_weight_channels_last(acc, x, g, taps, gm, relu);
     }
 }
 
@@ -770,7 +1042,10 @@ mod tests {
     fn channels_last_kernels_match_the_definition() {
         // A 3×4 region of a 2-channel-wider map over a 6-wide `x`, four
         // taps in a caller order that is not ascending, a NaN planted in
-        // `x` that exactly the pixels whose taps read it must see.
+        // `x` that exactly the pixels whose taps read it must see. The
+        // forward runs plain and through a bias + ReLU epilogue; the
+        // weight gradient runs through the ReLU′ mask of an activation
+        // map with a 5-pixel row stride, and returns its bias sums too.
         for c in [1usize, 3, 8, 16] {
             let gm = TapRegion {
                 c,
@@ -784,16 +1059,30 @@ mod tests {
             x[8] = f32::NAN;
             let w = fill(taps.len() * c, 5);
             let g = fill(3 * 6 * c, 7);
-            let (mut want, mut want_acc) = (vec![-1.0f32; 3 * 6 * c], vec![0.0f32; taps.len() * c]);
+            let bias = fill(c, 9);
+            let act = fill(3 * 5 * c, 11);
+            let mut want = vec![-1.0f32; 3 * 6 * c];
+            let mut want_relu = want.clone();
+            let mut want_masked = vec![0.0f32; taps.len() * c];
+            let mut want_bias = vec![-0.0f32; c];
             for (r, q) in (0..3).flat_map(|r| (0..4).map(move |q| (r, q))) {
                 for j in 0..c {
                     let x_at = |i: usize| x[r * 6 + q + taps[i]];
+                    let gv = g[(r * 6 + q) * c + j];
+                    let gm_v = gv
+                        * if act[(r * 5 + q) * c + j] > 0.0 {
+                            1.0
+                        } else {
+                            0.0
+                        };
+                    want_bias[j] += gm_v;
                     let mut acc = 0.0f32;
                     for i in 0..taps.len() {
                         acc += x_at(i) * w[i * c + j];
-                        want_acc[i * c + j] += x_at(i) * g[(r * 6 + q) * c + j];
+                        want_masked[i * c + j] += x_at(i) * gm_v;
                     }
                     want[(r * 6 + q) * c + j] = acc;
+                    want_relu[(r * 6 + q) * c + j] = (acc + bias[j]).max(0.0);
                 }
             }
             let canon = |v: &[f32]| -> Vec<u32> {
@@ -810,12 +1099,23 @@ mod tests {
             for kind in BackendKind::ALL {
                 let be = backend_for(kind);
                 let mut out = vec![-1.0f32; 3 * 6 * c];
-                be.conv_channels_last(&mut out, &x, &w, &taps, gm);
+                be.conv_channels_last(&mut out, &x, &w, &taps, gm, Epilogue::Store);
                 assert_eq!(canon(&out), canon(&want), "{kind:?} forward c={c}");
                 assert!(out.iter().filter(|v| v.is_nan()).count() > 0);
+                let mut out = vec![-1.0f32; 3 * 6 * c];
+                let epi = Epilogue::BiasRelu(&bias);
+                be.conv_channels_last(&mut out, &x, &w, &taps, gm, epi);
+                assert_eq!(bits(&out), bits(&want_relu), "{kind:?} bias+relu c={c}");
                 let mut acc = vec![f32::NAN; taps.len() * c];
-                be.conv_weight_channels_last(&mut acc, &x, &g, &taps, gm);
-                assert_eq!(canon(&acc), canon(&want_acc), "{kind:?} weight c={c}");
+                let mut b = vec![f32::NAN; c];
+                let relu = ReluGrad {
+                    act: &act,
+                    act_stride: 5,
+                    bias: &mut b,
+                };
+                be.conv_weight_channels_last(&mut acc, &x, &g, &taps, gm, relu);
+                assert_eq!(canon(&acc), canon(&want_masked), "{kind:?} masked c={c}");
+                assert_eq!(bits(&b), bits(&want_bias), "{kind:?} bias sums c={c}");
             }
         }
     }

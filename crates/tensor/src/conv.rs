@@ -68,11 +68,14 @@
 //!
 //! [`fused_cnn`] runs the paper's whole UE CNN, `Conv2d(1→C) → ReLU →
 //! Conv2d(C→1) → Sigmoid` ('same' padding), one image per pool job. The
-//! image's `[C × H × W]` hidden map lives in the thread's scratch (50 KB
-//! at `C = 8`, 40×40) and is never written to a batch tensor. The forward
-//! runs [`conv2d`]'s per-image steps: conv1 + bias by
-//! [`Backend::conv_direct`], ReLU on the way into conv2's padded planes,
-//! conv2 the same way, then bias and [`sigmoid`].
+//! image's hidden map lives in the thread's scratch (55 KB at `C = 8`,
+//! 40×40) and is never written to a batch tensor. Each operand crosses
+//! memory once: the kernels apply every bias, ReLU, ReLU′ and bias
+//! gradient on their way through it, so no elementwise sweep is left.
+//! The forward runs conv1 by [`Backend::conv_direct`] with a bias + ReLU
+//! [`Epilogue`] at an output row stride that writes each channel straight
+//! into the interior of conv2's zero-bordered padded planes, then conv2
+//! the same way with a bias epilogue, then [`sigmoid`].
 //!
 //! [`fused_cnn_backward`] keeps nothing from the forward but its input
 //! and its sigmoid output, both one channel. Per image it recomputes the
@@ -82,13 +85,18 @@
 //! nothing unrolled. The hidden map and its gradient are kept
 //! channels-last (`[pixel × C]`): conv1 and its weight gradient are 1→C
 //! correlations over the zero-padded image
-//! ([`Backend::conv_channels_last`], [`Backend::conv_weight_channels_last`]),
-//! conv2's weight gradient is [`Backend::conv_weight_taps`] on the padded
-//! map in place, and conv2's input gradient is `conv_channels_last` over
-//! the upstream gradient, once per rectangle of elements that the same
-//! taps reach (the interior, the edges, the corners). Each image writes its four parameter
-//! gradients into its own slot; the slots are reduced in ascending image
-//! order, as [`conv2d_backward`] reduces its per-image weight partials.
+//! ([`Backend::conv_channels_last`] with the bias + ReLU epilogue, into
+//! a buffer whose border alone is zeroed;
+//! [`Backend::conv_weight_channels_last`] with a [`ReluGrad`], which
+//! masks the gradient by ReLU′ and sums `b1`'s gradient in the same
+//! pass), conv2's weight gradient is [`Backend::conv_weight_taps`] on
+//! the padded map in place (summing `b2`'s gradient in its pixel loop),
+//! and conv2's input gradient is `conv_channels_last` over the upstream
+//! gradient, once per rectangle of elements that the same taps reach
+//! (the interior, the edges, the corners). Each image writes its four
+//! parameter gradients into its own slot; the slots are reduced in
+//! ascending image order, as [`conv2d_backward`] reduces its per-image
+//! weight partials.
 //!
 //! Every output bit equals that of the four-layer chain, NaN positions
 //! included. Each conv output and gradient element is still one
@@ -98,17 +106,22 @@
 //! payload), and conv2's input gradient sums `w·g` over exactly the taps
 //! that reach each element, in ascending order, as the fused `col2im`
 //! does (its `0.0 + w·g` rounds the same, since a sum that starts at
-//! `0.0` is never `-0.0`). ReLU is `max(x, 0)`, ReLU′ a multiply by `1.0` or `0.0`
-//! (so a NaN gradient stays NaN), sigmoid′ `g·(y·(1 - y))`, and the bias
-//! gradients the fold `Iterator::sum` computes — the operations `sl-nn`'s
-//! activation layers and [`conv2d_backward`] perform.
+//! `0.0` is never `-0.0`). ReLU is `max(x, 0)`, ReLU′ a multiply by
+//! `1.0` or `0.0` (so a NaN gradient stays NaN), sigmoid′ `g·(y·(1 -
+//! y))`, and each image's bias gradients the fold `Iterator::sum`
+//! computes (from `-0.0`, in ascending pixel order) — the operations
+//! `sl-nn`'s activation layers and [`conv2d_backward`] perform. Folding
+//! an operation into a kernel moves where it runs, never its operands,
+//! their order or a sum's start, so no bit changes.
 //!
 //! # Scratch
 //!
 //! Padded and unrolled operands live in one per-thread scratch buffer
 //! that grows to the largest request and is reused across images and
 //! calls, so the hot path allocates no per-image buffers. Padding and
-//! unrolling write every element, so stale contents never leak.
+//! unrolling write every element (a padded copy zeroes its border and
+//! copies, or has a kernel write, its interior), so stale contents never
+//! leak.
 //!
 //! # Determinism
 //!
@@ -128,7 +141,9 @@ use std::ops::Range;
 
 use sl_telemetry::host;
 
-use crate::backend::{global_backend, Backend, PaddedConv, TapRegion};
+use crate::backend::{
+    global_backend, relu_grad, Backend, Epilogue, PaddedConv, ReluGrad, TapRegion,
+};
 use crate::pool::ComputePool;
 use crate::tensor::Tensor;
 
@@ -334,21 +349,38 @@ fn padded_len(gm: ConvGeom) -> usize {
     gm.c_in * (gm.ho + gm.kh - 1) * (gm.wo + gm.kw - 1)
 }
 
+/// Zeroes the padding of each `[Hp × Wp]` plane of `buf` (`Hp = H_out +
+/// kh - 1`, `Wp = W_out + kw - 1`, `c` floats per pixel: the planar
+/// copy's `C_in` planes at `c = 1`, or the channels-last copy's one
+/// plane at `c = C_in`), leaving the `H × W` interior at `(ph, pw)` to
+/// whoever writes it.
+fn zero_border(buf: &mut [f32], gm: ConvGeom, c: usize) {
+    let row = (gm.wo + gm.kw - 1) * c;
+    let (left, right) = (gm.pw * c, (gm.pw + gm.w) * c);
+    for plane in buf.chunks_exact_mut((gm.ho + gm.kh - 1) * row) {
+        let (top, rest) = plane.split_at_mut(gm.ph * row);
+        let (mid, bottom) = rest.split_at_mut(gm.h * row);
+        top.fill(0.0);
+        bottom.fill(0.0);
+        for r in mid.chunks_exact_mut(row) {
+            r[..left].fill(0.0);
+            r[right..].fill(0.0);
+        }
+    }
+}
+
 /// Copies one image `x: [C_in, H, W]` into `xpad: [C_in, Hp, Wp]` with
 /// its zero padding materialised (`Hp = H_out + kh - 1`,
 /// `Wp = W_out + kw - 1`, the window the taps read), so that tap
 /// `(ci, dy, dx)` of output row `oy` is the contiguous run starting at
-/// `(ci·Hp + oy + dy)·Wp + dx`. Each element goes through `f` on the way
-/// (the fused UE CNN applies its ReLU here).
-fn pad_planes(xpad: &mut [f32], x: &[f32], gm: ConvGeom, f: impl Fn(f32) -> f32) {
+/// `(ci·Hp + oy + dy)·Wp + dx`.
+fn pad_planes(xpad: &mut [f32], x: &[f32], gm: ConvGeom) {
     let (hp, wp) = (gm.ho + gm.kh - 1, gm.wo + gm.kw - 1);
-    xpad.fill(0.0);
+    zero_border(xpad, gm, 1);
     for (ci, plane) in x.chunks_exact(gm.h * gm.w).enumerate() {
         for (y, src) in plane.chunks_exact(gm.w).enumerate() {
             let d = (ci * hp + y + gm.ph) * wp + gm.pw;
-            for (o, &v) in xpad[d..d + gm.w].iter_mut().zip(src) {
-                *o = f(v);
-            }
+            xpad[d..d + gm.w].copy_from_slice(src);
         }
     }
 }
@@ -357,7 +389,7 @@ fn pad_planes(xpad: &mut [f32], x: &[f32], gm: ConvGeom, f: impl Fn(f32) -> f32)
 /// padded once (into `scratch`, [`padded_len`] floats), then
 /// [`Backend::conv_direct`] runs once per output channel. Each output is
 /// `Σ_k W[co, k]·Col[k, p]`, one accumulator summed from `0.0` in
-/// ascending `k`; the bias is added after.
+/// ascending `k`; the kernel adds the bias on the way out.
 ///
 /// The direct path beat `im2col` + `ab` in most pairs at every shape
 /// measured on a 2-vCPU x86_64 host (AVX2, one thread, 3×3 'same' at
@@ -378,14 +410,10 @@ fn forward_image(
 ) {
     let (k_sz, p_sz) = (gm.k(), gm.p());
     let xpad = &mut scratch[..padded_len(gm)];
-    pad_planes(xpad, x_n, gm, |v| v);
-    for (out_c, w_c) in out_n.chunks_exact_mut(p_sz).zip(wt.chunks_exact(k_sz)) {
-        backend.conv_direct(out_c, xpad, w_c, gm.padded());
-    }
-    for (orow, &bias_co) in out_n.chunks_exact_mut(p_sz).zip(b) {
-        for o in orow {
-            *o += bias_co;
-        }
+    pad_planes(xpad, x_n, gm);
+    let channels = out_n.chunks_exact_mut(p_sz).zip(wt.chunks_exact(k_sz));
+    for ((out_c, w_c), b_c) in channels.zip(b.chunks_exact(1)) {
+        backend.conv_direct(out_c, gm.wo, xpad, w_c, gm.padded(), Epilogue::Bias(b_c));
     }
 }
 
@@ -397,7 +425,7 @@ fn forward_image(
 /// run starting at `((oy + dy)·Wp + ox)·C_in`.
 fn pad_channels_last(xp: &mut [f32], x: &[f32], gm: ConvGeom) {
     let (c_in, hw, wp) = (gm.c_in, gm.h * gm.w, gm.wo + gm.kw - 1);
-    xp.fill(0.0);
+    zero_border(xp, gm, c_in);
     // Gather per pixel so the writes stay contiguous.
     for y in 0..gm.h {
         let start = ((y + gm.ph) * wp + gm.pw) * c_in;
@@ -457,7 +485,7 @@ fn weight_grad(backend: &dyn Backend, gw_n: &mut [f32], x_n: &[f32], g_n: &[f32]
             with_scratch(padded_len(gm) + c_out * k_sz, |s| {
                 let (xp, acc) = s.split_at_mut(padded_len(gm));
                 pad_channels_last(xp, x_n, gm);
-                backend.conv_weight_taps(acc, xp, g_n, gm.padded());
+                backend.conv_weight_taps(acc, xp, g_n, gm.padded(), None);
                 for (dst, src) in gw_n.chunks_exact_mut(k_sz).zip(acc.chunks_exact(k_sz)) {
                     for (k, d) in dst.iter_mut().enumerate() {
                         *d = src[channels_last_tap(k, gm)];
@@ -837,9 +865,10 @@ impl FusedGeom {
         [self.conv1.n, 1, self.conv1.h, self.conv1.w]
     }
 
-    /// Floats of the scratch both convolutions' forwards share.
+    /// Floats of the forward's scratch: the padded image, then conv2's
+    /// padded planes, whose interior conv1 writes.
     fn forward_scratch(&self) -> usize {
-        padded_len(self.conv1).max(padded_len(self.conv2))
+        padded_len(self.conv1) + padded_len(self.conv2)
     }
 
     /// Floats of [`fused_backward_image`]'s scratch: the padded image
@@ -873,27 +902,35 @@ pub fn fused_cnn_with(
     params: FusedCnnParams,
 ) -> Tensor {
     let fg = FusedGeom::new(input, params);
-    let (c, p_sz) = (fg.c(), fg.p());
+    let (g1, g2, p_sz) = (fg.conv1, fg.conv2, fg.p());
     host::time("tensor.kernel.fused_cnn_fwd", || {
         let (x, w1, b1) = (input.data(), params.w1.data(), params.b1.data());
-        let (w2, b2) = (params.w2.data(), params.b2.data()[0]);
-        let mut out = vec![0.0f32; fg.conv1.n * p_sz];
+        let (w2, b2) = (params.w2.data(), params.b2.data());
+        let mut out = vec![0.0f32; g1.n * p_sz];
         if !out.is_empty() {
             // One image per job; its C-channel hidden map lives in the
             // thread's scratch and never leaves it.
             pool.run_chunks(&mut out, p_sz, |img, out_n| {
                 let x_n = &x[img * p_sz..(img + 1) * p_sz];
-                with_scratch(c * p_sz + fg.forward_scratch(), |s| {
-                    let (h, rest) = s.split_at_mut(c * p_sz);
-                    // conv1 + b1, then ReLU on the way into conv2's padded
-                    // planes, then conv2's direct sums (one output channel,
-                    // as `forward_image` runs it), + b2 and the sigmoid.
-                    forward_image(backend, h, x_n, w1, b1, fg.conv1, rest);
-                    let xpad = &mut rest[..padded_len(fg.conv2)];
-                    pad_planes(xpad, h, fg.conv2, |v| v.max(0.0));
-                    backend.conv_direct(out_n, xpad, w2, fg.conv2.padded());
+                with_scratch(fg.forward_scratch(), |s| {
+                    let (xpad, hpad) = s.split_at_mut(padded_len(g1));
+                    pad_planes(xpad, x_n, g1);
+                    // conv1 + b1 + ReLU, written by the kernel straight into
+                    // the interior of conv2's zero-bordered padded planes.
+                    zero_border(hpad, g2, 1);
+                    let (hp, wp) = (g2.padded().hp(), g2.padded().wp());
+                    let interior = g2.ph * wp + g2.pw;
+                    let channels = w1.chunks_exact(g1.k()).zip(b1.chunks_exact(1));
+                    for (co, (w_c, b_c)) in channels.enumerate() {
+                        let out_c = &mut hpad[co * hp * wp + interior..];
+                        let epi = Epilogue::BiasRelu(b_c);
+                        backend.conv_direct(out_c, wp, xpad, w_c, g1.padded(), epi);
+                    }
+                    // conv2 + b2 (one output channel), then the sigmoid.
+                    let epi = Epilogue::Bias(b2);
+                    backend.conv_direct(out_n, g2.wo, hpad, w2, g2.padded(), epi);
                     for o in out_n.iter_mut() {
-                        *o = sigmoid(*o + b2);
+                        *o = sigmoid(*o);
                     }
                 });
             });
@@ -1133,10 +1170,10 @@ fn fused_backward_image(
     let (gb2, gx_n) = rest_slot.split_at_mut(1);
 
     // Recompute conv1 channels-last straight into the interior of the
-    // zero-padded `hp` (the forward's sums with each product's factors
-    // commuted), then bias and ReLU in place.
-    pad_planes(xpad, x_n, g1, |v| v);
-    hp.fill(0.0);
+    // zero-bordered `hp` (the forward's sums with each product's factors
+    // commuted), bias and ReLU applied by the kernel on the way out.
+    pad_planes(xpad, x_n, g1);
+    zero_border(hp, g2, c);
     let (wp1, wp2) = (g1.padded().wp(), g2.padded().wp());
     let interior = (g2.ph * wp2 + g2.pw) * c;
     let conv1 = TapRegion {
@@ -1152,68 +1189,50 @@ fn fused_backward_image(
         &weights.w1t,
         &weights.conv1_taps,
         conv1,
+        Epilogue::BiasRelu(weights.b1),
     );
-    for oy in 0..g2.ho {
-        let d = ((oy + g2.ph) * wp2 + g2.pw) * c;
-        for px in hp[d..d + g2.wo * c].chunks_exact_mut(c) {
-            for (o, &b) in px.iter_mut().zip(weights.b1) {
-                *o = (*o + b).max(0.0);
-            }
-        }
-    }
     // Sigmoid': gy = g·y(1 - y).
     for ((d, &g), &y) in gy.iter_mut().zip(g_n).zip(y_n) {
         *d = g * (y * (1.0 - y));
     }
     // Conv2 (C→1): the taps weight gradient, remapped to (ci, dy, dx)
-    // order, then the input gradient.
-    backend.conv_weight_taps(acc, hp, gy, g2.padded());
+    // order, with b2's gradient summed in its pixel loop; then the
+    // input gradient. Every element of `gh_t` lies in one rectangle,
+    // which overwrites it.
+    backend.conv_weight_taps(acc, hp, gy, g2.padded(), Some(gb2));
     for (k, d) in gw2.iter_mut().enumerate() {
         *d = acc[channels_last_tap(k, g2)];
     }
-    // Every element of `gh_t` lies in one rectangle, which overwrites it.
     for r in &weights.conv2_grad {
-        backend.conv_channels_last(&mut gh_t[r.at..], gy, &r.w, &r.taps, r.region);
+        let out = &mut gh_t[r.at..];
+        backend.conv_channels_last(out, gy, &r.w, &r.taps, r.region, Epilogue::Store);
     }
-    // ReLU': a multiply by 1 or 0, so a NaN gradient stays NaN.
-    for (oy, gh_row) in gh_t.chunks_exact_mut(g2.wo * c).enumerate() {
-        let d = ((oy + g2.ph) * wp2 + g2.pw) * c;
-        for (v, &a) in gh_row.iter_mut().zip(&hp[d..d + g2.wo * c]) {
-            *v *= if a > 0.0 { 1.0 } else { 0.0 };
-        }
-    }
-    bias_grads(gb1, gb2, gh_t, gy);
-    // Conv1 (1→C): the weight gradient `[K × C]` over the padded image,
-    // transposed into place, then the optional input gradient into the
-    // zeroed slot tail, from the planar gradient.
+    // Conv1 (1→C): ReLU′ (a multiply by 1 or 0, so a NaN gradient stays
+    // NaN) and b1's gradient folded into the weight gradient `[K × C]`
+    // over the padded image, transposed into place; then the optional
+    // input gradient into the zeroed slot tail, from the planar masked
+    // gradient.
     let whole = TapRegion {
         cl_stride: g1.wo,
         ..conv1
     };
-    backend.conv_weight_channels_last(acc, xpad, gh_t, &weights.conv1_taps, whole);
+    let act = &hp[interior..];
+    let relu = ReluGrad {
+        act,
+        act_stride: wp2,
+        bias: gb1,
+    };
+    backend.conv_weight_channels_last(acc, xpad, gh_t, &weights.conv1_taps, whole, relu);
     transpose_into(gw1, acc, k1, c);
     if !gx_n.is_empty() {
         let (gh, seg) = rest.split_at_mut(c * p_sz);
-        transpose_into(gh, gh_t, p_sz, c);
-        input_grad(gx_n, weights.w1, gh, seg, g1);
-    }
-}
-
-/// Both convolutions' bias gradients for one image: `gb1[c] = Σ_p
-/// gh_t[p, c]` and `gb2[0] = Σ_p g[p]`, each the fold `Iterator::sum`
-/// computes (from its neutral element, in ascending `p`) — the sums
-/// [`conv2d_backward`] takes. The `C + 1` sums advance together, pixel by
-/// pixel, so their add chains overlap instead of running one after
-/// another at one add latency per step.
-fn bias_grads(gb1: &mut [f32], gb2: &mut [f32], gh_t: &[f32], g: &[f32]) {
-    let start: f32 = std::iter::empty::<f32>().sum();
-    gb1.fill(start);
-    gb2.fill(start);
-    for (&gp, gh_px) in g.iter().zip(gh_t.chunks_exact(gb1.len())) {
-        gb2[0] += gp;
-        for (b, &v) in gb1.iter_mut().zip(gh_px) {
-            *b += v;
+        for (p, gh_px) in gh_t.chunks_exact(c).enumerate() {
+            let a_px = &act[((p / g1.wo) * wp2 + p % g1.wo) * c..][..c];
+            for (j, (&v, &a)) in gh_px.iter().zip(a_px).enumerate() {
+                gh[j * p_sz + p] = v * relu_grad(a);
+            }
         }
+        input_grad(gx_n, weights.w1, gh, seg, g1);
     }
 }
 

@@ -71,7 +71,7 @@ mod tensor;
 
 pub use backend::{
     backend_for, global_backend, global_backend_kind, resolve_backend, Backend, BackendKind,
-    PaddedConv, ScalarBackend, SimdBackend, TapRegion,
+    Epilogue, PaddedConv, ReluGrad, ScalarBackend, SimdBackend, TapRegion,
 };
 pub use conv::{
     conv2d, conv2d_backward, conv2d_backward_in, conv2d_backward_with, conv2d_in, conv2d_with,

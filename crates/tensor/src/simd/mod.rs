@@ -42,7 +42,7 @@
 //! `unsafe-containment` rule fails any `unsafe` outside
 //! `crates/tensor/src/simd/` that lacks an explicit waiver.
 
-use crate::backend::{self, PaddedConv, TapRegion};
+use crate::backend::{self, Epilogue, PaddedConv, ReluGrad, TapRegion};
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
@@ -153,34 +153,47 @@ pub(crate) fn add_assign(dst: &mut [f32], src: &[f32]) {
     }
 }
 
-/// One output channel of a convolution over planar padded input (see
-/// [`crate::backend::Backend::conv_direct`]). No NEON kernel yet:
-/// `aarch64` runs the scalar loop.
-pub(crate) fn conv_direct(out: &mut [f32], xpad: &[f32], w: &[f32], gm: PaddedConv) {
+/// One output channel of a convolution over planar padded input, with
+/// its epilogue (see [`crate::backend::Backend::conv_direct`]). No NEON
+/// kernel yet: `aarch64` runs the scalar loop.
+pub(crate) fn conv_direct(
+    out: &mut [f32],
+    out_stride: usize,
+    xpad: &[f32],
+    w: &[f32],
+    gm: PaddedConv,
+    epi: Epilogue,
+) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 availability verified at runtime just above.
-        unsafe { avx2::conv_direct(out, xpad, w, gm) };
+        unsafe { avx2::conv_direct(out, out_stride, xpad, w, gm, epi) };
         return;
     }
-    backend::scalar_conv_direct(out, xpad, w, gm)
+    backend::scalar_conv_direct(out, out_stride, xpad, w, gm, epi)
 }
 
-/// Channels-last weight gradient (see
+/// Channels-last weight gradient and optional bias sums (see
 /// [`crate::backend::Backend::conv_weight_taps`]). The AVX2 kernel needs
 /// each kernel row's `kw·c_in` taps to fill whole 8-lane vectors; other
 /// shapes, and `aarch64`, run the scalar loop.
-pub(crate) fn conv_weight_taps(acc: &mut [f32], xp: &[f32], g: &[f32], gm: PaddedConv) {
+pub(crate) fn conv_weight_taps(
+    acc: &mut [f32],
+    xp: &[f32],
+    g: &[f32],
+    gm: PaddedConv,
+    bias: Option<&mut [f32]>,
+) {
     #[cfg(target_arch = "x86_64")]
     if (gm.kw * gm.c_in).is_multiple_of(8) && std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 availability verified at runtime just above.
-        unsafe { avx2::conv_weight_taps(acc, xp, g, gm) };
+        unsafe { avx2::conv_weight_taps(acc, xp, g, gm, bias) };
         return;
     }
-    backend::scalar_conv_weight_taps(acc, xp, g, gm)
+    backend::scalar_conv_weight_taps(acc, xp, g, gm, bias)
 }
 
-/// 1→C channels-last correlation (see
+/// 1→C channels-last correlation with its epilogue (see
 /// [`crate::backend::Backend::conv_channels_last`]). The AVX2 kernel
 /// needs `c` to fill whole 8-lane vectors; other channel counts, and
 /// `aarch64`, run the scalar loop.
@@ -190,17 +203,18 @@ pub(crate) fn conv_channels_last(
     w: &[f32],
     taps: &[usize],
     gm: TapRegion,
+    epi: Epilogue,
 ) {
     #[cfg(target_arch = "x86_64")]
     if gm.c.is_multiple_of(8) && std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 availability verified at runtime just above.
-        unsafe { avx2::conv_channels_last(out, x, w, taps, gm) };
+        unsafe { avx2::conv_channels_last(out, x, w, taps, gm, epi) };
         return;
     }
-    backend::scalar_conv_channels_last(out, x, w, taps, gm)
+    backend::scalar_conv_channels_last(out, x, w, taps, gm, epi)
 }
 
-/// Its weight gradient (see
+/// Its weight and bias gradients through the ReLU′ mask (see
 /// [`crate::backend::Backend::conv_weight_channels_last`]), under the
 /// same vector condition.
 pub(crate) fn conv_weight_channels_last(
@@ -209,14 +223,15 @@ pub(crate) fn conv_weight_channels_last(
     g: &[f32],
     taps: &[usize],
     gm: TapRegion,
+    relu: ReluGrad,
 ) {
     #[cfg(target_arch = "x86_64")]
     if gm.c.is_multiple_of(8) && std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 availability verified at runtime just above.
-        unsafe { avx2::conv_weight_channels_last(acc, x, g, taps, gm) };
+        unsafe { avx2::conv_weight_channels_last(acc, x, g, taps, gm, relu) };
         return;
     }
-    backend::scalar_conv_weight_channels_last(acc, x, g, taps, gm)
+    backend::scalar_conv_weight_channels_last(acc, x, g, taps, gm, relu)
 }
 
 #[cfg(all(test, target_arch = "x86_64"))]
@@ -225,7 +240,7 @@ mod tests {
     //! cross-backend tests in `crate::backend` hold both to a textbook
     //! loop and cover the dispatched surface on every arch).
 
-    use crate::backend;
+    use crate::backend::{self, Epilogue};
 
     fn fill(len: usize, seed: u64) -> Vec<f32> {
         let mut s = seed.max(1);
@@ -306,6 +321,26 @@ mod tests {
         }
     }
 
+    /// Plants NaN, +Inf and -Inf at three spread positions of `v`.
+    fn plant_non_finite(v: &mut [f32], seed: usize) {
+        let len = v.len();
+        for (i, bad) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY]
+            .into_iter()
+            .enumerate()
+        {
+            v[(seed + i * len / 3) % len] = bad;
+        }
+    }
+
+    /// The epilogues the conv kernels take, over `bias`.
+    fn epilogues(bias: &[f32]) -> [Epilogue<'_>; 3] {
+        [
+            Epilogue::Store,
+            Epilogue::Bias(bias),
+            Epilogue::BiasRelu(bias),
+        ]
+    }
+
     #[test]
     fn avx2_conv_kernels_bitwise_match_scalar() {
         if !std::arch::is_x86_feature_detected!("avx2") {
@@ -317,7 +352,11 @@ mod tests {
         // block (67 = 8 vectors + 1 + a 3-column tail), and kernel rows
         // whose `kw·c_in` taps fill whole vectors (8, 24, 48: one
         // register pass, one, two) or do not (3, 9, 15: the scalar
-        // fallback behind the dispatcher).
+        // fallback behind the dispatcher). NaN and ±Inf are planted in
+        // the input, so the sums reach the bias + ReLU epilogue as NaN
+        // and ±Inf too. The forward also writes at a row stride wider
+        // than the row, into a buffer whose other elements must keep
+        // their sentinel.
         let mut seed = 41;
         for &(c_in, kh, kw) in &[
             (1usize, 3usize, 3usize),
@@ -340,28 +379,48 @@ mod tests {
                 let tag = format!("c_in {c_in} k {kh}x{kw} out {ho}x{wo}");
                 seed += 4;
                 let mut xpad = fill(c_in * gm.hp() * gm.wp(), seed);
-                let at = seed as usize % xpad.len();
-                xpad[at] = f32::NAN;
+                plant_non_finite(&mut xpad, seed as usize);
                 let w = fill(gm.taps(), seed + 1);
-                let mut want = vec![0.0f32; gm.pixels()];
-                backend::scalar_conv_direct(&mut want, &xpad, &w, gm);
-                let mut got = vec![f32::NAN; gm.pixels()];
-                // SAFETY: AVX2 presence checked at the top of the test.
-                unsafe { super::avx2::conv_direct(&mut got, &xpad, &w, gm) };
-                assert_eq!(nan_bits(&got), nan_bits(&want), "conv_direct {tag}");
+                let bias = fill(1, seed + 3);
+                for epi in epilogues(&bias) {
+                    for stride in [wo, wo + 3] {
+                        let len = (ho - 1) * stride + wo + 2;
+                        let mut want = vec![-7.0f32; len];
+                        backend::scalar_conv_direct(&mut want, stride, &xpad, &w, gm, epi);
+                        let mut got = vec![-7.0f32; len];
+                        // SAFETY: AVX2 presence checked at the top of the test.
+                        unsafe { super::avx2::conv_direct(&mut got, stride, &xpad, &w, gm, epi) };
+                        let tag = format!("conv_direct {tag} {epi:?} stride {stride}");
+                        assert_eq!(nan_bits(&got), nan_bits(&want), "{tag}");
+                        let mut untouched =
+                            (0..len).filter(|&i| i % stride >= wo || i / stride >= ho);
+                        let sentinel = (-7.0f32).to_bits();
+                        assert!(untouched.all(|i| got[i].to_bits() == sentinel), "{tag}");
+                    }
+                }
 
                 for c_out in [1usize, 2] {
                     let g = fill(c_out * gm.pixels(), seed + 2);
                     let mut want = vec![0.0f32; c_out * gm.taps()];
-                    backend::scalar_conv_weight_taps(&mut want, &xpad, &g, gm);
+                    let mut want_b = vec![f32::NAN; c_out];
+                    backend::scalar_conv_weight_taps(&mut want, &xpad, &g, gm, Some(&mut want_b));
+                    let sums: Vec<f32> = g
+                        .chunks_exact(gm.pixels())
+                        .map(|g| g.iter().sum())
+                        .collect();
+                    assert_eq!(bits(&want_b), bits(&sums), "scalar taps bias {tag}");
                     let mut got = vec![f32::NAN; c_out * gm.taps()];
-                    super::conv_weight_taps(&mut got, &xpad, &g, gm);
+                    super::conv_weight_taps(&mut got, &xpad, &g, gm, None);
                     assert_eq!(nan_bits(&got), nan_bits(&want), "taps {tag} c_out {c_out}");
                     if (kw * c_in).is_multiple_of(8) {
                         let mut got = vec![f32::NAN; c_out * gm.taps()];
+                        let mut got_b = vec![f32::NAN; c_out];
                         // SAFETY: AVX2 presence checked at the top of the test.
-                        unsafe { super::avx2::conv_weight_taps(&mut got, &xpad, &g, gm) };
+                        unsafe {
+                            super::avx2::conv_weight_taps(&mut got, &xpad, &g, gm, Some(&mut got_b))
+                        };
                         assert_eq!(nan_bits(&got), nan_bits(&want), "avx2 taps {tag}");
+                        assert_eq!(bits(&got_b), bits(&want_b), "avx2 taps bias {tag}");
                     }
                 }
             }
@@ -374,15 +433,21 @@ mod tests {
             eprintln!("skipping: host lacks AVX2");
             return;
         }
-        use crate::backend::TapRegion;
+        use crate::backend::{ReluGrad, TapRegion};
         // Regions around the 12-pixel register block (1, 5, 13, 40, 67
         // columns), map rows wider than the region, and tap sets below,
-        // at and above the 12-tap register block, ascending and not.
+        // at and above the 12-tap register block, ascending and not. The
+        // forward runs each epilogue over sums with NaN and ±Inf planted
+        // in `x`; the weight gradient runs through the ReLU′ mask of an
+        // activation map (its own row stride) holding NaN, ±0 and ±Inf,
+        // over a gradient holding a NaN. `c = 12` is not a
+        // multiple of 8, so the dispatcher runs the scalar loops.
         let mut seed = 7;
-        for c in [8usize, 16, 24] {
+        for c in [8usize, 16, 24, 12] {
             for &(rows, cols) in &[(1usize, 1usize), (2, 5), (3, 13), (4, 40), (2, 67)] {
                 let x_stride = cols + 4;
                 let cl_stride = cols + 3;
+                let act_stride = cols + 1;
                 let tap_sets: [Vec<usize>; 4] = [
                     (0..9).map(|t| (t / 3) * x_stride + t % 3).collect(),
                     (0..9).rev().map(|t| (t / 3) * x_stride + t % 3).collect(),
@@ -400,25 +465,61 @@ mod tests {
                     };
                     seed += 3;
                     let mut x = fill((rows + 2) * x_stride, seed);
-                    let at = seed as usize % x.len();
-                    x[at] = f32::NAN;
+                    plant_non_finite(&mut x, seed as usize);
                     let w = fill(taps.len() * c, seed + 1);
+                    let bias = fill(c, seed + 4);
                     let map_len = (rows * cl_stride + 2) * c;
-                    // Outside the region the map must keep its contents.
-                    let mut want = fill(map_len, seed + 2);
-                    let mut got = want.clone();
-                    backend::scalar_conv_channels_last(&mut want, &x, &w, taps, gm);
-                    // SAFETY: AVX2 presence checked at the top of the test.
-                    unsafe { super::avx2::conv_channels_last(&mut got, &x, &w, taps, gm) };
-                    assert_eq!(nan_bits(&got), nan_bits(&want), "forward {tag}");
+                    for epi in epilogues(&bias) {
+                        // Outside the region the map must keep its contents.
+                        let mut want = fill(map_len, seed + 2);
+                        let mut got = want.clone();
+                        backend::scalar_conv_channels_last(&mut want, &x, &w, taps, gm, epi);
+                        if c.is_multiple_of(8) {
+                            // SAFETY: AVX2 presence checked at the top of the test.
+                            unsafe {
+                                super::avx2::conv_channels_last(&mut got, &x, &w, taps, gm, epi)
+                            };
+                        } else {
+                            super::conv_channels_last(&mut got, &x, &w, taps, gm, epi);
+                        }
+                        assert_eq!(nan_bits(&got), nan_bits(&want), "forward {tag} {epi:?}");
+                    }
 
-                    let g = fill(map_len, seed + 3);
+                    let mut g = fill(map_len, seed + 3);
+                    g[seed as usize % map_len] = f32::NAN;
+                    let mut act = fill(rows * act_stride * c, seed + 5);
+                    let act_len = act.len();
+                    for (i, v) in [f32::NAN, 0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY]
+                        .into_iter()
+                        .enumerate()
+                    {
+                        act[(seed as usize + i * 7) % act_len] = v;
+                    }
                     let mut want = vec![0.0f32; taps.len() * c];
-                    backend::scalar_conv_weight_channels_last(&mut want, &x, &g, taps, gm);
+                    let mut want_b = vec![f32::NAN; c];
+                    let relu = ReluGrad {
+                        act: &act,
+                        act_stride,
+                        bias: &mut want_b,
+                    };
+                    backend::scalar_conv_weight_channels_last(&mut want, &x, &g, taps, gm, relu);
                     let mut got = vec![f32::NAN; taps.len() * c];
-                    // SAFETY: AVX2 presence checked at the top of the test.
-                    unsafe { super::avx2::conv_weight_channels_last(&mut got, &x, &g, taps, gm) };
+                    let mut got_b = vec![f32::NAN; c];
+                    let relu = ReluGrad {
+                        act: &act,
+                        act_stride,
+                        bias: &mut got_b,
+                    };
+                    if c.is_multiple_of(8) {
+                        // SAFETY: AVX2 presence checked at the top of the test.
+                        unsafe {
+                            super::avx2::conv_weight_channels_last(&mut got, &x, &g, taps, gm, relu)
+                        };
+                    } else {
+                        super::conv_weight_channels_last(&mut got, &x, &g, taps, gm, relu);
+                    }
                     assert_eq!(nan_bits(&got), nan_bits(&want), "weight {tag}");
+                    assert_eq!(nan_bits(&got_b), nan_bits(&want_b), "bias {tag}");
                 }
             }
         }

@@ -17,8 +17,9 @@ use sl_rng::{cases, Rng};
 
 use sl_tensor::{
     backend_for, conv2d_backward_in, conv2d_backward_with, conv2d_in, conv2d_with, fused_cnn,
-    fused_cnn_backward, matmul_a_bt_in, matmul_a_bt_with, matmul_at_b_in, matmul_at_b_with,
-    matmul_in, matmul_with, sigmoid, BackendKind, ComputePool, FusedCnnParams, Padding, Tensor,
+    fused_cnn_backward, global_backend, matmul_a_bt_in, matmul_a_bt_with, matmul_at_b_in,
+    matmul_at_b_with, matmul_in, matmul_with, sigmoid, BackendKind, ComputePool, FusedCnnParams,
+    Padding, ReluGrad, TapRegion, Tensor,
 };
 
 const CASES: usize = 24;
@@ -409,4 +410,121 @@ fn fused_cnn_matches_the_unfused_chain_bitwise() {
             }
         }
     }
+}
+
+/// A dead hidden channel's bias gradient keeps the sign of its zero.
+///
+/// Channel 0 of an 8-channel UE CNN is dead: a zero `w1` row and a
+/// negative `b1` leave its ReLU output `0.0` everywhere, a positive `w2`
+/// row and a negative upstream gradient make its gradient into the ReLU
+/// negative everywhere, so ReLU′ turns all of it into `-0.0`. The
+/// per-image bias sum the backward folds into conv1's weight gradient
+/// must then be `-0.0`, as `Iterator::sum` (which starts at `-0.0`)
+/// gives; a sum started at `0.0` would give `+0.0`. Channel 1 is dead
+/// too, but its gradient changes sign across the image, so its masked
+/// gradient mixes `-0.0` and `+0.0` and its sum is `+0.0`.
+///
+/// The batch-level `grad_b1` that `fused_cnn_backward` returns reduces
+/// the per-image sums from `0.0`, as `conv2d_backward` does, so the
+/// public value is `+0.0` either way; it is held to the unfused chain
+/// bitwise. The sign itself is checked where it is observable: on the
+/// process-wide backend's `conv_weight_channels_last` with the ReLU′
+/// fold, fed this image's hidden map and hidden gradient, against
+/// `Iterator::sum` over the masked gradient. `scripts/verify.sh` runs
+/// this under every `SLM_BACKEND × SLM_THREADS` pairing, so the AVX2
+/// fold (8 channels fill its lanes) and the scalar one are both held.
+#[test]
+fn dead_relu_channel_bias_gradient_keeps_the_sign_of_zero() {
+    let (c, h, w) = (8usize, 9usize, 11usize);
+    // Small weights keep the sigmoid away from saturation, where y(1 - y)
+    // would round to zero.
+    let x = deterministic(vec![1, 1, h, w], 3).scale(0.1);
+    let mut w1 = deterministic(vec![c, 1, 3, 3], 4).scale(0.05);
+    let mut b1 = deterministic(vec![c], 5).scale(0.1);
+    let mut w2 = deterministic(vec![1, c, 3, 3], 6).scale(0.02);
+    let b2 = Tensor::from_slice(&[0.1]);
+    // A negative upstream gradient everywhere.
+    let g = deterministic(vec![1, 1, h, w], 7).map(|v| -1.0 - v.abs());
+    for ch in [0usize, 1] {
+        w1.data_mut()[ch * 9..(ch + 1) * 9].fill(0.0);
+        b1.data_mut()[ch] = -0.5;
+    }
+    // Channel 0: every `w2` tap positive. Channel 1: the centre tap
+    // positive, the tap that reaches it from the left (not the last
+    // column) three times as large and negative, the rest zero.
+    w2.data_mut()[..9].fill(0.25);
+    w2.data_mut()[9..18].fill(0.0);
+    w2.data_mut()[9 + 4] = 1.0;
+    w2.data_mut()[9 + 3] = -3.0;
+    let params = FusedCnnParams {
+        w1: &w1,
+        b1: &b1,
+        w2: &w2,
+        b2: &b2,
+    };
+
+    // The unfused chain, on the scalar backend at one thread.
+    let one = ComputePool::new(1);
+    let scalar = backend_for(BackendKind::Scalar);
+    let pre = conv2d_with(&one, scalar, &x, &w1, &b1, Padding::Same);
+    let hid = pre.map(|v| v.max(0.0));
+    let y = conv2d_with(&one, scalar, &hid, &w2, &b2, Padding::Same).map(sigmoid);
+    let gy = zip_map(&g, &y, |g, y| g * (y * (1.0 - y)));
+    let c2 = conv2d_backward_with(&one, scalar, &hid, &w2, &gy, Padding::Same);
+    let gh = zip_map(&c2.grad_input, &hid, |g, a| {
+        g * if a > 0.0 { 1.0 } else { 0.0 }
+    });
+    let c1 = conv2d_backward_with(&one, scalar, &x, &w1, &gh, Padding::Same);
+    let got = fused_cnn_backward(&x, &fused_cnn(&x, params), params, &g, false);
+    assert_eq!(bits(&got.grad_b1), bits(&c1.grad_bias), "grad_b1");
+    assert_eq!(bits(&got.grad_w1), bits(&c1.grad_weight), "grad_w1");
+
+    // The setup does what the doc says: channel 0's masked gradient is
+    // all -0.0, channel 1's mixes the two zeros.
+    let p = h * w;
+    let plane = |ch: usize| &gh.data()[ch * p..(ch + 1) * p];
+    assert!(plane(0).iter().all(|v| v.to_bits() == (-0.0f32).to_bits()));
+    assert!(plane(1).iter().all(|&v| v == 0.0));
+    assert!(plane(1).iter().any(|v| v.is_sign_positive()));
+    assert!(plane(1).iter().any(|v| v.is_sign_negative()));
+
+    // The per-image fold on the process-wide backend: conv1's weight
+    // gradient over the zero-padded image, the unmasked hidden gradient
+    // and the ReLU output, channels-last.
+    let (hp, wp) = (h + 2, w + 2);
+    let mut xpad = vec![0.0f32; hp * wp];
+    for (y_, row) in x.data().chunks_exact(w).enumerate() {
+        xpad[(y_ + 1) * wp + 1..][..w].copy_from_slice(row);
+    }
+    let channels_last = |t: &Tensor| -> Vec<f32> {
+        (0..p)
+            .flat_map(|px| (0..c).map(move |ch| (px, ch)))
+            .map(|(px, ch)| t.data()[ch * p + px])
+            .collect()
+    };
+    let (g_cl, act_cl) = (channels_last(&c2.grad_input), channels_last(&hid));
+    let taps: Vec<usize> = (0..9).map(|t| (t / 3) * wp + t % 3).collect();
+    let region = TapRegion {
+        c,
+        rows: h,
+        cols: w,
+        x_stride: wp,
+        cl_stride: w,
+    };
+    let mut acc = vec![0.0f32; 9 * c];
+    let mut sums = vec![f32::NAN; c];
+    let relu = ReluGrad {
+        act: &act_cl,
+        act_stride: w,
+        bias: &mut sums,
+    };
+    global_backend().conv_weight_channels_last(&mut acc, &xpad, &g_cl, &taps, region, relu);
+    let want: Vec<f32> = (0..c).map(|ch| plane(ch).iter().sum()).collect();
+    assert_eq!(sums[0].to_bits(), (-0.0f32).to_bits(), "dead channel");
+    assert_eq!(sums[1].to_bits(), 0.0f32.to_bits(), "mixed-zero channel");
+    assert_eq!(
+        sums.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        "per-image bias sums"
+    );
 }

@@ -72,6 +72,14 @@ if [[ "$blocked" -eq 0 ]]; then
         --semantic --json-out results/lint.json || blocked=1
 fi
 
+# The API docs build warning-free: broken intra-doc links, links to
+# private items and bare `[n]` citations that rustdoc reads as links all
+# fail here. Later stages do not depend on it, so a failure blocks none.
+if [[ "$blocked" -eq 0 ]]; then
+    stage doc env RUSTDOCFLAGS="-D warnings" \
+        cargo doc --workspace --no-deps --offline
+fi
+
 if [[ "$fast" -eq 0 && "$blocked" -eq 0 ]]; then
     stage build cargo build --release || blocked=1
 fi

@@ -14,36 +14,70 @@
 //! both converges fastest (cheapest payload ⇒ most SGD steps per second)
 //! and reaches the lowest RMSE.
 //!
+//! With `--addr HOST:PORT` (or `--addr-file PATH`, a file holding it)
+//! the same sweep runs over a real socket: the UE half trains here and
+//! the BS half in an `slm-bs` process, one session per configuration.
+//! The artifacts then go to `results/fig3a_net/`, whose manifest records
+//! the link under `net`. At `SLM_THREADS=1` its `fig3a.csv` is
+//! byte-identical to the in-process one (DESIGN.md §9), which
+//! `verify.sh`'s `net-bitwise` stage checks with `cmp`.
+//!
 //! ```sh
 //! cargo run --release -p sl-bench --bin fig3a            # quick profile
 //! SLM_PROFILE=full cargo run --release -p sl-bench --bin fig3a
+//! cargo run --release -p sl-net --bin slm-bs -- \
+//!     --addr 127.0.0.1:0 --sessions 5 --port-file /tmp/bs.port &
+//! SLM_THREADS=1 cargo run --release -p sl-bench --bin fig3a -- \
+//!     --addr-file /tmp/bs.port
 //! ```
 
-use sl_bench::{
-    build_dataset, experiment_config, fig3a_configs, fig3a_curve_rows, fig3a_label, sparkline,
-    Experiment, FIG3A_CSV_HEADER,
-};
-use sl_core::{PoolingDim, Scheme, SplitTrainer, TrainOutcome};
+use std::process::ExitCode;
 
-fn run(
-    exp: &mut Experiment,
-    scheme: Scheme,
-    pooling: PoolingDim,
-    label: &str,
-    dataset: &sl_scene::SequenceDataset,
-) -> TrainOutcome {
-    let cfg = experiment_config(exp.profile(), scheme, pooling);
-    exp.record_run(label, &cfg);
-    let mut trainer = SplitTrainer::new(cfg, dataset);
-    trainer.train_with(dataset, exp.telemetry())
+use sl_bench::{build_dataset, fig3a_sweep, Experiment};
+use sl_core::SplitTrainer;
+use sl_net::{NetTrainer, RetryPolicy, UeClient};
+
+/// The BS address from `--addr HOST:PORT` or `--addr-file PATH`;
+/// `None` runs the sweep in process.
+fn parse_addr() -> Result<Option<String>, String> {
+    let mut addr = None;
+    let mut it = std::env::args().skip(1);
+    while let Some(flag) = it.next() {
+        let mut value = |name: &str| it.next().ok_or(format!("{name} requires a value"));
+        match flag.as_str() {
+            "--addr" => addr = Some(value("--addr")?),
+            "--addr-file" => {
+                let path = value("--addr-file")?;
+                let text =
+                    std::fs::read_to_string(&path).map_err(|e| format!("read {path}: {e}"))?;
+                addr = Some(text.trim().to_string());
+            }
+            "--help" | "-h" => {
+                return Err("usage: fig3a [--addr HOST:PORT | --addr-file PATH]".to_string())
+            }
+            other => return Err(format!("unknown flag {other}")),
+        }
+    }
+    Ok(addr)
 }
 
-fn main() {
-    let mut exp = Experiment::start("fig3a");
+fn main() -> ExitCode {
+    let addr = match parse_addr() {
+        Ok(a) => a,
+        Err(msg) => {
+            eprintln!("fig3a: {msg}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let mut exp = Experiment::start(if addr.is_some() { "fig3a_net" } else { "fig3a" });
     let profile = exp.profile();
     let dataset = build_dataset(profile);
+    let over = match &addr {
+        Some(a) => format!("over the socket runtime — BS at {a}"),
+        None => "learning curves".to_string(),
+    };
     exp.progress(&format!(
-        "Fig. 3a — learning curves ({:?} profile: {} train / {} val sequences)",
+        "Fig. 3a — {over} ({:?} profile: {} train / {} val sequences)",
         profile,
         dataset.train_indices().len(),
         dataset.val_indices().len()
@@ -58,45 +92,31 @@ fn main() {
         ols.val_rmse(&dataset)
     );
 
-    let mut rows = Vec::new();
-    let mut outcomes = Vec::new();
-    for (scheme, pooling) in fig3a_configs() {
-        let wall = std::time::Instant::now();
-        let label = fig3a_label(scheme, pooling);
-        let out = run(&mut exp, scheme, pooling, &label, &dataset);
-        println!(
-            "{label:<28} best {:>5.2} dB  final {:>5.2} dB  sim {:>7.2} s (air {:>6.2} s)  epochs {:>3}  stop {:?}  [wall {:.0} s]",
-            out.best_rmse_db(),
-            out.final_rmse_db,
-            out.elapsed_s(),
-            out.airtime_s,
-            out.epochs,
-            out.stop,
-            wall.elapsed().as_secs_f64(),
-        );
-        let curve_vals: Vec<f32> = out.curve.iter().map(|p| p.val_rmse_db).collect();
-        exp.progress(&format!("{label:<28} {}", sparkline(&curve_vals)));
-        fig3a_curve_rows(&label, &out, &mut rows);
-        outcomes.push((label, out));
-    }
-
-    exp.write_csv("fig3a.csv", FIG3A_CSV_HEADER, &rows);
-
-    // The telemetry snapshot's simulated-time totals must agree with the
-    // trainers' own SimClocks (the Fig. 3a time axis) to float precision.
-    let snap = exp.telemetry().snapshot();
-    if exp.telemetry().is_enabled() {
-        let compute: f64 = outcomes.iter().map(|(_, o)| o.compute_s).sum();
-        let airtime: f64 = outcomes.iter().map(|(_, o)| o.airtime_s).sum();
-        assert!(
-            (snap.gauge("sim.compute_s").unwrap_or(0.0) - compute).abs() < 1e-9,
-            "telemetry compute time disagrees with SimClock"
-        );
-        assert!(
-            (snap.gauge("sim.airtime_s").unwrap_or(0.0) - airtime).abs() < 1e-9,
-            "telemetry airtime disagrees with SimClock"
-        );
-    }
+    let retry = RetryPolicy::default();
+    let swept = match &addr {
+        None => fig3a_sweep(&mut exp, |cfg, tele| {
+            Ok(SplitTrainer::new(cfg, &dataset).train_with(&dataset, tele))
+        }),
+        // One BS session per configuration: connect, handshake, train,
+        // clean shutdown.
+        Some(addr) => fig3a_sweep(&mut exp, |cfg, tele| {
+            let client =
+                UeClient::connect(addr, retry).map_err(|e| format!("connect {addr}: {e}"))?;
+            let mut trainer = NetTrainer::new(cfg, &dataset, client).map_err(|e| e.to_string())?;
+            let out = trainer
+                .train_with(&dataset, tele)
+                .map_err(|e| e.to_string())?;
+            trainer.finish().map_err(|e| e.to_string())?;
+            Ok(out)
+        }),
+    };
+    let outcomes = match swept {
+        Ok(o) => o,
+        Err(e) => {
+            exp.telemetry().warn(&format!("fig3a: {e}"));
+            return ExitCode::FAILURE;
+        }
+    };
 
     // ---- paper-shape checks -------------------------------------------------
     println!("\npaper-shape check:");
@@ -150,7 +170,23 @@ fn main() {
         yes(img_rf_pixel.best_rmse_db() < img_pixel.best_rmse_db())
     );
 
+    if let Some(addr) = &addr {
+        // Record the link configuration in the run manifest so a
+        // regression report can tell networked runs from in-process ones.
+        exp.annotate_raw(
+            "net",
+            &format!(
+                "{{\"bs_addr\":\"{addr}\",\"protocol_version\":{},\"max_extra_attempts\":{},\
+                 \"read_timeout_ms\":{},\"backoff_ms\":{},\"fault_model\":\"channel-slots\"}}",
+                sl_net::PROTOCOL_VERSION,
+                retry.max_extra_attempts,
+                retry.read_timeout.as_millis(),
+                retry.backoff.as_millis(),
+            ),
+        );
+    }
     exp.finish();
+    ExitCode::SUCCESS
 }
 
 fn yes(b: bool) -> &'static str {

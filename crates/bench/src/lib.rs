@@ -30,6 +30,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+pub use sl_rng::fnv1a_64;
 use sl_rng::rngs::StdRng;
 
 use sl_core::{ExperimentConfig, PoolingDim, Scheme, TrainOutcome};
@@ -169,9 +170,8 @@ pub fn experiment_config(
 }
 
 /// The Fig. 3a configuration sweep, in the figure's row order (the
-/// paper's proposal — 1-pixel Img+RF — last). Shared by the in-process
-/// `fig3a` binary and the networked `slm-ue` loopback harness so the two
-/// runs sweep byte-identical configurations.
+/// paper's proposal — 1-pixel Img+RF — last); [`fig3a_sweep`] trains
+/// them in this order.
 pub fn fig3a_configs() -> [(Scheme, PoolingDim); 5] {
     [
         (Scheme::RfOnly, PoolingDim::ONE_PIXEL),
@@ -194,11 +194,10 @@ pub fn fig3a_label(scheme: Scheme, pooling: PoolingDim) -> String {
 /// The Fig. 3a CSV header.
 pub const FIG3A_CSV_HEADER: &str = "config,epoch,elapsed_s,val_rmse_db";
 
-/// Appends one formatted CSV row per learning-curve point. The exact
-/// formatting lives here (not in the binaries) because the loopback
-/// byte-identity gate `cmp`s two CSVs produced by different binaries.
-/// Labels such as `Img, 4x4` carry a comma, so the `config` field is
-/// quoted as RFC 4180 asks.
+/// Appends one formatted CSV row per learning-curve point. The loopback
+/// byte-identity gate `cmp`s the in-process and the networked run's
+/// CSVs, so this one function formats both. Labels such as `Img, 4x4`
+/// carry a comma, so the `config` field is quoted as RFC 4180 asks.
 pub fn fig3a_curve_rows(label: &str, out: &TrainOutcome, rows: &mut Vec<String>) {
     let config = csv_field(label);
     for p in &out.curve {
@@ -209,6 +208,61 @@ pub fn fig3a_curve_rows(label: &str, out: &TrainOutcome, rows: &mut Vec<String>)
     }
 }
 
+/// Runs the Fig. 3a sweep: trains each of [`fig3a_configs`] with
+/// `train`, prints its result row and journals a sparkline of its
+/// curve, then writes `fig3a.csv` and checks that the telemetry
+/// snapshot's simulated-time totals equal the trainers' own SimClocks
+/// (the figure's time axis) to 1e-9 s. `train` runs one configuration
+/// on the experiment's telemetry, in process or over a socket; its
+/// error stops the sweep. Returns the labelled outcomes in row order.
+pub fn fig3a_sweep(
+    exp: &mut Experiment,
+    mut train: impl FnMut(ExperimentConfig, &mut Telemetry) -> Result<TrainOutcome, String>,
+) -> Result<Vec<(String, TrainOutcome)>, String> {
+    let mut rows = Vec::new();
+    let mut outcomes = Vec::new();
+    for (scheme, pooling) in fig3a_configs() {
+        // slm-lint: allow(no-nondeterminism) per-run wall time for the stdout row; never used in computation
+        let wall = Instant::now();
+        let label = fig3a_label(scheme, pooling);
+        let cfg = experiment_config(exp.profile(), scheme, pooling);
+        exp.record_run(&label, &cfg);
+        let out = train(cfg, exp.telemetry()).map_err(|e| format!("{label}: {e}"))?;
+        // slm-lint: allow(no-print) the result row is the figure's stdout output, as in every bench binary
+        println!(
+            "{label:<28} best {:>5.2} dB  final {:>5.2} dB  sim {:>7.2} s (air {:>6.2} s)  epochs {:>3}  stop {:?}  [wall {:.0} s]",
+            out.best_rmse_db(),
+            out.final_rmse_db,
+            out.elapsed_s(),
+            out.airtime_s,
+            out.epochs,
+            out.stop,
+            wall.elapsed().as_secs_f64(),
+        );
+        let curve_vals: Vec<f32> = out.curve.iter().map(|p| p.val_rmse_db).collect();
+        exp.progress(&format!("{label:<28} {}", sparkline(&curve_vals)));
+        fig3a_curve_rows(&label, &out, &mut rows);
+        outcomes.push((label, out));
+    }
+
+    exp.write_csv("fig3a.csv", FIG3A_CSV_HEADER, &rows);
+
+    if exp.telemetry().is_enabled() {
+        let snap = exp.telemetry().snapshot();
+        let compute: f64 = outcomes.iter().map(|(_, o)| o.compute_s).sum();
+        let airtime: f64 = outcomes.iter().map(|(_, o)| o.airtime_s).sum();
+        assert!(
+            (snap.gauge("sim.compute_s").unwrap_or(0.0) - compute).abs() < 1e-9,
+            "telemetry compute time disagrees with SimClock"
+        );
+        assert!(
+            (snap.gauge("sim.airtime_s").unwrap_or(0.0) - airtime).abs() < 1e-9,
+            "telemetry airtime disagrees with SimClock"
+        );
+    }
+    Ok(outcomes)
+}
+
 /// One RFC 4180 CSV field: quoted (with inner quotes doubled) when it
 /// holds a comma, a quote or a line break, verbatim otherwise.
 fn csv_field(s: &str) -> String {
@@ -217,17 +271,6 @@ fn csv_field(s: &str) -> String {
     } else {
         s.to_string()
     }
-}
-
-/// FNV-1a (64-bit) — the workspace's dependency-free stable hash, used
-/// to fingerprint experiment configs in run manifests.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A 16-hex-digit fingerprint of an [`ExperimentConfig`] (FNV-1a over
@@ -431,8 +474,8 @@ impl Experiment {
     /// Closes the experiment: journals `run_end`, writes
     /// `manifest.json`, and — when telemetry is enabled — writes the
     /// final metrics `snapshot.json` plus the sampled time-series
-    /// (`series.jsonl` / `series.bin`, when any points were recorded);
-    /// flushes the sink. Returns the manifest path.
+    /// (`series.jsonl`, when any points were recorded); flushes the
+    /// sink. Returns the manifest path.
     pub fn finish(mut self) -> PathBuf {
         let snapshot = self.telemetry.snapshot();
         self.telemetry.emit(
@@ -451,19 +494,13 @@ impl Experiment {
             fs::write(&snap_path, snapshot.to_json() + "\n").expect("snapshot is writable");
         }
         if self.telemetry.is_enabled() && !self.telemetry.series().is_empty() {
-            // Sampled time-series: JSONL (the determinism gate `cmp`s
-            // it byte-for-byte across runs) plus the delta-encoded
-            // binary twin.
+            // Sampled time-series: the determinism gate `cmp`s it
+            // byte-for-byte across runs.
             self.telemetry
                 .series()
                 .write_jsonl(&self.dir.join("series.jsonl"))
                 // slm-lint: allow(no-expect) the series is a primary experiment artifact; abort loudly if unwritable
                 .expect("series.jsonl is writable");
-            self.telemetry
-                .series()
-                .write_binary(&self.dir.join("series.bin"))
-                // slm-lint: allow(no-expect) the series is a primary experiment artifact; abort loudly if unwritable
-                .expect("series.bin is writable");
         }
         self.telemetry.flush();
         manifest_path
@@ -685,14 +722,6 @@ mod tests {
         assert!(!manifest.contains("1234"));
         let path = exp.finish();
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
-    }
-
-    #[test]
-    fn fnv1a_reference_vectors() {
-        // Published FNV-1a 64-bit test vectors.
-        assert_eq!(fnv1a_64(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a_64(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

@@ -22,6 +22,9 @@
 //! - `key-grammar` — a declared pattern or harvested literal violating
 //!   the `sub.noun.verb` segment grammar (lowercase
 //!   `[a-z][a-z0-9_]*` segments, or `*`).
+//! - `key-reader-missing` — a [`READER_FILES`] path that matches no
+//!   indexed file, so that reader's lookups would go unchecked (a moved
+//!   or renamed reader).
 //!
 //! Wildcards match **one or more** dot segments on either side, so the
 //! declared family `net.session.*` unifies with both the scoped bare
@@ -54,7 +57,7 @@ impl KeySpec {
 /// Reader name → path suffix of the file that consumes the keys.
 pub const READER_FILES: &[(&str, &str)] = &[
     ("report", "crates/bench/src/report.rs"),
-    ("top", "crates/net/src/bin/slm-top.rs"),
+    ("top", "crates/bench/src/bin/slm-top.rs"),
 ];
 
 /// Telemetry publish methods whose first argument is a key.
@@ -274,6 +277,30 @@ pub fn check_keys(files: &[FileIndex], specs: &[KeySpec]) -> Vec<Finding> {
     let publishes = harvest_publishes(files);
     let consumes = harvest_consumes(files);
 
+    // Every reader file must exist, or its lookups go unchecked. The
+    // finding is pinned to the path literal in READER_FILES.
+    for (reader, suffix) in READER_FILES {
+        if !files.iter().any(|f| f.path.ends_with(suffix)) {
+            let (file, line, col) = files
+                .iter()
+                .filter(|f| f.path.ends_with("crates/lint/src/keys.rs"))
+                .flat_map(|f| f.strings.iter().map(move |s| (f, s)))
+                .find(|(_, s)| s.text == *suffix)
+                .map(|(f, s)| (f.path.clone(), s.line, s.col))
+                .unwrap_or_else(|| ("crates/lint/src/keys.rs".to_string(), 0, 0));
+            out.push(Finding {
+                rule: "key-reader-missing".to_string(),
+                file,
+                line,
+                col,
+                message: format!(
+                    "reader '{reader}' names {suffix}, which is not in the workspace; \
+                     point READER_FILES at the file that reads its keys"
+                ),
+            });
+        }
+    }
+
     // Grammar: declared patterns and concrete harvested keys.
     for spec in specs {
         if let Some(msg) = grammar_error(&spec.pattern) {
@@ -462,6 +489,22 @@ mod tests {
             .map(|s| s.pattern)
             .collect();
         assert_eq!(patterns, ["train.step.host_s", "*.fwd.host_s", "*.flops"]);
+    }
+
+    #[test]
+    fn a_missing_reader_file_is_a_finding() {
+        let src = "fn f(s: &S) { s.counter(\"train.steps\"); }";
+        let report = index_file(src, READER_FILES[0].1, "x", TargetKind::Lib);
+        let findings = check_keys(&[report], &[]);
+        let missing: Vec<&Finding> = findings
+            .iter()
+            .filter(|f| f.rule == "key-reader-missing")
+            .collect();
+        assert_eq!(missing.len(), READER_FILES.len() - 1, "{findings:?}");
+        assert!(
+            missing[0].message.contains(READER_FILES[1].1),
+            "{findings:?}"
+        );
     }
 
     #[test]

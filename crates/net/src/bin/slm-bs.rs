@@ -14,7 +14,8 @@
 //! ```
 //!
 //! `--addr 127.0.0.1:0` binds an ephemeral port; `--port-file` writes
-//! the resolved address so a harness can point `slm-ue` at it.
+//! the resolved address so a harness can point the UE side,
+//! `fig3a --addr-file`, at it.
 //! `--sessions N` exits after `N` sessions (default: serve forever).
 //!
 //! `--metrics-port PORT` additionally serves a read-only plaintext

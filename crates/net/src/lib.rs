@@ -2,7 +2,8 @@
 //!
 //! Everything the in-process `sl_core::SplitTrainer` does with a
 //! function call, this crate does over a real byte stream (std::net TCP
-//! in the `slm-bs` / `slm-ue` binaries, any `Read + Write` in tests):
+//! in its `slm-bs` binary and in `sl-bench`'s `fig3a --addr`, any
+//! `Read + Write` in tests):
 //!
 //! * [`wire`] — the versioned framed binary protocol: 12-byte header
 //!   (magic `SLNF`, version, type, flags, length), payload, FNV-1a-64
@@ -21,8 +22,8 @@
 //!   (at `SLM_THREADS=1`) to the in-process trainer's learning curve.
 //! * [`live`] — [`LiveMetrics`]: per-session live registries the server
 //!   publishes into, plus a read-only plaintext scrape endpoint
-//!   (`slm-bs --metrics-port`) and the scrape/parse helpers `slm-top`
-//!   polls (DESIGN.md §11).
+//!   (`slm-bs --metrics-port`) and the scrape/parse helpers that
+//!   `sl-bench`'s `slm-top` polls with (DESIGN.md §11).
 //!
 //! The wire protocol carries **exact** `f32` bit patterns (losses,
 //! gradients, predictions) and grid-level-packed activations, so

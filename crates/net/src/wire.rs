@@ -42,6 +42,8 @@
 use std::fmt;
 use std::io;
 
+pub use sl_rng::fnv1a_64;
+use sl_store::StoreError;
 use sl_tensor::Tensor;
 
 /// Protocol magic, first four bytes of every frame.
@@ -243,18 +245,6 @@ impl From<io::Error> for NetError {
             _ => NetError::Io(e),
         }
     }
-}
-
-/// FNV-1a 64-bit — the same dependency-free hash `sl-bench` uses for
-/// config fingerprints, duplicated here so the wire crate stays
-/// self-contained at the byte level.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A decoded (verified) frame.
@@ -709,79 +699,33 @@ impl SessionSpec {
 // Quantized activation packing
 // ---------------------------------------------------------------------------
 
-/// Recovers the integer level `k` such that `k / max == q` **bitwise**,
-/// for `q` produced by [`sl_core::Quantizer::quantize`] (which computes
-/// `round(clamp(v)·max) / max` in f32). `round(q·max)` can land one off
-/// after the division round-trip, so the three neighbouring candidates
-/// are tested against the exact bit pattern.
-pub fn level_of(q: f32, max: u32) -> Result<u32, NetError> {
-    if !q.is_finite() {
-        return Err(NetError::Decode(format!(
-            "activation {q} is not finite (not on the quantizer grid)"
-        )));
-    }
-    let maxf = max as f32;
-    let k0 = (q * maxf).round() as i64;
-    for dk in [0i64, -1, 1] {
-        let k = k0 + dk;
-        if !(0..=max as i64).contains(&k) {
-            continue;
-        }
-        if ((k as f32) / maxf).to_bits() == q.to_bits() {
-            return Ok(k as u32);
-        }
-    }
-    Err(NetError::Decode(format!(
-        "activation {q} is not on the {}-level quantizer grid",
-        max as u64 + 1
-    )))
-}
-
 /// Bit-packs quantized activations (each on the `2^R`-level grid) into
-/// `R` bits per value, MSB-first. This is the *actual* uplink payload —
-/// `values.len() · R` bits, matching the paper's `B_UL` formula.
+/// `R` bits per value, MSB-first, with [`sl_store::pack_levels`]. This
+/// is the *actual* uplink payload — `values.len() · R` bits, matching
+/// the paper's `B_UL` formula. An off-grid value is a
+/// [`NetError::Decode`].
 pub fn pack_activations(values: &[f32], bit_depth: usize) -> Result<Vec<u8>, NetError> {
-    let max = (1u32 << bit_depth) - 1;
-    let mut out = vec![0u8; (values.len() * bit_depth).div_ceil(8)];
-    let mut bit = 0usize;
-    for &q in values {
-        let k = level_of(q, max)?;
-        for i in (0..bit_depth).rev() {
-            if (k >> i) & 1 == 1 {
-                out[bit / 8] |= 1 << (7 - bit % 8);
-            }
-            bit += 1;
-        }
-    }
-    Ok(out)
+    sl_store::pack_levels(values, bit_depth).map_err(packing_error)
 }
 
 /// Unpacks `count` `R`-bit levels and reconstructs the grid values
 /// `k / (2^R − 1)` — bit-identical to what the UE quantizer produced.
+/// A wrong byte count is a [`NetError::Decode`].
 pub fn unpack_activations(
     packed: &[u8],
     count: usize,
     bit_depth: usize,
 ) -> Result<Vec<f32>, NetError> {
-    let need = (count * bit_depth).div_ceil(8);
-    if packed.len() != need {
-        return Err(NetError::Decode(format!(
-            "packed activations: got {} bytes, want {need} for {count} x {bit_depth}-bit values",
-            packed.len()
-        )));
-    }
-    let maxf = ((1u32 << bit_depth) - 1) as f32;
-    let mut out = Vec::with_capacity(count);
-    let mut bit = 0usize;
-    for _ in 0..count {
-        let mut k = 0u32;
-        for _ in 0..bit_depth {
-            k = (k << 1) | ((packed[bit / 8] >> (7 - bit % 8)) & 1) as u32;
-            bit += 1;
-        }
-        out.push(k as f32 / maxf);
-    }
-    Ok(out)
+    sl_store::unpack_levels(packed, count, bit_depth).map_err(packing_error)
+}
+
+/// Every packer error is a decode failure on the wire.
+fn packing_error(e: StoreError) -> NetError {
+    let what = match e {
+        StoreError::Corrupt(what) => what,
+        other => other.to_string(),
+    };
+    NetError::Decode(format!("packed activations: {what}"))
 }
 
 // ---------------------------------------------------------------------------
@@ -1177,6 +1121,27 @@ mod tests {
             for (a, b) in values.iter().zip(&back) {
                 assert_eq!(a.to_bits(), b.to_bits(), "R={bit_depth}");
             }
+        }
+    }
+
+    #[test]
+    fn store_bitpack_chunks_are_the_uplink_payload() {
+        // The store's bitpack codec and the uplink packer are one
+        // alphabet: the same grid values give the same bytes.
+        let mut rng = StdRng::seed_from_u64(11);
+        for bit_depth in [1usize, 8, 16] {
+            let max = (1u32 << bit_depth) - 1;
+            let values: Vec<f32> = (0..301)
+                .map(|_| rng.random_range(0..=max) as f32 / max as f32)
+                .collect();
+            let chunk = sl_store::Codec::Bitpack { bit_depth }
+                .encode(&values, 1)
+                .unwrap();
+            assert_eq!(
+                chunk,
+                pack_activations(&values, bit_depth).unwrap(),
+                "R={bit_depth}"
+            );
         }
     }
 

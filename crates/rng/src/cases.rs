@@ -2,6 +2,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use crate::fnv1a_64;
 use crate::rngs::StdRng;
 
 /// Runs `body` on `n` cases, each with its own generator to draw inputs
@@ -11,7 +12,7 @@ use crate::rngs::StdRng;
 /// name, the case index and its seed; `StdRng::seed_from_u64(seed)`
 /// then replays that case alone.
 pub fn cases(name: &str, n: usize, mut body: impl FnMut(&mut StdRng)) {
-    let base = fnv1a(name.as_bytes());
+    let base = fnv1a_64(name.as_bytes());
     for i in 0..n {
         let seed = base.wrapping_add(i as u64);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -24,11 +25,4 @@ pub fn cases(name: &str, n: usize, mut body: impl FnMut(&mut StdRng)) {
             panic!("{name}: case {i} failed (seed {seed:#018x}): {cause}");
         }
     }
-}
-
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }

@@ -23,12 +23,27 @@
 //!
 //! [`rngs::StdRng::state`] and [`rngs::StdRng::from_state`] expose the
 //! four state words, so a checkpoint can store the generator itself.
+//!
+//! [`fnv1a_64`] is the workspace's one stable hash. It lives here
+//! because this crate depends on nothing, so every crate can reach it:
+//! `sl-net` frame checksums, `sl-store` chunk checksums, `sl-telemetry`
+//! trace ids, `sl-bench` config fingerprints and the [`cases`] seeds.
 
 mod cases;
 
 pub use cases::cases;
 
 use std::ops::{Range, RangeInclusive};
+
+/// 64-bit FNV-1a over `bytes`.
+pub fn fnv1a_64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
 
 /// The raw generator interface.
 pub trait RngCore {

@@ -2,7 +2,7 @@
 //! SplitMix64-seeded xoshiro256**, computed independently of the crate.
 
 use sl_rng::rngs::StdRng;
-use sl_rng::{cases, Rng, RngCore};
+use sl_rng::{cases, fnv1a_64, Rng, RngCore};
 
 #[test]
 fn golden_first_outputs() {
@@ -121,4 +121,12 @@ fn a_failing_case_names_its_seed() {
     let seed = u64::from_str_radix(hex, 16).unwrap();
     assert_eq!(entry.len(), 4);
     assert_eq!(StdRng::seed_from_u64(seed), entry[3]);
+}
+
+#[test]
+fn fnv1a_reference_vectors() {
+    // Published FNV-1a 64-bit test vectors.
+    assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
+    assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    assert_eq!(fnv1a_64(b"foobar"), 0x8594_4171_f739_67e8);
 }

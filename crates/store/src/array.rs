@@ -10,11 +10,12 @@
 
 use std::sync::Mutex;
 
+use sl_rng::fnv1a_64;
 use sl_tensor::ComputePool;
 
 use crate::codec::Codec;
 use crate::error::StoreError;
-use crate::manifest::{fnv1a_64, ChunkInfo, Manifest};
+use crate::manifest::{ChunkInfo, Manifest};
 use crate::metrics::StoreMetrics;
 use crate::storage::{StorageRead, StorageWrite};
 

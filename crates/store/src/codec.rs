@@ -6,8 +6,8 @@
 //! * [`Codec::Raw`] — little-endian IEEE-754 bits, any input.
 //! * [`Codec::Bitpack`] — `R` bits per value, MSB-first, for values on
 //!   the `2^R`-level quantizer grid `k / (2^R − 1)` (the cut-layer
-//!   activation alphabet; same packing as the `sl-net` uplink payload).
-//!   Off-grid input is a typed encode error.
+//!   activation alphabet; [`pack_levels`] is also the `sl-net` uplink
+//!   payload). Off-grid input is a typed encode error.
 //! * [`Codec::DeltaRle`] — XOR-delta of each value's bit pattern
 //!   against the same position in the *previous item* (lag =
 //!   `item_len`; the first item deltas against zero), followed by
@@ -79,7 +79,7 @@ impl Codec {
     pub fn encode(&self, values: &[f32], item_len: usize) -> Result<Vec<u8>, StoreError> {
         match self {
             Codec::Raw => Ok(encode_raw(values)),
-            Codec::Bitpack { bit_depth } => encode_bitpack(values, *bit_depth),
+            Codec::Bitpack { bit_depth } => pack_levels(values, *bit_depth),
             Codec::DeltaRle => Ok(encode_delta_rle(values, item_len.max(1))),
         }
     }
@@ -95,7 +95,7 @@ impl Codec {
     ) -> Result<Vec<f32>, StoreError> {
         match self {
             Codec::Raw => decode_raw(bytes, count),
-            Codec::Bitpack { bit_depth } => decode_bitpack(bytes, count, *bit_depth),
+            Codec::Bitpack { bit_depth } => unpack_levels(bytes, count, *bit_depth),
             Codec::DeltaRle => decode_delta_rle(bytes, count, item_len.max(1)),
         }
     }
@@ -123,42 +123,24 @@ fn decode_raw(bytes: &[u8], count: usize) -> Result<Vec<f32>, StoreError> {
         .collect())
 }
 
-/// Recovers the integer level `k` with `k / max == q` **bitwise**, for
-/// `q` on the quantizer grid (same neighbour search as the `sl-net`
-/// uplink packer: `round(q·max)` can land one off after the division
-/// round-trip, so the three candidates are checked against the exact bit
-/// pattern).
-fn level_of(q: f32, max: u32, bit_depth: usize) -> Result<u32, StoreError> {
-    if !q.is_finite() || !(0.0..=1.0).contains(&q) {
-        return Err(StoreError::OffGrid {
-            value: q,
-            bit_depth,
-        });
-    }
-    let maxf = max as f32;
-    let k0 = (q * maxf).round() as i64;
-    for dk in [0i64, -1, 1] {
-        let k = k0 + dk;
-        if !(0..=max as i64).contains(&k) {
-            continue;
-        }
-        if ((k as f32) / maxf).to_bits() == q.to_bits() {
-            return Ok(k as u32);
-        }
-    }
-    Err(StoreError::OffGrid {
-        value: q,
-        bit_depth,
-    })
-}
-
-fn encode_bitpack(values: &[f32], bit_depth: usize) -> Result<Vec<u8>, StoreError> {
-    debug_assert!((1..=16).contains(&bit_depth));
+/// Bit-packs values on the `2^R`-level quantizer grid `k / (2^R − 1)`
+/// into `R` bits per value, MSB-first, for `R` in `1..=24`. This is the
+/// one packing behind both [`Codec::Bitpack`] chunks and the `sl-net`
+/// uplink payload: `values.len() · R` bits, the paper's `B_UL`. A value
+/// off the grid (not finite, outside `[0, 1]` or between two levels) is
+/// a typed [`StoreError::OffGrid`].
+pub fn pack_levels(values: &[f32], bit_depth: usize) -> Result<Vec<u8>, StoreError> {
+    debug_assert!((1..=24).contains(&bit_depth));
     let max = (1u32 << bit_depth) - 1;
     let mut out = vec![0u8; (values.len() * bit_depth).div_ceil(8)];
     let mut bit = 0usize;
     for &q in values {
-        let k = level_of(q, max, bit_depth)?;
+        let Some(k) = level_of(q, max) else {
+            return Err(StoreError::OffGrid {
+                value: q,
+                bit_depth,
+            });
+        };
         for i in (0..bit_depth).rev() {
             if (k >> i) & 1 == 1 {
                 out[bit / 8] |= 1 << (7 - bit % 8);
@@ -169,11 +151,16 @@ fn encode_bitpack(values: &[f32], bit_depth: usize) -> Result<Vec<u8>, StoreErro
     Ok(out)
 }
 
-fn decode_bitpack(bytes: &[u8], count: usize, bit_depth: usize) -> Result<Vec<f32>, StoreError> {
+/// Unpacks `count` `R`-bit levels packed by [`pack_levels`] and
+/// reconstructs the grid values `k / (2^R − 1)`, bit-identical to the
+/// packed ones. A byte count other than `⌈count · R / 8⌉` is a typed
+/// [`StoreError::Corrupt`].
+pub fn unpack_levels(bytes: &[u8], count: usize, bit_depth: usize) -> Result<Vec<f32>, StoreError> {
+    debug_assert!((1..=24).contains(&bit_depth));
     let need = (count * bit_depth).div_ceil(8);
     if bytes.len() != need {
         return Err(StoreError::Corrupt(format!(
-            "bitpack chunk: got {} bytes, want {need} for {count} x {bit_depth}-bit values",
+            "bitpack: got {} bytes, want {need} for {count} x {bit_depth}-bit values",
             bytes.len()
         )));
     }
@@ -189,6 +176,30 @@ fn decode_bitpack(bytes: &[u8], count: usize, bit_depth: usize) -> Result<Vec<f3
         out.push(k as f32 / maxf);
     }
     Ok(out)
+}
+
+/// Recovers the integer level `k` with `k / max == q` **bitwise**, for
+/// `q` produced by `sl_core::Quantizer::quantize` (which computes
+/// `round(clamp(v)·max) / max` in f32), or `None` when `q` is off the
+/// grid. `round(q·max)` can land one off after the division round-trip,
+/// so the three neighbouring candidates are tested against the exact bit
+/// pattern.
+fn level_of(q: f32, max: u32) -> Option<u32> {
+    if !(0.0..=1.0).contains(&q) {
+        return None;
+    }
+    let maxf = max as f32;
+    let k0 = (q * maxf).round() as i64;
+    for dk in [0i64, -1, 1] {
+        let k = k0 + dk;
+        if !(0..=max as i64).contains(&k) {
+            continue;
+        }
+        if ((k as f32) / maxf).to_bits() == q.to_bits() {
+            return Some(k as u32);
+        }
+    }
+    None
 }
 
 fn encode_delta_rle(values: &[f32], lag: usize) -> Vec<u8> {

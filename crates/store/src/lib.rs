@@ -13,7 +13,7 @@
 //!
 //! * [`Codec::Raw`] — LE IEEE-754 bits,
 //! * [`Codec::Bitpack`] — `R`-bit level packing of quantizer-grid values
-//!   (the `sl-net` uplink payload layout),
+//!   ([`pack_levels`], which also packs the `sl-net` uplink payload),
 //! * [`Codec::DeltaRle`] — XOR-delta + byte RLE, built for
 //!   mostly-static depth maps; lossless for arbitrary bit patterns.
 //!
@@ -56,12 +56,12 @@ mod metrics;
 mod storage;
 
 pub use array::{read_array, read_items, read_manifest, write_array};
-pub use codec::Codec;
+pub use codec::{pack_levels, unpack_levels, Codec};
 pub use error::StoreError;
 pub use knobs::{
     configured_chunk_items, configured_chunk_values, configured_codec, DEFAULT_CHUNK_VALUES,
 };
 pub use log::ActivationLog;
-pub use manifest::{fnv1a_64, ChunkInfo, Manifest, MANIFEST_VERSION};
+pub use manifest::{ChunkInfo, Manifest, MANIFEST_VERSION};
 pub use metrics::StoreMetrics;
 pub use storage::{DirStorage, MemStorage, StorageRead, StorageWrite};

@@ -12,9 +12,11 @@
 //! paths, and a crash between the two writes loses at most the final
 //! batch.
 
+use sl_rng::fnv1a_64;
+
 use crate::codec::Codec;
 use crate::error::StoreError;
-use crate::manifest::{fnv1a_64, ChunkInfo, Manifest};
+use crate::manifest::{ChunkInfo, Manifest};
 use crate::metrics::StoreMetrics;
 use crate::storage::{StorageRead, StorageWrite};
 

@@ -21,18 +21,6 @@ use crate::error::StoreError;
 /// Manifest format version.
 pub const MANIFEST_VERSION: u64 = 1;
 
-/// FNV-1a 64-bit over `bytes` — the workspace's standard dependency-free
-/// hash (`sl-net` frames, `sl-bench` config fingerprints), duplicated so
-/// the store stays self-contained at the byte level.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// One chunk's manifest entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkInfo {
@@ -225,13 +213,5 @@ mod tests {
         assert!(Manifest::from_json("{}").is_err());
         let wrong_version = sample().to_json().replace("\"version\":1", "\"version\":9");
         assert!(Manifest::from_json(&wrong_version).is_err());
-    }
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Canonical FNV-1a 64 test vectors.
-        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a_64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 }

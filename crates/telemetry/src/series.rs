@@ -14,11 +14,8 @@
 //!   (`Telemetry::should_sample`, `SLM_SAMPLE_EVERY`) — a property of
 //!   the deterministic training loop, not of elapsed host time.
 //!
-//! Exports are a one-line-per-metric `series.jsonl` (byte-stable:
-//! `verify.sh` literally `cmp`s two runs) and a delta-encoded compact
-//! binary (`series.bin`): consecutive samples XOR their `f64` bit
-//! patterns and LEB128-encode the difference, which collapses the
-//! slowly-varying high bits of neighbouring floats to a few bytes.
+//! The export is a one-line-per-metric `series.jsonl` (byte-stable:
+//! `verify.sh` literally `cmp`s two runs).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
@@ -30,9 +27,6 @@ use crate::json::{self, JsonArray, JsonObject, JsonValue};
 /// or quick run at the default cadence, bounded for long-running
 /// servers.
 pub const DEFAULT_SERIES_CAPACITY: usize = 4096;
-
-/// Magic prefix of the compact binary export.
-const BINARY_MAGIC: &[u8; 4] = b"SLS1";
 
 /// One metric's ring buffer of `(sim_time_s, value)` samples.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -217,157 +211,15 @@ impl SeriesStore {
         })
     }
 
-    /// Serializes the store as a compact delta-encoded binary.
-    ///
-    /// Layout (all integers little-endian): magic `SLS1`, `u32` metric
-    /// count, then per metric (sorted order): `u32` name length + UTF-8
-    /// name, `u64` dropped, `u32` sample count, first sample as two raw
-    /// `f64` bit patterns, and each later sample as two LEB128 varints
-    /// holding the XOR of its `f64` bits with the previous sample's.
-    pub fn to_binary(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(BINARY_MAGIC);
-        out.extend_from_slice(&(self.series.len() as u32).to_le_bytes());
-        for (name, s) in &self.series {
-            out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(&s.dropped.to_le_bytes());
-            out.extend_from_slice(&(s.samples.len() as u32).to_le_bytes());
-            let mut prev = (0u64, 0u64);
-            for (i, (t, v)) in s.iter().enumerate() {
-                let bits = (t.to_bits(), v.to_bits());
-                if i == 0 {
-                    out.extend_from_slice(&bits.0.to_le_bytes());
-                    out.extend_from_slice(&bits.1.to_le_bytes());
-                } else {
-                    push_leb128(bits.0 ^ prev.0, &mut out);
-                    push_leb128(bits.1 ^ prev.1, &mut out);
-                }
-                prev = bits;
-            }
-        }
-        out
-    }
-
-    /// Parses a store serialized by [`SeriesStore::to_binary`] —
-    /// the exact inverse (bit-exact samples).
-    pub fn from_binary(bytes: &[u8]) -> Result<SeriesStore, String> {
-        let mut r = BinReader { bytes, pos: 0 };
-        if r.take(4)? != BINARY_MAGIC {
-            return Err("series binary: bad magic".into());
-        }
-        let num_series = r.u32()? as usize;
-        let mut cap = 1;
-        let mut series = BTreeMap::new();
-        for _ in 0..num_series {
-            let name_len = r.u32()? as usize;
-            let name = std::str::from_utf8(r.take(name_len)?)
-                .map_err(|_| "series binary: bad metric name".to_string())?
-                .to_string();
-            let dropped = r.u64()?;
-            let count = r.u32()? as usize;
-            let mut s = Series {
-                samples: VecDeque::with_capacity(count),
-                dropped,
-            };
-            let mut prev = (0u64, 0u64);
-            for i in 0..count {
-                let bits = if i == 0 {
-                    (r.u64()?, r.u64()?)
-                } else {
-                    (r.leb128()? ^ prev.0, r.leb128()? ^ prev.1)
-                };
-                s.samples
-                    .push_back((f64::from_bits(bits.0), f64::from_bits(bits.1)));
-                prev = bits;
-            }
-            cap = cap.max(s.samples.len());
-            series.insert(name, s);
-        }
-        if r.pos != bytes.len() {
-            return Err("series binary: trailing bytes".into());
-        }
-        Ok(SeriesStore {
-            capacity: cap,
-            series,
-        })
-    }
-
     /// Writes the JSONL export to `path`.
     pub fn write_jsonl(&self, path: &Path) -> io::Result<()> {
         std::fs::write(path, self.to_jsonl())
-    }
-
-    /// Writes the binary export to `path`.
-    pub fn write_binary(&self, path: &Path) -> io::Result<()> {
-        std::fs::write(path, self.to_binary())
     }
 }
 
 impl Default for SeriesStore {
     fn default() -> Self {
         SeriesStore::new(DEFAULT_SERIES_CAPACITY)
-    }
-}
-
-/// Appends `v` as an unsigned LEB128 varint.
-fn push_leb128(mut v: u64, out: &mut Vec<u8>) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-struct BinReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> BinReader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| "series binary: truncated".to_string())?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        let b = self.take(4)?;
-        let mut raw = [0u8; 4];
-        raw.copy_from_slice(b);
-        Ok(u32::from_le_bytes(raw))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let b = self.take(8)?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(b);
-        Ok(u64::from_le_bytes(raw))
-    }
-
-    fn leb128(&mut self) -> Result<u64, String> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.take(1)?[0];
-            if shift >= 63 && byte > 1 {
-                return Err("series binary: varint overflow".into());
-            }
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
     }
 }
 
@@ -431,41 +283,6 @@ mod tests {
         assert!(SeriesStore::from_jsonl("{\"metric\":\"m\"}").is_err());
         assert!(SeriesStore::from_jsonl("{\"samples\":[[0,1]]}").is_err());
         assert!(SeriesStore::from_jsonl("{\"metric\":\"m\",\"samples\":[[0]]}").is_err());
-    }
-
-    #[test]
-    fn binary_round_trip_is_bit_exact() {
-        let mut s = sample_store();
-        // Awkward values: denormals-adjacent, negatives, huge exponents.
-        s.push("edge", 1e-300, -1e300);
-        s.push("edge", 2e-300, -0.0);
-        let bytes = s.to_binary();
-        let back = SeriesStore::from_binary(&bytes).unwrap();
-        assert_eq!(back.series, s.series);
-        // Deterministic: same store, same bytes.
-        assert_eq!(s.to_binary(), bytes);
-    }
-
-    #[test]
-    fn binary_delta_is_compact_for_smooth_series() {
-        let mut s = SeriesStore::new(1024);
-        for i in 0..1000 {
-            s.push("m", i as f64, 3.5);
-        }
-        // Constant values XOR to zero (1 byte each); raw encoding would
-        // be 16 bytes per sample.
-        assert!(s.to_binary().len() < 1000 * 10);
-    }
-
-    #[test]
-    fn binary_rejects_malformed_input() {
-        assert!(SeriesStore::from_binary(b"").is_err());
-        assert!(SeriesStore::from_binary(b"BAD!").is_err());
-        let mut ok = sample_store().to_binary();
-        ok.push(0); // trailing byte
-        assert!(SeriesStore::from_binary(&ok).is_err());
-        let truncated = &sample_store().to_binary()[..10];
-        assert!(SeriesStore::from_binary(truncated).is_err());
     }
 
     #[test]

@@ -21,6 +21,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
+use sl_rng::fnv1a_64;
+
 use crate::events::{Event, Value};
 use crate::json::{JsonArray, JsonObject, JsonValue};
 use crate::{EventBuilder, Telemetry};
@@ -29,17 +31,6 @@ use crate::{EventBuilder, Telemetry};
 /// BS (counter from `BS_SPAN_NAMESPACE | 1`) ids never collide inside
 /// one merged trace.
 pub const BS_SPAN_NAMESPACE: u64 = 1 << 63;
-
-/// FNV-1a (64-bit) — the workspace's dependency-free stable hash; used
-/// here to derive a trace id from a run's configuration fingerprint.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// One closed span.
 #[derive(Debug, Clone, PartialEq)]

@@ -72,6 +72,17 @@ if [[ "$blocked" -eq 0 ]]; then
         --semantic --json-out results/lint.json || blocked=1
 fi
 
+# Layering: the socket runtime never depends on the experiment harness.
+# sl-bench runs Fig. 3a over sl-net, so the edge goes the other way.
+layering() {
+    local tree
+    tree="$(cargo tree --offline -e normal -p sl-net)" || return 1
+    ! grep -q "sl-bench" <<<"$tree"
+}
+if [[ "$blocked" -eq 0 ]]; then
+    stage layering layering
+fi
+
 # The API docs build warning-free: broken intra-doc links, links to
 # private items and bare `[n]` citations that rustdoc reads as links all
 # fail here. Later stages do not depend on it, so a failure blocks none.
@@ -170,7 +181,8 @@ if [[ "$fast" -eq 0 && "$blocked" -eq 0 ]]; then
         --check "$bench_dir/fig3a"
 
     # Networked runtime: the same five smoke configurations over a real
-    # loopback socket (slm-bs serving one session per configuration)
+    # loopback socket (fig3a --addr-file as the UE, slm-bs serving one
+    # session per configuration)
     # must reproduce the in-process figure CSV byte-for-byte — the
     # sl-net determinism contract (DESIGN.md §9). The port file doubles
     # as the server's readiness signal. Both sides run traced: slm-trace
@@ -184,8 +196,7 @@ if [[ "$fast" -eq 0 && "$blocked" -eq 0 ]]; then
         mkdir -p results/fig3a_net
         rm -f results/fig3a_net/bs.port results/fig3a_net/bs.metrics \
             results/fig3a_net/slm_bs.jsonl results/fig3a_net/fig3a_net.jsonl \
-            results/fig3a_net/series.jsonl results/fig3a_net/series.bin \
-            results/fig3a_net/slm_bs.snapshot.json
+            results/fig3a_net/series.jsonl results/fig3a_net/slm_bs.snapshot.json
         env SLM_THREADS=1 SLM_TELEMETRY=jsonl SLM_TRACE=on \
             SLM_TELEMETRY_PATH=results/fig3a_net \
             cargo run --release -q -p sl-net --bin slm-bs -- \
@@ -201,14 +212,14 @@ if [[ "$fast" -eq 0 && "$blocked" -eq 0 ]]; then
         # that the exposition parses, then the grep asserts it carries
         # both aggregate (net.frames.*) and per-session metrics.
         env SLM_THREADS=1 SLM_PROFILE=smoke SLM_TELEMETRY=jsonl SLM_TRACE=on \
-            cargo run --release -q -p sl-net --bin slm-ue -- \
+            cargo run --release -q -p sl-bench --bin fig3a -- \
             --addr-file results/fig3a_net/bs.port &
         ue_pid=$!
         if [[ "$tag" == run1 ]]; then
             scrape=""
             for _ in $(seq 1 150); do
                 if [[ -s results/fig3a_net/bs.metrics ]]; then
-                    scrape="$(cargo run --release -q -p sl-net --bin slm-top -- \
+                    scrape="$(cargo run --release -q -p sl-bench --bin slm-top -- \
                         --addr "$(cat results/fig3a_net/bs.metrics)" --once --raw \
                         2>/dev/null || true)"
                     grep -q "net\.frames" <<<"$scrape" \

@@ -109,17 +109,6 @@ impl Activation {
         }
     }
 
-    /// [`Activation::apply`] in place.
-    fn apply_inplace(&self, data: &mut [f32]) {
-        use ActivationKind as K;
-        match self.kind {
-            K::Relu => data.iter_mut().for_each(|v| *v = K::Relu.apply(*v)),
-            K::Sigmoid => data.iter_mut().for_each(|v| *v = K::Sigmoid.apply(*v)),
-            K::Tanh => data.iter_mut().for_each(|v| *v = K::Tanh.apply(*v)),
-            K::Identity => {}
-        }
-    }
-
     /// Copies a forward output into the cache, reusing its buffer.
     fn store(&mut self, out: &Tensor) {
         let mut buf = std::mem::replace(&mut self.cache, Tensor::from_slice(&[])).into_vec();
@@ -130,7 +119,7 @@ impl Activation {
     }
 
     /// Scales `grad` in place by the derivative at the cached outputs `y`
-    /// (kind matched once per call, as in [`Activation::apply_inplace`]).
+    /// (kind matched once per call, as in [`Activation::apply`]).
     fn scale_by_derivative(&self, grad: &mut [f32], y: &[f32]) {
         use ActivationKind as K;
         let pairs = grad.iter_mut().zip(y);
@@ -150,26 +139,11 @@ impl Layer for Activation {
         out
     }
 
-    fn forward_owned(&mut self, mut input: Tensor) -> Tensor {
-        self.apply_inplace(input.data_mut());
-        self.store(&input);
-        input
-    }
-
     fn infer(&self, input: &Tensor) -> Tensor {
         self.apply(input)
     }
 
-    fn infer_owned(&self, mut input: Tensor) -> Tensor {
-        self.apply_inplace(input.data_mut());
-        input
-    }
-
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.backward_owned(grad_out.clone())
-    }
-
-    fn backward_owned(&mut self, mut grad_out: Tensor) -> Tensor {
         assert!(
             self.pending,
             "Activation::backward called without a preceding forward"
@@ -182,8 +156,9 @@ impl Layer for Activation {
             grad_out.shape(),
             self.cache.shape()
         );
-        self.scale_by_derivative(grad_out.data_mut(), self.cache.data());
-        grad_out
+        let mut grad_in = grad_out.clone();
+        self.scale_by_derivative(grad_in.data_mut(), self.cache.data());
+        grad_in
     }
 
     fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {

@@ -10,15 +10,14 @@ use crate::Layer;
 /// as a single layer: the paper's UE CNN, the map the average-pooling cut
 /// layer compresses.
 ///
-/// Bit for bit the four-layer [`Sequential`](crate::Sequential) of
-/// [`Conv2d`](crate::Conv2d), [`Activation::relu`](crate::Activation::relu),
-/// `Conv2d` and [`Activation::sigmoid`](crate::Activation::sigmoid) it
-/// replaces: the same outputs, the same gradients, the same parameters
-/// in the same order (`[w1 C×1×k×k, b1 C, w2 1×C×k×k, b2 1]`) and the
-/// same He-normal draws. What differs is memory: each image's C-channel
-/// hidden map exists only inside its pool job (see `sl_tensor`'s
-/// `fused_cnn`), so the forward caches just the 1-channel input and
-/// sigmoid output, and the backward recomputes the hidden map.
+/// Bit for bit the unfused chain of `sl_tensor`'s `conv2d`, ReLU,
+/// `conv2d` and sigmoid, with `conv2d_backward` for the gradients: the
+/// same outputs and the same gradients, over parameters in the order
+/// `[w1 C×1×k×k, b1 C, w2 1×C×k×k, b2 1]`, He-normal drawn `w1` first.
+/// What the fusion saves is memory: each image's C-channel hidden map
+/// exists only inside its pool job (see `sl_tensor`'s `fused_cnn`), so
+/// the forward caches just the 1-channel input and sigmoid output, and
+/// the backward recomputes the hidden map.
 pub struct FusedCnn {
     w1: Tensor,
     b1: Tensor,
@@ -47,10 +46,9 @@ fn store(buf: &mut Tensor, src: &Tensor) {
 
 impl FusedCnn {
     /// A CNN with `channels` hidden channels and a square `kernel ×
-    /// kernel` filter, He-initialized in the order the two separate
-    /// convolutions draw (first `w1`, then `w2`; biases zero). The kernel
-    /// must be odd for 'same' padding; [`Layer::out_shape`] reports an
-    /// even one.
+    /// kernel` filter, He-initialized (first `w1`, then `w2`; biases
+    /// zero). The kernel must be odd for 'same' padding;
+    /// [`Layer::out_shape`] reports an even one.
     pub fn new(channels: usize, kernel: usize, rng: &mut impl Rng) -> Self {
         assert!(
             channels > 0 && kernel > 0,
@@ -128,14 +126,6 @@ impl Layer for FusedCnn {
         out
     }
 
-    fn forward_owned(&mut self, input: Tensor) -> Tensor {
-        let out = self.infer(&input);
-        self.input = input;
-        store(&mut self.output, &out);
-        self.pending = true;
-        out
-    }
-
     fn infer(&self, input: &Tensor) -> Tensor {
         fused_cnn(input, self.params())
     }
@@ -190,8 +180,8 @@ impl Layer for FusedCnn {
         if input_dims.len() != 4 {
             return 0.0;
         }
-        // The four layers it replaces: two convolutions at 2 FLOPs per
-        // MAC, ReLU at 1 per hidden element, sigmoid at 4 per output.
+        // The unfused chain: two convolutions at 2 FLOPs per MAC, ReLU at
+        // 1 per hidden element, sigmoid at 4 per output.
         let px = input_dims[0] * input_dims[2] * input_dims[3];
         let (c, k) = (self.channels(), self.kernel());
         let conv = 2.0 * px as f64 * (c * k * k) as f64;
@@ -203,19 +193,28 @@ impl Layer for FusedCnn {
 mod tests {
     use super::*;
     use crate::grad_check::check_gradients;
-    use crate::{Activation, Conv2d, Sequential};
+    use crate::{Activation, ActivationKind, Sequential};
     use sl_rng::rngs::StdRng;
-    use sl_tensor::Padding;
+    use sl_tensor::{conv2d, conv2d_backward, sigmoid, Padding};
 
-    /// The four-layer stack the fused layer replaces, drawn from the same
-    /// seed.
-    fn unfused(channels: usize, seed: u64) -> Sequential {
-        let mut rng = StdRng::seed_from_u64(seed);
-        Sequential::new()
-            .push(Conv2d::new(1, channels, 3, Padding::Same, &mut rng))
-            .push(Activation::relu())
-            .push(Conv2d::new(channels, 1, 3, Padding::Same, &mut rng))
-            .push(Activation::sigmoid())
+    /// The unfused chain the layer replaces, on `sl-tensor`'s public
+    /// kernels and `cnn`'s parameters: `conv2d → ReLU → conv2d → sigmoid`
+    /// forward, `conv2d_backward` through sigmoid′ and ReLU′ backward.
+    /// Returns the output, the input gradient and the parameter gradients
+    /// in `params_and_grads` order.
+    fn unfused(cnn: &FusedCnn, x: &Tensor, g: &Tensor) -> (Tensor, Tensor, [Tensor; 4]) {
+        let hid = conv2d(x, &cnn.w1, &cnn.b1, Padding::Same).map(|v| v.max(0.0));
+        let y = conv2d(&hid, &cnn.w2, &cnn.b2, Padding::Same).map(sigmoid);
+        let gy = g.zip(&y, |g, y| {
+            g * ActivationKind::Sigmoid.derivative_from_output(y)
+        });
+        let c2 = conv2d_backward(&hid, &cnn.w2, &gy, Padding::Same);
+        let gh = c2.grad_input.zip(&hid, |g, a| {
+            g * ActivationKind::Relu.derivative_from_output(a)
+        });
+        let c1 = conv2d_backward(x, &cnn.w1, &gh, Padding::Same);
+        let grads = [c1.grad_weight, c1.grad_bias, c2.grad_weight, c2.grad_bias];
+        (y, c1.grad_input, grads)
     }
 
     fn fused(channels: usize, seed: u64) -> FusedCnn {
@@ -234,30 +233,43 @@ mod tests {
             .collect()
     }
 
-    fn param_bits(layer: &mut dyn Layer) -> Vec<Vec<u32>> {
-        layer
-            .params_and_grads()
-            .iter()
-            .map(|(p, _)| bits(p))
-            .collect()
-    }
-
     #[test]
-    fn matches_the_four_layer_stack_bitwise() {
+    fn matches_the_unfused_tensor_chain_bitwise() {
         for (channels, h, w) in [(8usize, 16usize, 16usize), (3, 7, 5), (1, 6, 9)] {
-            let mut old = unfused(channels, 7);
             let mut new = fused(channels, 7);
-            // Same init, same parameter order and shapes.
-            assert_eq!(param_bits(&mut new), param_bits(&mut old), "C={channels}");
+            // He-normal draws in parameter order, `w1` then `w2`, biases
+            // zero.
+            let mut rng = StdRng::seed_from_u64(7);
+            let w1 = sl_tensor::he_normal([channels, 1, 3, 3], 9, &mut rng);
+            let w2 = sl_tensor::he_normal([1, channels, 3, 3], channels * 9, &mut rng);
+            let init = [w1, Tensor::zeros([channels]), w2, Tensor::zeros([1])];
+            let params: Vec<Vec<u32>> = new
+                .params_and_grads()
+                .iter()
+                .map(|(p, _)| bits(p))
+                .collect();
+            assert_eq!(
+                params,
+                init.iter().map(bits).collect::<Vec<_>>(),
+                "C={channels}"
+            );
             let mut rng = StdRng::seed_from_u64(8);
             let x = sl_tensor::randn([3, 1, h, w], 0.0, 1.0, &mut rng);
             let g = sl_tensor::randn([3, 1, h, w], 0.0, 1.0, &mut rng);
             // Two steps, so the gradients accumulate.
+            let mut acc = [
+                Tensor::zeros([channels, 1, 3, 3]),
+                Tensor::zeros([channels]),
+                Tensor::zeros([1, channels, 3, 3]),
+                Tensor::zeros([1]),
+            ];
             for _ in 0..2 {
-                let y = old.forward(&x);
+                let (y, gx, grads) = unfused(&new, &x, &g);
+                for (a, step) in acc.iter_mut().zip(&grads) {
+                    a.add_inplace(step);
+                }
                 assert_eq!(bits(&new.forward(&x)), bits(&y), "forward C={channels}");
                 assert_eq!(bits(&new.infer(&x)), bits(&y), "infer C={channels}");
-                let gx = old.backward(&g);
                 assert_eq!(
                     bits(&new.backward(&g)),
                     bits(&gx),
@@ -265,7 +277,7 @@ mod tests {
                 );
                 assert_eq!(
                     grad_bits(&mut new),
-                    grad_bits(&mut old),
+                    acc.iter().map(bits).collect::<Vec<_>>(),
                     "grads C={channels}"
                 );
             }
@@ -307,16 +319,16 @@ mod tests {
     }
 
     #[test]
-    fn flops_equal_the_four_layers() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let conv1 = Conv2d::new(1, 8, 3, Padding::Same, &mut rng);
-        let conv2 = Conv2d::new(8, 1, 3, Padding::Same, &mut rng);
+    fn flops_equal_the_unfused_chain() {
         let (x, h) = ([4usize, 1, 40, 40], [4usize, 8, 40, 40]);
-        let four = conv1.flops_forward(&x)
+        // Each 'same' convolution: 2 FLOPs per MAC, 8×1×3×3 MACs per
+        // pixel.
+        let conv = 2.0 * (4 * 40 * 40) as f64 * (8 * 9) as f64;
+        let chain = conv
             + Activation::relu().flops_forward(&h)
-            + conv2.flops_forward(&h)
+            + conv
             + Activation::sigmoid().flops_forward(&x);
-        assert_eq!(fused(8, 1).flops_forward(&x), four);
+        assert_eq!(fused(8, 1).flops_forward(&x), chain);
     }
 
     /// The shape error for `dims` when `layer` heads a stack, located at

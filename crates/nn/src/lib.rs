@@ -8,14 +8,14 @@
 //! `sl-core` must intercept the cut-layer activations and gradients to
 //! ship them over the simulated wireless link.
 //!
-//! Provided layers: [`Dense`], [`Conv2d`], [`AvgPool2d`], [`Activation`]
-//! (ReLU/sigmoid/tanh), two recurrent cells — [`Lstm`] (the default) and [`Gru`] — and
-//! [`FusedCnn`], the UE's `conv → ReLU → conv → sigmoid` CNN as one layer
-//! that runs per image and recomputes its hidden map in the backward
-//! (bit for bit the four separate layers), plus a [`Sequential`]
-//! container. Optimizers: [`Sgd`] and [`Adam`] (the paper
-//! trains with Adam, lr 1e-3, β₁ 0.9, β₂ 0.999). Losses: [`mse_loss`],
-//! [`mae_loss`], [`huber_loss`].
+//! Provided layers: [`FusedCnn`], the UE's `conv → ReLU → conv → sigmoid`
+//! CNN as one layer that runs per image and recomputes its hidden map in
+//! the backward; [`AvgPool2d`], the cut layer; two recurrent cells,
+//! [`Lstm`] (the default) and [`Gru`]; [`Dense`]; and the elementwise
+//! [`Activation`] (ReLU/sigmoid/tanh). [`Sequential`] chains them. The
+//! optimizer is [`Adam`] behind the [`Optimizer`] trait (the paper trains
+//! with Adam, lr 1e-3, β₁ 0.9, β₂ 0.999) and the loss is [`mse_loss`],
+//! with [`rmse`] as the validation metric.
 //!
 //! Every layer is deterministic given its initialization RNG, and every
 //! backward pass in this crate is validated against central finite
@@ -44,7 +44,6 @@
 //! ```
 
 mod activation;
-mod conv_layer;
 mod dense;
 mod fused_cnn;
 mod grad_check;
@@ -57,14 +56,13 @@ mod sequential;
 pub mod shape;
 
 pub use activation::{Activation, ActivationKind};
-pub use conv_layer::Conv2d;
 pub use dense::Dense;
 pub use fused_cnn::FusedCnn;
 pub use grad_check::{check_gradients, numerical_gradient, GradCheckReport};
 pub use gru::Gru;
-pub use loss::{huber_loss, mae_loss, mse_loss, rmse, LossValue};
+pub use loss::{mse_loss, rmse, LossValue};
 pub use lstm::Lstm;
-pub use optim::{clip_global_norm, Adam, Optimizer, Sgd};
+pub use optim::{clip_global_norm, Adam, Optimizer};
 pub use pool_layer::AvgPool2d;
 pub use sequential::Sequential;
 pub use shape::{ShapeError, ShapeStep, ShapeTrace};
@@ -87,20 +85,11 @@ use sl_tensor::Tensor;
 /// `backward` must be called at most once per `forward` (caches are
 /// consumed); calling it without a preceding `forward` panics.
 ///
-/// The `*_owned` variants take their operand by value so that a layer can
-/// work in place on a buffer nobody else needs, or cache it by move,
-/// instead of allocating and cloning; [`Sequential`] hands every layer
-/// after the first the previous layer's output this way. Their defaults
-/// fall back to the borrowing methods, and every override must return
-/// bit for bit what the borrowing method returns.
+/// Every pass borrows its operand: [`Sequential`] lends each layer the
+/// previous layer's output.
 pub trait Layer {
     /// Runs the layer on `input`, caching intermediates for `backward`.
     fn forward(&mut self, input: &Tensor) -> Tensor;
-
-    /// [`Layer::forward`] on an input the caller no longer needs.
-    fn forward_owned(&mut self, input: Tensor) -> Tensor {
-        self.forward(&input)
-    }
 
     /// Inference: the output [`Layer::forward`] returns, computed
     /// without touching the backward cache or any other state, so it can
@@ -108,20 +97,10 @@ pub trait Layer {
     /// disturbing it.
     fn infer(&self, input: &Tensor) -> Tensor;
 
-    /// [`Layer::infer`] on an input the caller no longer needs.
-    fn infer_owned(&self, input: Tensor) -> Tensor {
-        self.infer(&input)
-    }
-
     /// Backpropagates `grad_out` (same shape as the last `forward`
     /// output), accumulating parameter gradients and returning the
     /// gradient with respect to the last input.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
-
-    /// [`Layer::backward`] on a gradient the caller no longer needs.
-    fn backward_owned(&mut self, grad_out: Tensor) -> Tensor {
-        self.backward(&grad_out)
-    }
 
     /// [`Layer::backward`] for a caller that discards the input gradient:
     /// accumulates exactly the same parameter gradients, and may skip

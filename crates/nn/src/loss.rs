@@ -1,8 +1,7 @@
 //! Regression losses.
 //!
 //! The paper minimizes minibatch mean-squared error on the predicted
-//! received power and reports accuracy as root-MSE in dB; both live here,
-//! together with MAE and Huber variants used by the robustness ablations.
+//! received power and reports accuracy as root-MSE in dB; both live here.
 
 use sl_tensor::Tensor;
 
@@ -35,46 +34,6 @@ pub fn mse_loss(prediction: &Tensor, target: &Tensor) -> LossValue {
         loss: diff.sum_sq() / n,
         grad: diff.scale(2.0 / n),
     }
-}
-
-/// Mean absolute error: `mean(|ŷ - y|)`.
-pub fn mae_loss(prediction: &Tensor, target: &Tensor) -> LossValue {
-    check_shapes("mae_loss", prediction, target);
-    let n = prediction.numel() as f32;
-    let diff = prediction.sub(target);
-    LossValue {
-        loss: diff.map(f32::abs).sum() / n,
-        grad: diff.map(|d| d.signum() / n),
-    }
-}
-
-/// Huber loss with threshold `delta`: quadratic near zero, linear in the
-/// tails — robust to the deep fades the blockage traces contain.
-pub fn huber_loss(prediction: &Tensor, target: &Tensor, delta: f32) -> LossValue {
-    assert!(delta > 0.0, "huber_loss: delta must be positive");
-    check_shapes("huber_loss", prediction, target);
-    let n = prediction.numel() as f32;
-    let diff = prediction.sub(target);
-    let loss = diff
-        .data()
-        .iter()
-        .map(|&d| {
-            if d.abs() <= delta {
-                0.5 * d * d
-            } else {
-                delta * (d.abs() - 0.5 * delta)
-            }
-        })
-        .sum::<f32>()
-        / n;
-    let grad = diff.map(|d| {
-        if d.abs() <= delta {
-            d / n
-        } else {
-            delta * d.signum() / n
-        }
-    });
-    LossValue { loss, grad }
 }
 
 /// Root mean squared error between two equally-shaped tensors — the
@@ -120,27 +79,6 @@ mod tests {
             let fd = (up - down) / (2.0 * eps);
             assert!((fd - l.grad.data()[k]).abs() < 1e-3);
         }
-    }
-
-    #[test]
-    fn mae_value_and_grad_signs() {
-        let pred = Tensor::from_slice(&[2.0, -2.0]);
-        let target = Tensor::from_slice(&[0.0, 0.0]);
-        let l = mae_loss(&pred, &target);
-        assert_eq!(l.loss, 2.0);
-        assert_eq!(l.grad.data(), &[0.5, -0.5]);
-    }
-
-    #[test]
-    fn huber_interpolates_mse_and_mae() {
-        let pred = Tensor::from_slice(&[0.1, 5.0]);
-        let target = Tensor::from_slice(&[0.0, 0.0]);
-        let l = huber_loss(&pred, &target, 1.0);
-        // 0.1 is in the quadratic region, 5.0 in the linear region.
-        let expect = (0.5 * 0.01 + 1.0 * (5.0 - 0.5)) / 2.0;
-        assert!((l.loss - expect).abs() < 1e-6);
-        // Linear-region gradient magnitude is delta/n.
-        assert!((l.grad.data()[1] - 0.5).abs() < 1e-6);
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Optimizers: SGD (with momentum) and Adam.
+//! The optimizer: Adam.
 //!
 //! The paper trains with Adam at learning rate `0.001` and decay rates
-//! `β₁ = 0.9`, `β₂ = 0.999` ([`Adam::paper`]); plain SGD is kept for
-//! ablations. Optimizer state is keyed positionally: callers must present
-//! the same `(param, grad)` list, in the same order, on every step — the
+//! `β₁ = 0.9`, `β₂ = 0.999` ([`Adam::paper`]). Optimizer state is keyed
+//! positionally: callers must present the same `(param, grad)` list, in
+//! the same order, on every step — the
 //! [`Layer::params_and_grads`](crate::Layer::params_and_grads) contract
 //! guarantees exactly that.
 
@@ -18,65 +18,6 @@ pub trait Optimizer {
 
     /// The current learning rate.
     fn learning_rate(&self) -> f32;
-}
-
-/// Stochastic gradient descent with optional classical momentum.
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Plain SGD with learning rate `lr`.
-    pub fn new(lr: f32) -> Self {
-        Sgd::with_momentum(lr, 0.0)
-    }
-
-    /// SGD with momentum coefficient `momentum ∈ [0, 1)`.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        assert!(lr > 0.0, "Sgd: learning rate must be positive");
-        assert!(
-            (0.0..1.0).contains(&momentum),
-            "Sgd: momentum must be in [0, 1)"
-        );
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [(&mut Tensor, &mut Tensor)]) {
-        if self.velocity.is_empty() {
-            self.velocity = params
-                .iter()
-                .map(|(p, _)| Tensor::zeros(p.dims()))
-                .collect();
-        }
-        assert_eq!(
-            self.velocity.len(),
-            params.len(),
-            "Sgd: parameter list changed length between steps"
-        );
-        for ((param, grad), vel) in params.iter_mut().zip(&mut self.velocity) {
-            for ((p, &g), v) in param
-                .data_mut()
-                .iter_mut()
-                .zip(grad.data())
-                .zip(vel.data_mut())
-            {
-                *v = self.momentum * *v + g;
-                *p -= self.lr * *v;
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
 }
 
 /// Adam (Kingma & Ba, 2015) with bias-corrected moment estimates.
@@ -253,20 +194,6 @@ mod tests {
             opt.step(&mut pairs);
         }
         x.data()[0]
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        let x = quadratic_descent(&mut opt, 100);
-        assert!(x.abs() < 1e-3, "x = {x}");
-    }
-
-    #[test]
-    fn sgd_momentum_accelerates() {
-        let slow = quadratic_descent(&mut Sgd::new(0.01), 40).abs();
-        let fast = quadratic_descent(&mut Sgd::with_momentum(0.01, 0.9), 40).abs();
-        assert!(fast < slow, "momentum {fast} not faster than plain {slow}");
     }
 
     #[test]

@@ -16,12 +16,10 @@ use crate::Layer;
 /// in `sl-core` owns one per side and moves the cut-layer tensors between
 /// them through the simulated channel.
 ///
-/// Every layer after the first receives the previous layer's output by
-/// value ([`Layer::forward_owned`], [`Layer::backward_owned`]), so
-/// elementwise layers work in place and caching layers keep their input
-/// by move. [`Layer::backward_params`] runs the backward for a caller that
-/// discards the input gradient, letting the first layer skip it (the UE's
-/// fused CNN skips the depth-image gradient this way).
+/// Each layer borrows the previous layer's output, which is dropped once
+/// the next layer has run. [`Layer::backward_params`] runs the backward
+/// for a caller that discards the input gradient, letting the first layer
+/// skip it (the UE's fused CNN skips the depth-image gradient this way).
 ///
 /// While the calling thread records ([`sl_telemetry::host`]), every
 /// forward, backward and whole inference pass ([`Sequential::infer_partial`]
@@ -98,66 +96,60 @@ impl Sequential {
             upto,
             self.layers.len()
         );
-        self.run_infer(upto, Operand::Borrowed(input), false)
+        self.run_infer(upto, input, false)
     }
 
     /// Inference through the first `upto` layers, recorded when `record`
-    /// and the thread records; `input` is borrowed by the first.
-    fn run_infer(&self, upto: usize, input: Operand, record: bool) -> Tensor {
+    /// and the thread records.
+    fn run_infer(&self, upto: usize, input: &Tensor, record: bool) -> Tensor {
         let record = record && host::is_recording();
-        let mut x = input;
+        let mut x: Option<Tensor> = None;
         for (i, layer) in self.layers[..upto].iter().enumerate() {
             let key = LayerKey(self.label, i, layer.name());
+            let xin = x.as_ref().unwrap_or(input);
             if record {
-                host::add(format_args!("{key}.flops"), layer.flops_forward(x.dims()));
+                host::add(format_args!("{key}.flops"), layer.flops_forward(xin.dims()));
             }
-            let pass = || match x {
-                Operand::Borrowed(t) => layer.infer(t),
-                Operand::Owned(t) => layer.infer_owned(t),
-            };
             let y = if record {
-                host::time(format_args!("{key}.fwd"), pass)
+                host::time(format_args!("{key}.fwd"), || layer.infer(xin))
             } else {
-                pass()
+                layer.infer(xin)
             };
-            x = Operand::Owned(y);
+            x = Some(y);
         }
-        x.into_owned()
+        x.unwrap_or_else(|| input.clone())
     }
 
-    /// Forward through every layer; `input` is borrowed by the first.
-    fn run_forward(&mut self, input: Operand) -> Tensor {
+    /// Forward through every layer.
+    fn run_forward(&mut self, input: &Tensor) -> Tensor {
         let record = host::is_recording();
-        let mut x = input;
+        let mut x: Option<Tensor> = None;
         for (i, layer) in self.layers.iter_mut().enumerate() {
             let key = LayerKey(self.label, i, layer.name());
+            let xin = x.as_ref().unwrap_or(input);
             if record {
-                let flops = layer.flops_forward(x.dims());
+                let flops = layer.flops_forward(xin.dims());
                 host::add(format_args!("{key}.flops"), flops);
                 host::set(format_args!("{key}.params"), layer.parameter_count() as f64);
                 self.fwd_flops[i] = flops;
             }
-            let y = host::time(format_args!("{key}.fwd"), || match x {
-                Operand::Borrowed(t) => layer.forward(t),
-                Operand::Owned(t) => layer.forward_owned(t),
-            });
-            x = Operand::Owned(y);
+            let y = host::time(format_args!("{key}.fwd"), || layer.forward(xin));
+            x = Some(y);
         }
-        x.into_owned()
+        x.unwrap_or_else(|| input.clone())
     }
 
     /// Backward through layers `from..` (last to first), returning the
-    /// gradient with respect to layer `from`'s input.
-    fn run_backward<'a>(&mut self, grad_out: Operand<'a>, from: usize) -> Operand<'a> {
-        let mut g = grad_out;
+    /// gradient with respect to layer `from`'s input; `None` when no
+    /// layer ran.
+    fn run_backward(&mut self, grad_out: &Tensor, from: usize) -> Option<Tensor> {
+        let mut g: Option<Tensor> = None;
         for (i, layer) in self.layers.iter_mut().enumerate().skip(from).rev() {
             let key = LayerKey(self.label, i, layer.name());
             host::add(format_args!("{key}.flops"), 2.0 * self.fwd_flops[i]);
-            let y = host::time(format_args!("{key}.bwd"), || match g {
-                Operand::Borrowed(t) => layer.backward(t),
-                Operand::Owned(t) => layer.backward_owned(t),
-            });
-            g = Operand::Owned(y);
+            let gin = g.as_ref().unwrap_or(grad_out);
+            let y = host::time(format_args!("{key}.bwd"), || layer.backward(gin));
+            g = Some(y);
         }
         g
     }
@@ -220,29 +212,6 @@ impl Sequential {
     }
 }
 
-/// A pass operand: borrowed from the caller, or owned once a layer has
-/// produced it.
-enum Operand<'a> {
-    Borrowed(&'a Tensor),
-    Owned(Tensor),
-}
-
-impl Operand<'_> {
-    fn dims(&self) -> &[usize] {
-        match self {
-            Operand::Borrowed(t) => t.dims(),
-            Operand::Owned(t) => t.dims(),
-        }
-    }
-
-    fn into_owned(self) -> Tensor {
-        match self {
-            Operand::Borrowed(t) => t.clone(),
-            Operand::Owned(t) => t,
-        }
-    }
-}
-
 /// Layer `.1` of a container labelled `.0`, named `.2`: the stem of
 /// the layer's metric keys.
 struct LayerKey(&'static str, usize, &'static str);
@@ -255,39 +224,25 @@ impl fmt::Display for LayerKey {
 
 impl Layer for Sequential {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.run_forward(Operand::Borrowed(input))
-    }
-
-    fn forward_owned(&mut self, input: Tensor) -> Tensor {
-        self.run_forward(Operand::Owned(input))
+        self.run_forward(input)
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
-        self.run_infer(self.layers.len(), Operand::Borrowed(input), true)
-    }
-
-    fn infer_owned(&self, input: Tensor) -> Tensor {
-        self.run_infer(self.layers.len(), Operand::Owned(input), true)
+        self.run_infer(self.layers.len(), input, true)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.run_backward(Operand::Borrowed(grad_out), 0)
-            .into_owned()
-    }
-
-    fn backward_owned(&mut self, grad_out: Tensor) -> Tensor {
-        self.run_backward(Operand::Owned(grad_out), 0).into_owned()
+        self.run_backward(grad_out, 0)
+            .unwrap_or_else(|| grad_out.clone())
     }
 
     fn backward_params(&mut self, grad_out: &Tensor) {
-        let g = self.run_backward(Operand::Borrowed(grad_out), 1);
+        let g = self.run_backward(grad_out, 1);
         if let Some(first) = self.layers.first_mut() {
             let key = LayerKey(self.label, 0, first.name());
             host::add(format_args!("{key}.flops"), 2.0 * self.fwd_flops[0]);
-            host::time(format_args!("{key}.bwd"), || match g {
-                Operand::Borrowed(t) => first.backward_params(t),
-                Operand::Owned(t) => first.backward_params(&t),
-            });
+            let gin = g.as_ref().unwrap_or(grad_out);
+            host::time(format_args!("{key}.bwd"), || first.backward_params(gin));
         }
     }
 
@@ -319,11 +274,10 @@ impl Layer for Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Activation, AvgPool2d, Conv2d, Dense};
+    use crate::{Activation, AvgPool2d, Dense, FusedCnn};
     use sl_rng::rngs::StdRng;
     use sl_telemetry::host::Recording;
     use sl_telemetry::{MemorySink, Snapshot, Telemetry, TelemetryMode};
-    use sl_tensor::Padding;
 
     /// What `f` records on this thread, drained into a fresh handle.
     fn recorded(f: impl FnOnce()) -> Snapshot {
@@ -352,17 +306,17 @@ mod tests {
             .collect()
     }
 
+    /// `[N, 1, 4, 4]` images to `[N, 1, 1, 1]`: a 2-channel CNN, an
+    /// elementwise layer, a 2×2 pool, then a second (1-channel) CNN over
+    /// the pooled 2×2 map, so a parameterized layer follows the pool,
+    /// and a pool to one pixel.
     fn tiny_cnn(rng: &mut StdRng) -> Sequential {
         Sequential::new()
-            .push(Conv2d::new(1, 2, 3, Padding::Same, rng))
-            .push(Activation::relu())
-            .push(Conv2d::new(2, 1, 3, Padding::Same, rng))
-            .push(Activation::sigmoid())
-            .push(AvgPool2d::new(2, 2))
-            // A 2x2 valid conv over the pooled 2x2 map: a dense head
-            // that keeps the NCHW layout.
-            .push(Conv2d::new(1, 1, 2, Padding::Valid, rng))
+            .push(FusedCnn::new(2, 3, rng))
             .push(Activation::tanh())
+            .push(AvgPool2d::new(2, 2))
+            .push(FusedCnn::new(1, 3, rng))
+            .push(AvgPool2d::new(2, 2))
     }
 
     #[test]
@@ -371,18 +325,10 @@ mod tests {
         let mut net = tiny_cnn(&mut rng);
         let out = net.forward(&Tensor::zeros([3, 1, 4, 4]));
         assert_eq!(out.dims(), &[3, 1, 1, 1]);
-        assert_eq!(net.len(), 7);
+        assert_eq!(net.len(), 5);
         assert_eq!(
             net.layer_names(),
-            vec![
-                "conv2d",
-                "relu",
-                "conv2d",
-                "sigmoid",
-                "avg_pool2d",
-                "conv2d",
-                "tanh"
-            ]
+            vec!["fused_cnn", "tanh", "avg_pool2d", "fused_cnn", "avg_pool2d"]
         );
     }
 
@@ -390,9 +336,19 @@ mod tests {
     fn params_collects_all_layers() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut net = tiny_cnn(&mut rng);
-        // conv(1→2): 18+2, conv(2→1): 18+1, conv(1→1, 2x2): 4+1
-        assert_eq!(net.parameter_count(), 20 + 19 + 5);
-        assert_eq!(net.params_and_grads().len(), 6);
+        // fused(C=2): 18+2+18+1, fused(C=1): 9+1+9+1
+        assert_eq!(net.parameter_count(), 39 + 20);
+        assert_eq!(net.params_and_grads().len(), 8);
+    }
+
+    #[test]
+    fn an_empty_stack_passes_its_operand_through() {
+        let mut net = Sequential::new();
+        let x = Tensor::from_slice(&[1.0, -2.0]);
+        assert_eq!(net.forward(&x), x);
+        assert_eq!(net.infer(&x), x);
+        assert_eq!(net.infer_partial(0, &x), x);
+        assert_eq!(net.backward(&x), x);
     }
 
     #[test]
@@ -409,8 +365,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut net = tiny_cnn(&mut rng);
         let x = sl_tensor::randn([2, 1, 4, 4], 0.0, 1.0, &mut rng);
-        // Prefix of length 4 is the pre-pool activation map.
-        let partial = net.infer_partial(4, &x);
+        // Prefix of length 2 is the pre-pool activation map.
+        let partial = net.infer_partial(2, &x);
         assert_eq!(partial.dims(), &[2, 1, 4, 4]);
         // Full forward still works afterwards and, with the thread not
         // recording, nothing was recorded.
@@ -427,15 +383,15 @@ mod tests {
         let x = sl_tensor::randn([2, 1, 4, 4], 0.0, 1.0, &mut rng);
         let stems = stems(&net);
         let partial = recorded(|| {
-            net.infer_partial(4, &x);
+            net.infer_partial(2, &x);
         });
         assert!(stems.iter().all(|l| count(&partial, l, "fwd") == 0));
         let s = recorded(|| {
             net.infer(&x);
-            net.infer_partial(4, &x);
+            net.infer_partial(2, &x);
         });
         // One sample per layer: the whole pass, not the prefix.
-        assert_eq!(stems.len(), 7);
+        assert_eq!(stems.len(), 5);
         assert!(stems.iter().all(|l| count(&s, l, "fwd") == 1));
     }
 
@@ -452,7 +408,7 @@ mod tests {
         // Inference mid-step, at another batch size, must not disturb the
         // pending backward.
         probed.infer(&other);
-        probed.infer_partial(4, &other);
+        probed.infer_partial(2, &other);
         let g = Tensor::ones(y.dims());
         assert_eq!(plain.backward(&g), probed.backward(&g));
         for ((_, a), (_, b)) in plain
@@ -465,28 +421,28 @@ mod tests {
     }
 
     #[test]
-    fn owned_and_params_only_passes_match_borrowed() {
+    fn params_only_backward_matches_the_full_one() {
         let mut rng = StdRng::seed_from_u64(11);
-        let mut borrowed = tiny_cnn(&mut rng);
+        let mut full = tiny_cnn(&mut rng);
         let mut rng = StdRng::seed_from_u64(11);
-        let mut owned = tiny_cnn(&mut rng);
+        let mut params_only = tiny_cnn(&mut rng);
         let x = sl_tensor::randn([3, 1, 4, 4], 0.0, 1.0, &mut rng);
-        let y = borrowed.forward(&x);
+        let y = full.forward(&x);
         let g = Tensor::ones(y.dims());
-        borrowed.backward(&g);
+        full.backward(&g);
         let s = recorded(|| {
-            assert_eq!(owned.forward_owned(x.clone()), y);
-            owned.backward_params(&g);
+            assert_eq!(params_only.forward(&x), y);
+            params_only.backward_params(&g);
         });
-        for ((_, a), (_, b)) in borrowed
+        for ((_, a), (_, b)) in full
             .params_and_grads()
             .into_iter()
-            .zip(owned.params_and_grads())
+            .zip(params_only.params_and_grads())
         {
             assert_eq!(a.data(), b.data());
         }
         // The params-only backward still records every layer once.
-        assert!(stems(&owned).iter().all(|l| count(&s, l, "bwd") == 1));
+        assert!(stems(&params_only).iter().all(|l| count(&s, l, "bwd") == 1));
     }
 
     #[test]
@@ -511,18 +467,18 @@ mod tests {
         assert_eq!(ga.data(), gb.data());
         // Every layer recorded one forward and one backward sample.
         let stems = stems(&recorded_net);
-        assert_eq!(stems.len(), 7);
+        assert_eq!(stems.len(), 5);
         for l in &stems {
             assert_eq!(count(&s, l, "fwd"), 1);
             assert_eq!(count(&s, l, "bwd"), 1);
         }
         // Parameterized layers report their counts; the backward is
         // charged at 2× the forward's FLOPs.
-        assert_eq!(s.gauge("nn.layer.0.conv2d.params"), Some(20.0));
-        let conv = Conv2d::new(1, 2, 3, Padding::Same, &mut rng);
-        let fwd_flops = conv.flops_forward(&[3, 1, 4, 4]);
+        assert_eq!(s.gauge("nn.layer.0.fused_cnn.params"), Some(39.0));
+        let cnn = FusedCnn::new(2, 3, &mut rng);
+        let fwd_flops = cnn.flops_forward(&[3, 1, 4, 4]);
         assert!(fwd_flops > 0.0);
-        assert_eq!(s.gauge("nn.layer.0.conv2d.flops"), Some(3.0 * fwd_flops));
+        assert_eq!(s.gauge("nn.layer.0.fused_cnn.flops"), Some(3.0 * fwd_flops));
     }
 
     #[test]
@@ -534,9 +490,15 @@ mod tests {
             let y = net.forward(&x);
             net.backward(&Tensor::ones(y.dims()));
         });
-        assert_eq!(s.histograms["nn.ue.layer.0.conv2d.fwd.host_s"].count(), 1);
-        assert_eq!(s.histograms["nn.ue.layer.5.conv2d.bwd.host_s"].count(), 1);
-        assert_eq!(s.gauge("nn.ue.layer.5.conv2d.params"), Some(5.0));
+        assert_eq!(
+            s.histograms["nn.ue.layer.0.fused_cnn.fwd.host_s"].count(),
+            1
+        );
+        assert_eq!(
+            s.histograms["nn.ue.layer.3.fused_cnn.bwd.host_s"].count(),
+            1
+        );
+        assert_eq!(s.gauge("nn.ue.layer.3.fused_cnn.params"), Some(20.0));
         // Drained: the next recording starts empty.
         assert!(recorded(|| {}).is_empty());
     }
@@ -547,14 +509,14 @@ mod tests {
         let mut net = tiny_cnn(&mut rng);
         let trace = net.shape_trace(&[3, 1, 4, 4]).unwrap();
         assert_eq!(trace.output, vec![3, 1, 1, 1]);
-        assert_eq!(trace.steps.len(), 7);
+        assert_eq!(trace.steps.len(), 5);
         // The symbolic trace agrees with the real forward at every layer.
         let out = net.forward(&Tensor::zeros([3, 1, 4, 4]));
         assert_eq!(out.dims(), trace.output.as_slice());
-        assert_eq!(trace.steps[4].layer, "avg_pool2d");
-        assert_eq!(trace.steps[4].output, vec![3, 1, 2, 2]);
+        assert_eq!(trace.steps[2].layer, "avg_pool2d");
+        assert_eq!(trace.steps[2].output, vec![3, 1, 2, 2]);
         // Partial trace mirrors infer_partial's pre-pool prefix.
-        let partial = net.shape_trace_partial(4, &[2, 1, 4, 4]).unwrap();
+        let partial = net.shape_trace_partial(2, &[2, 1, 4, 4]).unwrap();
         assert_eq!(partial.output, vec![2, 1, 4, 4]);
     }
 
@@ -562,11 +524,11 @@ mod tests {
     fn shape_trace_locates_miswired_layer() {
         let mut rng = StdRng::seed_from_u64(9);
         let net = tiny_cnn(&mut rng);
-        // 5x5 input: AvgPool2d(2, 2) at index 4 cannot tile it.
+        // 5x5 input: AvgPool2d(2, 2) at index 2 cannot tile it.
         let err = net.shape_trace(&[1, 1, 5, 5]).unwrap_err();
-        assert_eq!(err.index, 4);
+        assert_eq!(err.index, 2);
         assert_eq!(err.layer, "avg_pool2d");
-        assert_eq!(err.steps.len(), 4);
+        assert_eq!(err.steps.len(), 2);
         assert!(err.message.contains("does not tile"), "{}", err.message);
         assert!(err.to_string().contains("SHAPE ERROR"));
         // The trait-level contract surfaces the same failure.

@@ -260,18 +260,6 @@ impl Tensor {
         }
     }
 
-    /// Concatenates rank-1 tensors into one rank-1 tensor.
-    pub fn concat(tensors: &[&Tensor]) -> Tensor {
-        let mut data = Vec::new();
-        for t in tensors {
-            data.extend_from_slice(t.data());
-        }
-        Tensor {
-            shape: Shape::new(&[data.len()]),
-            data,
-        }
-    }
-
     // ------------------------------------------------------------------
     // Elementwise operations
     // ------------------------------------------------------------------
@@ -324,23 +312,11 @@ impl Tensor {
         self.map(|a| a * s)
     }
 
-    /// Returns `self + s` elementwise.
-    pub fn add_scalar(&self, s: f32) -> Tensor {
-        self.map(|a| a + s)
-    }
-
     /// Applies `f` to every element, producing a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         Tensor {
             shape: self.shape.clone(),
             data: self.data.iter().map(|&a| f(a)).collect(),
-        }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for a in &mut self.data {
-            *a = f(*a);
         }
     }
 
@@ -533,7 +509,6 @@ mod tests {
         assert_eq!(a.mul(&b).data(), &[4.0, 10.0, 18.0]);
         assert_eq!(b.div(&a).data(), &[4.0, 2.5, 2.0]);
         assert_eq!(a.scale(2.0).data(), &[2.0, 4.0, 6.0]);
-        assert_eq!(a.add_scalar(1.0).data(), &[2.0, 3.0, 4.0]);
     }
 
     #[test]
@@ -579,13 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn concat_rank1() {
-        let a = Tensor::from_slice(&[1.0, 2.0]);
-        let b = Tensor::from_slice(&[3.0]);
-        assert_eq!(Tensor::concat(&[&a, &b]).data(), &[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
     fn reshape_preserves_data() {
         let t = Tensor::from_slice(&[1.0, 2.0, 3.0, 4.0]);
         let r = t.reshape([2, 2]);
@@ -613,8 +581,6 @@ mod tests {
         assert_eq!(a.data(), &[11.0, 12.0]);
         a.scale_inplace(0.5);
         assert_eq!(a.data(), &[5.5, 6.0]);
-        a.map_inplace(|v| v - 5.0);
-        assert_eq!(a.data(), &[0.5, 1.0]);
         a.fill(9.0);
         assert_eq!(a.data(), &[9.0, 9.0]);
     }

@@ -8,16 +8,14 @@
 //! slm-report --diff results/a results/b    # side-by-side comparison
 //! slm-report --kernels results             # latest compute-kernel batch
 //! slm-report --kernels --check results     # gate kernel determinism
-//! slm-report --store results               # latest chunked-store codec batch
-//! slm-report --store --check results       # gate store losslessness/compression
 //! ```
 //!
 //! Flags: `--out FILE` (write markdown to a file), `--no-append` (skip
 //! the trajectory append), `--tol-rmse X` / `--tol-time X` (relative
-//! gate tolerances, defaults 0.30 / 0.25). `--kernels` and `--store`
-//! show the latest batch the `kernels` / `store` bin appended to
-//! `BENCH_kernels.json` / `BENCH_store.json`; every gate, and `--diff`'s
-//! verdict, comes from the declared kinds in `sl_bench::report`.
+//! gate tolerances, defaults 0.30 / 0.25). `--kernels` shows the latest
+//! batch the `kernels` bin appended to `BENCH_kernels.json`; every gate,
+//! and `--diff`'s verdict, comes from the declared kinds in
+//! `sl_bench::report`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -26,17 +24,16 @@ use std::time::{SystemTime, UNIX_EPOCH};
 use sl_bench::report::{
     append_trajectory, baseline, bench_path, check, entry_from_run, latest_batch, load_run,
     load_trajectory, render_diff, render_markdown, render_table, trajectory_path, CheckConfig,
-    KERNELS, RUN, STORE,
+    KERNELS, RUN,
 };
 
-const USAGE: &str = "usage: slm-report [--check] [--diff A B] [--kernels] [--store] [--out FILE] \
+const USAGE: &str = "usage: slm-report [--check] [--diff A B] [--kernels] [--out FILE] \
                      [--no-append] [--tol-rmse X] [--tol-time X] <results-dir>...";
 
 fn main() -> ExitCode {
     let mut check_mode = false;
     let mut diff_mode = false;
     let mut kernels_mode = false;
-    let mut store_mode = false;
     let mut no_append = false;
     let mut out_path: Option<PathBuf> = None;
     let mut cfg = CheckConfig::default();
@@ -48,7 +45,6 @@ fn main() -> ExitCode {
             "--check" => check_mode = true,
             "--diff" => diff_mode = true,
             "--kernels" => kernels_mode = true,
-            "--store" => store_mode = true,
             "--no-append" => no_append = true,
             "--out" => match args.next() {
                 Some(p) => out_path = Some(PathBuf::from(p)),
@@ -76,14 +72,10 @@ fn main() -> ExitCode {
         return usage_error("no results directory given");
     }
 
-    // `--kernels` and `--store` show (and gate) the latest batch of
-    // their trajectory; the gates are the kind's declared table.
-    let batch_kind = match (kernels_mode, store_mode) {
-        (true, _) => Some(&KERNELS),
-        (false, true) => Some(&STORE),
-        (false, false) => None,
-    };
-    if let Some(kind) = batch_kind {
+    // `--kernels` shows (and gates) the latest batch of its trajectory;
+    // the gates are the kind's declared table.
+    if kernels_mode {
+        let kind = &KERNELS;
         if dirs.len() != 1 {
             let msg = format!("--{} needs exactly one results directory", kind.name);
             return usage_error(&msg);

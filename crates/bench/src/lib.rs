@@ -1,8 +1,8 @@
 //! # `sl-bench` — experiment harness
 //!
 //! Shared plumbing for the figure/table regeneration binaries
-//! (`fig2`, `fig3a`, `fig3b`, `table1`, `ablation`) and the `kernels`
-//! and `store` micro-benchmarks. Each binary prints the paper-comparable rows to
+//! (`fig2`, `fig3a`, `fig3b`, `table1`, `ablation`), the `kernels`
+//! micro-benchmark and the `store` resume gate. Each binary prints the paper-comparable rows to
 //! stdout and writes its artifacts — CSV series, a `manifest.json`
 //! describing every training run, and a final metrics `snapshot.json` —
 //! under `results/<experiment>/` (see README *Observability*).

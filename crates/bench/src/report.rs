@@ -17,11 +17,10 @@
 //!   regress beyond tolerance, which `scripts/verify.sh` uses as a gate.
 //!
 //! Every trajectory file holds flat [`Entry`]s (named string, number
-//! and bool fields): run entries, and the batches the `kernels` and
-//! `store` bins append to `BENCH_kernels.json` / `BENCH_store.json`.
-//! Each [`Kind`] ([`RUN`], [`KERNELS`], [`STORE`]) declares its fields,
-//! identity keys, table columns and gates as data, so one load, append,
-//! batch, render and check path serves all three.
+//! and bool fields): run entries, and the batches the `kernels` bin
+//! appends to `BENCH_kernels.json`. Each [`Kind`] ([`RUN`], [`KERNELS`])
+//! declares its fields, identity keys, table columns and gates as data,
+//! so one load, append, batch, render and check path serves both.
 //!
 //! Everything is hand-rolled on `sl-telemetry`'s JSON reader/writer; no
 //! external dependencies.
@@ -906,14 +905,6 @@ enum Gate {
         fn(&CheckConfig) -> f64,
         f64,
     ),
-    /// `(field, winner, loser)`: within the batch, the entry whose
-    /// identity is `winner` must have a larger number than `loser`'s
-    /// (skipped when either is missing).
-    Beats(
-        &'static str,
-        &'static [&'static str],
-        &'static [&'static str],
-    ),
 }
 
 impl Gate {
@@ -957,7 +948,7 @@ impl Gate {
                     })
                 }
             }
-            Gate::NonEmpty(_) | Gate::Beats(..) => None,
+            Gate::NonEmpty(_) => None,
         }
     }
 }
@@ -1065,39 +1056,6 @@ pub static KERNELS: Kind = Kind {
         Gate::Positive("serial_gflops", "serial throughput", " GFLOP/s"),
         Gate::Positive("pooled_gflops", "pooled throughput", " GFLOP/s"),
         Gate::Positive("simd_gflops", "simd throughput", " GFLOP/s"),
-    ],
-};
-
-/// Chunked-store codec entries, written by the `store` bin: one
-/// (workload, codec) pairing with its encode/decode throughput over the
-/// raw size, compression ratio and lossless round-trip verdict.
-/// Throughputs are recorded, never gated; losslessness, that every rate
-/// was measured, and that `delta+rle` compresses the depth frames better
-/// than `raw` stores them (DESIGN.md §14) are.
-pub static STORE: Kind = Kind {
-    name: "store",
-    title: "chunked-store codecs",
-    fields: "timestamp_s workload codec threads raw_mb encode_mbps decode_mbps \
-         ratio lossless",
-    defaults: &[],
-    identity: &["workload", "codec"],
-    columns: &[
-        ("workload", Cell::Text("workload")),
-        ("codec", Cell::Text("codec")),
-        ("threads", Cell::Num("threads", 0)),
-        ("raw MB", Cell::Num("raw_mb", 2)),
-        ("enc MB/s", Cell::Num("encode_mbps", 1)),
-        ("dec MB/s", Cell::Num("decode_mbps", 1)),
-        ("ratio", Cell::Num("ratio", 2)),
-        ("lossless", Cell::Verdict("lossless", "LOSSY")),
-    ],
-    gates: &[
-        Gate::NonEmpty("no store entries recorded"),
-        Gate::Holds("lossless", "round-trip was not bitwise lossless"),
-        Gate::Positive("encode_mbps", "encode", ""),
-        Gate::Positive("decode_mbps", "decode", ""),
-        Gate::Positive("ratio", "ratio", ""),
-        Gate::Beats("ratio", &["frames", "delta+rle"], &["frames", "raw"]),
     ],
 };
 
@@ -1275,24 +1233,11 @@ pub fn check(kind: &Kind, batch: &[Entry], history: &[Entry], cfg: &CheckConfig)
         .iter()
         .flat_map(|e| compare(kind, e, baseline(kind, e, history), cfg))
         .collect();
-    let find = |id: &[&str]| batch.iter().find(|e| kind.label(e) == id.join(" "));
     for gate in kind.gates {
-        match *gate {
-            Gate::NonEmpty(failure) if batch.is_empty() => failures.push(failure.to_string()),
-            Gate::Beats(field, winner, loser) => {
-                let (Some(w), Some(l)) = (find(winner), find(loser)) else {
-                    continue;
-                };
-                let (a, b) = (w.get_num(field), l.get_num(field));
-                if a <= b {
-                    failures.push(format!(
-                        "{} {field} {a:.3} does not beat {} {field} {b:.3}",
-                        winner.join(" "),
-                        loser.join(" ")
-                    ));
-                }
+        if let Gate::NonEmpty(failure) = *gate {
+            if batch.is_empty() {
+                failures.push(failure.to_string());
             }
-            _ => {}
         }
     }
     failures
@@ -1468,83 +1413,6 @@ mod tests {
         let failures = check(&KERNELS, latest_batch(&all), &[], &CheckConfig::default());
         assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(trajectory_json("kernels", &all) + "\n", text);
-    }
-
-    fn sentry(workload: &str, codec: &str, ts: u64, ratio: f64) -> Entry {
-        Entry::new()
-            .num("timestamp_s", ts as f64)
-            .str("workload", workload)
-            .str("codec", codec)
-            .num("threads", 4.0)
-            .num("raw_mb", 5.12)
-            .num("encode_mbps", 800.0)
-            .num("decode_mbps", 1200.0)
-            .num("ratio", ratio)
-            .bool("lossless", true)
-    }
-
-    #[test]
-    fn store_entry_round_trips_and_batches() {
-        let e = sentry("frames", "delta+rle", 7, 3.5);
-        assert_eq!(reload(&STORE, &e), e);
-
-        let dir = std::env::temp_dir().join(format!("slm-store-traj-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let path = trajectory_path(&dir, STORE.name);
-        let _ = fs::remove_file(&path);
-        assert!(load_trajectory(&STORE, &path).unwrap().is_empty());
-        append_trajectory(&STORE, &path, "store", &[sentry("frames", "raw", 1, 1.0)]).unwrap();
-        let n = append_trajectory(
-            &STORE,
-            &path,
-            "store",
-            &[
-                sentry("frames", "raw", 2, 1.0),
-                sentry("frames", "delta+rle", 2, 3.0),
-            ],
-        )
-        .unwrap();
-        assert_eq!(n, 3);
-        let all = load_trajectory(&STORE, &path).unwrap();
-        let batch = latest_batch(&all);
-        assert_eq!(batch.len(), 2);
-        assert!(batch.iter().all(|e| e.get_num("timestamp_s") == 2.0));
-        let _ = fs::remove_file(&path);
-        let _ = fs::remove_dir(&dir);
-    }
-
-    #[test]
-    fn store_check_gates_losslessness_and_compression_win() {
-        let cfg = CheckConfig::default();
-        let store = |batch: &[Entry]| check(&STORE, batch, &[], &cfg);
-        assert_eq!(store(&[]).len(), 1);
-        // A healthy batch passes; speed is reported, never gated.
-        let good = [
-            sentry("frames", "raw", 1, 1.0),
-            sentry("frames", "delta+rle", 1, 3.0),
-            sentry("activations", "bitpack8", 1, 4.0),
-        ];
-        assert!(store(&good).is_empty());
-        // A lossy round-trip fails.
-        let lossy = sentry("frames", "raw", 1, 1.0).bool("lossless", false);
-        let failures = store(std::slice::from_ref(&lossy));
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("lossless"));
-        // A dead rate fails.
-        let dead = sentry("frames", "raw", 1, 1.0).num("decode_mbps", 0.0);
-        assert!(store(&[dead])[0].contains("decode"));
-        // delta+rle not beating raw on depth frames fails.
-        let tie = [
-            sentry("frames", "raw", 1, 1.0),
-            sentry("frames", "delta+rle", 1, 1.0),
-        ];
-        let failures = store(&tie);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("does not beat"), "{failures:?}");
-        // Rendering marks losslessness.
-        let md = render_table(&STORE, &good);
-        assert!(md.contains("| frames | delta+rle |"));
-        assert!(md.contains(" ok |"));
     }
 
     #[test]
@@ -1746,7 +1614,6 @@ mod tests {
             "pooled_gflops",
             "simd_gflops",
         ];
-        let rates = ["encode_mbps", "decode_mbps", "ratio"];
         for bad in [0.0, -1.0, f64::INFINITY, f64::NAN] {
             for field in tiers {
                 let e = kentry("matmul", 1, true).num(field, bad);
@@ -1754,11 +1621,6 @@ mod tests {
                 // An unmeasured (NaN) simd tier is the one pass.
                 let want = usize::from(!(field == "simd_gflops" && bad.is_nan()));
                 assert_eq!(failures.len(), want, "{field} = {bad}: {failures:?}");
-            }
-            for field in rates {
-                let e = sentry("frames", "raw", 1, 1.0).num(field, bad);
-                let failures = check(&STORE, &[e], &[], &cfg);
-                assert_eq!(failures.len(), 1, "{field} = {bad}: {failures:?}");
             }
         }
     }

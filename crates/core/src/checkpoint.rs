@@ -3,13 +3,20 @@
 //! A checkpoint directory holds the complete trainer state mid-run:
 //!
 //! * `params`, `opt_{ue,bs}_{m,v}` — chunked, checksummed `sl-store`
-//!   arrays (flat `f32`, raw codec: optimizer state is incompressible
-//!   noise and exact bits are non-negotiable);
+//!   arrays (flat `f32`, raw codec: exact bits are non-negotiable);
 //! * `state.json` — everything scalar, written **last** as the commit
 //!   point: config fingerprint (scheme / pooling / seed), epoch and step
 //!   counters, Adam step counts, the trainer's generator state, the
-//!   [`SimClock`](crate::SimClock) components and the learning curve so
-//!   far.
+//!   [`SimClock`](crate::SimClock) components, the learning curve so
+//!   far, and the FNV-1a 64 hash of each array's manifest.
+//!
+//! Each save overwrites the previous one in place. The manifest hashes
+//! tie `state.json` to the arrays of the same save: a save interrupted
+//! after some arrays were rewritten, or arrays copied in from another
+//! save, leave every chunk checksum intact but no longer match the
+//! hashes, and [`load`] refuses them with
+//! [`CheckpointError::Mismatch`]. A torn directory is a typed error;
+//! the previous checkpoint is not kept.
 //!
 //! The seed, the four generator state words and every float in
 //! `state.json` are stored as hex (the JSON layer parses numbers as
@@ -21,8 +28,10 @@
 
 use std::path::Path;
 
+use sl_rng::fnv1a_64;
 use sl_store::{
-    read_array, write_array, Codec, DirStorage, StorageWrite, StoreError, StoreMetrics,
+    read_array, write_array, Codec, DirStorage, Manifest, StorageRead, StorageWrite, StoreError,
+    StoreMetrics,
 };
 use sl_telemetry::json::{parse, JsonArray, JsonObject, JsonValue};
 use sl_tensor::ComputePool;
@@ -30,9 +39,12 @@ use sl_tensor::ComputePool;
 use crate::trainer::CurvePoint;
 
 /// Format version of `state.json`.
-pub const CHECKPOINT_VERSION: u64 = 2;
+pub const CHECKPOINT_VERSION: u64 = 3;
 
 const STATE_OBJECT: &str = "state.json";
+
+/// The checkpoint's arrays, in write order.
+const ARRAYS: [&str; 5] = ["params", "opt_ue_m", "opt_ue_v", "opt_bs_m", "opt_bs_v"];
 
 /// Why a checkpoint could not be saved or restored.
 #[derive(Debug)]
@@ -42,7 +54,8 @@ pub enum CheckpointError {
     /// `state.json` is missing a field or malformed.
     Parse(String),
     /// The checkpoint does not fit this trainer (different config
-    /// fingerprint or parameter count).
+    /// fingerprint or parameter count), or its arrays are not the ones
+    /// its `state.json` committed.
     Mismatch(String),
 }
 
@@ -147,7 +160,9 @@ fn req_f32_bits(obj: &JsonValue, key: &str) -> Result<f32, CheckpointError> {
         .map_err(|_| CheckpointError::Parse(format!("field {key:?} is not hex f32 bits")))
 }
 
-fn state_json(ck: &TrainCheckpoint) -> String {
+/// `state.json` for `ck`, whose arrays were committed with the manifest
+/// hashes `manifests` (in [`ARRAYS`] order).
+fn state_json(ck: &TrainCheckpoint, manifests: &[u64]) -> String {
     let mut curve = JsonArray::new();
     for p in &ck.curve {
         curve.push_raw(
@@ -161,6 +176,10 @@ fn state_json(ck: &TrainCheckpoint) -> String {
     let mut rng_state = JsonArray::new();
     for word in ck.rng_state {
         rng_state.push_str(&hex_u64(word));
+    }
+    let mut hashes = JsonObject::new();
+    for (name, &hash) in ARRAYS.iter().zip(manifests) {
+        hashes = hashes.str(name, &hex_u64(hash));
     }
     JsonObject::new()
         .u64("version", CHECKPOINT_VERSION)
@@ -178,6 +197,7 @@ fn state_json(ck: &TrainCheckpoint) -> String {
         .str("compute_bits", &hex_u64(ck.compute_s.to_bits()))
         .str("airtime_bits", &hex_u64(ck.airtime_s.to_bits()))
         .raw("curve", &curve.finish())
+        .raw("manifests", &hashes.finish())
         .finish()
 }
 
@@ -192,15 +212,16 @@ pub fn save(
     let mut storage = DirStorage::create(dir)?;
     let pool = ComputePool::global();
     let chunk = sl_store::configured_chunk_items(1);
-    let arrays: [(&str, &[f32]); 5] = [
-        ("params", &ck.params),
-        ("opt_ue_m", &ck.opt_ue.1),
-        ("opt_ue_v", &ck.opt_ue.2),
-        ("opt_bs_m", &ck.opt_bs.1),
-        ("opt_bs_v", &ck.opt_bs.2),
+    let arrays: [&[f32]; 5] = [
+        &ck.params,
+        &ck.opt_ue.1,
+        &ck.opt_ue.2,
+        &ck.opt_bs.1,
+        &ck.opt_bs.2,
     ];
-    for (name, values) in arrays {
-        write_array(
+    let mut manifests = Vec::with_capacity(ARRAYS.len());
+    for (name, values) in ARRAYS.into_iter().zip(arrays) {
+        let manifest = write_array(
             &mut storage,
             name,
             1,
@@ -210,18 +231,22 @@ pub fn save(
             pool,
             metrics,
         )?;
+        manifests.push(fnv1a_64(manifest.to_json().as_bytes()));
     }
-    storage.put(STATE_OBJECT, state_json(ck).as_bytes())?;
+    storage.put(STATE_OBJECT, state_json(ck, &manifests).as_bytes())?;
     Ok(())
 }
 
 /// Loads a checkpoint previously written by [`save`]. Corruption in any
 /// chunk surfaces as [`CheckpointError::Store`]; a malformed or
-/// version-skewed `state.json` as [`CheckpointError::Parse`]; a missing
-/// `dir` as [`CheckpointError::Store`], leaving no directory behind.
+/// version-skewed `state.json` as [`CheckpointError::Parse`]; an array
+/// whose manifest is not the one `state.json` committed (a torn save,
+/// or arrays from another save) as [`CheckpointError::Mismatch`]; a
+/// missing `dir` as [`CheckpointError::Store`], leaving no directory
+/// behind.
 pub fn load(dir: &Path, metrics: &mut StoreMetrics) -> Result<TrainCheckpoint, CheckpointError> {
     let storage = DirStorage::open(dir)?;
-    let bytes = sl_store::StorageRead::get(&storage, STATE_OBJECT)?;
+    let bytes = storage.get(STATE_OBJECT)?;
     let text = String::from_utf8(bytes)
         .map_err(|_| CheckpointError::Parse("state.json is not UTF-8".into()))?;
     let state = parse(&text).map_err(|e| CheckpointError::Parse(format!("state.json: {e}")))?;
@@ -254,6 +279,18 @@ pub fn load(dir: &Path, metrics: &mut StoreMetrics) -> Result<TrainCheckpoint, C
         .collect::<Vec<_>>()
         .try_into()
         .map_err(|_| CheckpointError::Parse("field \"rng_state\" is not 4 hex words".into()))?;
+
+    let hashes = req(&state, "manifests")?;
+    for name in ARRAYS {
+        let expected = req_hex_u64(hashes, name)?;
+        let actual = fnv1a_64(&storage.get(&Manifest::object_name(name))?);
+        if actual != expected {
+            return Err(CheckpointError::Mismatch(format!(
+                "array {name:?} has manifest hash {actual:016x}, \
+                 state.json committed {expected:016x}"
+            )));
+        }
+    }
 
     let pool = ComputePool::global();
     let mut read = |name: &str| -> Result<Vec<f32>, CheckpointError> {
@@ -369,6 +406,38 @@ mod tests {
             Err(CheckpointError::Store(StoreError::Io(_)))
         ));
         assert!(!root.exists());
+    }
+
+    #[test]
+    fn arrays_from_another_save_are_a_mismatch() {
+        // A save stopped after its arrays and before `state.json` leaves
+        // a later save's arrays beside an earlier save's state: every
+        // chunk checksum still verifies, so only the manifest hashes can
+        // tell.
+        let earlier = std::env::temp_dir().join("slm_ckpt_mixed_earlier");
+        let later = std::env::temp_dir().join("slm_ckpt_mixed_later");
+        let _ = std::fs::remove_dir_all(&earlier);
+        let _ = std::fs::remove_dir_all(&later);
+        let mut metrics = StoreMetrics::default();
+        let ck3 = sample();
+        let mut ck4 = sample();
+        ck4.epoch = 4;
+        ck4.params.iter_mut().for_each(|p| *p += 1.0);
+        save(&earlier, &ck3, &mut metrics).unwrap();
+        save(&later, &ck4, &mut metrics).unwrap();
+        for entry in std::fs::read_dir(&later).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap();
+            if name != STATE_OBJECT {
+                std::fs::copy(&path, earlier.join(name)).unwrap();
+            }
+        }
+        match load(&earlier, &mut metrics) {
+            Err(CheckpointError::Mismatch(what)) => assert!(what.contains("params"), "{what}"),
+            other => panic!("expected a manifest mismatch, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&earlier);
+        let _ = std::fs::remove_dir_all(&later);
     }
 
     #[test]

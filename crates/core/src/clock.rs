@@ -109,16 +109,6 @@ impl SimClock {
     pub fn airtime_s(&self) -> f64 {
         self.airtime_s
     }
-
-    /// Fraction of elapsed time spent communicating (0 when idle).
-    pub fn airtime_fraction(&self) -> f64 {
-        let total = self.elapsed_s();
-        if total == 0.0 {
-            0.0
-        } else {
-            self.airtime_s / total
-        }
-    }
 }
 
 #[cfg(test)]
@@ -134,14 +124,12 @@ mod tests {
         assert!((c.elapsed_s() - 2.25).abs() < 1e-12);
         assert!((c.compute_s() - 0.75).abs() < 1e-12);
         assert!((c.airtime_s() - 1.5).abs() < 1e-12);
-        assert!((c.airtime_fraction() - 1.5 / 2.25).abs() < 1e-12);
     }
 
     #[test]
     fn zero_clock() {
         let c = SimClock::new();
         assert_eq!(c.elapsed_s(), 0.0);
-        assert_eq!(c.airtime_fraction(), 0.0);
     }
 
     #[test]

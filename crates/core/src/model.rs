@@ -349,11 +349,6 @@ impl SplitModel {
         self.bs.flops_forward_per_sequence(self.seq_len) * b as f64 * 3.0
     }
 
-    /// Modelled inference-only FLOPs (forward pass, both halves).
-    pub fn inference_flops(&self, b: usize) -> f64 {
-        (self.ue_step_flops(b) + self.bs_step_flops(b)) / 3.0
-    }
-
     /// UE-side inference for one deployed frame: runs the CNN + pooling
     /// on a single `[H, W]` depth frame and returns the quantized
     /// feature vector (`[pooled_pixels]`) exactly as it would be put on

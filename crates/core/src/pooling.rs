@@ -58,11 +58,6 @@ impl PoolingDim {
     pub fn compression_factor(&self) -> usize {
         self.h * self.w
     }
-
-    /// `true` when this window pools a `img_h × img_w` map to one pixel.
-    pub fn is_one_pixel(&self, img_h: usize, img_w: usize) -> bool {
-        self.output_pixels(img_h, img_w) == 1
-    }
 }
 
 /// Prints the paper's notation, e.g. `4x4` or `40x40 (1-pixel)`.
@@ -87,8 +82,6 @@ mod tests {
         assert_eq!(PoolingDim::MEDIUM.output_pixels(40, 40), 100);
         assert_eq!(PoolingDim::COARSE.output_pixels(40, 40), 16);
         assert_eq!(PoolingDim::ONE_PIXEL.output_pixels(40, 40), 1);
-        assert!(PoolingDim::ONE_PIXEL.is_one_pixel(40, 40));
-        assert!(!PoolingDim::MEDIUM.is_one_pixel(40, 40));
     }
 
     #[test]

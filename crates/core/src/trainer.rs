@@ -31,7 +31,7 @@ use sl_channel::{RetransmissionPolicy, TransferSimulator};
 use sl_nn::{clip_global_norm, mse_loss, rmse, Adam, Optimizer};
 use sl_rng::rngs::StdRng;
 use sl_scene::SequenceDataset;
-use sl_store::{ActivationLog, DirStorage, StoreMetrics};
+use sl_store::StoreMetrics;
 use sl_telemetry::host::{self, Recording};
 use sl_telemetry::{sim_us, EventBuilder, OpenSpan, SimSpan, Telemetry, Tracer, Value};
 use sl_tensor::Tensor;
@@ -121,15 +121,6 @@ impl TrainOutcome {
             .iter()
             .map(|p| p.val_rmse_db)
             .fold(f32::INFINITY, f32::min)
-    }
-
-    /// Elapsed seconds at which the curve first dips below `rmse_db`,
-    /// or `None` if it never does.
-    pub fn time_to_rmse(&self, rmse_db: f32) -> Option<f64> {
-        self.curve
-            .iter()
-            .find(|p| p.val_rmse_db <= rmse_db)
-            .map(|p| p.elapsed_s)
     }
 }
 
@@ -279,13 +270,11 @@ fn snapshot(pairs: Vec<(&mut Tensor, &mut Tensor)>) -> Vec<Tensor> {
     pairs.into_iter().map(|(p, _)| p.clone()).collect()
 }
 
-/// The BS half in this process. It also keeps the optional log of the
-/// cut activations it receives and the store counters that log and the
-/// checkpoints share.
+/// The BS half in this process. It also keeps the checkpoints' store
+/// counters.
 struct LocalBs {
     opt_bs: Adam,
     grad_clip: f32,
-    activation_log: Option<ActivationLog<DirStorage>>,
     store_metrics: StoreMetrics,
 }
 
@@ -296,13 +285,8 @@ impl BsLink for LocalBs {
         &mut self,
         model: &mut SplitModel,
         step: BsStep<'_>,
-        tele: &mut Telemetry,
+        _tele: &mut Telemetry,
     ) -> Result<BsReply, Infallible> {
-        if let (Some(log), Some(cut)) = (self.activation_log.as_mut(), &step.cut) {
-            if let Err(e) = log.append(cut.data(), &mut self.store_metrics) {
-                tele.warn(&format!("activation log append failed: {e}"));
-            }
-        }
         Ok(bs_half_step(
             model,
             &mut self.opt_bs,
@@ -948,7 +932,6 @@ impl SplitTrainer {
         let link = LocalBs {
             opt_bs: Adam::new(config.learning_rate, 0.9, 0.999, 1e-8),
             grad_clip: config.grad_clip,
-            activation_log: None,
             store_metrics: StoreMetrics::default(),
         };
         SplitTrainer {
@@ -986,25 +969,6 @@ impl SplitTrainer {
     /// bitwise-identical results.
     pub fn set_checkpoint_dir(&mut self, dir: impl Into<PathBuf>) {
         self.checkpoint_dir = Some(dir.into());
-    }
-
-    /// Attaches an append-only activation log: every applied training
-    /// step appends the batch's quantized cut-layer activations (exactly
-    /// the values that cross the air) for offline privacy audits.
-    pub fn set_activation_log(&mut self, log: ActivationLog<DirStorage>) {
-        self.engine.link.activation_log = Some(log);
-    }
-
-    /// Detaches the activation log (e.g. to audit it after training).
-    pub fn take_activation_log(&mut self) -> Option<ActivationLog<DirStorage>> {
-        self.engine.link.activation_log.take()
-    }
-
-    /// Store counters accumulated by checkpointing and activation
-    /// logging (drained into `store.*` telemetry at the end of a
-    /// telemetry-enabled run).
-    pub fn store_metrics(&self) -> &StoreMetrics {
-        &self.engine.link.store_metrics
     }
 
     /// Restores the trainer from a checkpoint directory written by a
@@ -1395,51 +1359,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn activation_log_captures_cut_activations_without_perturbing_training() {
-        let ds = dataset(80);
-        let cfg = ExperimentConfig::quick(Scheme::ImgRf, PoolingDim::new(16, 16));
-        let plain = SplitTrainer::new(cfg.clone(), &ds).train(&ds);
-
-        let dir = std::env::temp_dir().join("slm_trainer_actlog_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut t = SplitTrainer::new(cfg.clone(), &ds);
-        let storage = sl_store::DirStorage::create(&dir).unwrap();
-        let frame = &ds.trace().frames[0];
-        let item_len = cfg.batch_size
-            * ds.seq_len()
-            * cfg.pooling.output_pixels(frame.dims()[0], frame.dims()[1]);
-        let log = ActivationLog::create(
-            storage,
-            "activations",
-            item_len,
-            sl_store::Codec::Bitpack {
-                bit_depth: cfg.bit_depth,
-            },
-        )
-        .unwrap();
-        t.set_activation_log(log);
-        let logged = t.train(&ds);
-
-        // The forward split must be numerically invisible.
-        assert_eq!(plain.curve, logged.curve);
-        assert_eq!(plain.steps_applied, logged.steps_applied);
-
-        // One appended item per applied step. Every append survived the
-        // bitpack codec, so the values are certified on the R-bit grid —
-        // read them back losslessly.
-        let log = t.take_activation_log().unwrap();
-        assert_eq!(log.items() as u64, logged.steps_applied);
-        assert_eq!(t.store_metrics().log_appends, logged.steps_applied);
-        let mut metrics = StoreMetrics::default();
-        let values = log
-            .read_all(sl_tensor::ComputePool::global(), &mut metrics)
-            .unwrap();
-        assert_eq!(values.len(), item_len * log.items());
-        assert!(values.iter().all(|v| (0.0..=1.0).contains(v)));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// Normalized predictions for `indices` in chunks of `chunk`, with the
     /// UE encoding every step's frame: the per-row reference that
     /// once-per-frame validation must reproduce bit for bit.
@@ -1600,7 +1519,7 @@ mod tests {
     }
 
     #[test]
-    fn time_to_rmse_reads_curve() {
+    fn outcome_reads_curve() {
         let out = TrainOutcome {
             curve: vec![
                 CurvePoint {
@@ -1627,8 +1546,6 @@ mod tests {
             compute_s: 1.5,
             airtime_s: 0.5,
         };
-        assert_eq!(out.time_to_rmse(5.0), Some(1.0));
-        assert_eq!(out.time_to_rmse(1.0), None);
         assert_eq!(out.best_rmse_db(), 2.0);
         assert!((out.elapsed_s() - 2.0).abs() < 1e-12);
     }

@@ -92,13 +92,15 @@ fn activation_packing_roundtrips_every_grid_level() {
         |rng| {
             let bit_depth = rng.random_range(1usize..=24);
             let max = (1u32 << bit_depth) - 1;
-            let len = rng.random_range(1usize..64);
+            // Empty input included: it packs to zero bytes.
+            let len = rng.random_range(0usize..96);
             let values: Vec<f32> = (0..len)
                 .map(|_| (rng.random_range(0u32..=0xFF_FFFF) % (max + 1)) as f32 / max as f32)
                 .collect();
             let packed = pack_activations(&values, bit_depth).expect("grid values pack");
             assert_eq!(packed.len(), (values.len() * bit_depth).div_ceil(8));
             let back = unpack_activations(&packed, values.len(), bit_depth).expect("unpack");
+            assert_eq!(back.len(), values.len());
             for (a, b) in values.iter().zip(&back) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
@@ -119,6 +121,35 @@ fn off_grid_activations_are_typed_errors() {
             matches!(r, Err(NetError::Decode(_))),
             "expected a typed Decode error for off-grid {q}, got {r:?}"
         );
+    });
+}
+
+#[test]
+fn packer_rejects_non_finite_and_off_grid() {
+    cases("packer_rejects_non_finite_and_off_grid", CASES, |rng| {
+        let bit_depth = rng.random_range(1usize..13);
+        let q = f32::from_bits(rng.random_range(0u32..=u32::MAX));
+        match pack_activations(&[q], bit_depth) {
+            // Accepted values must be exactly representable levels.
+            Ok(packed) => {
+                let back = unpack_activations(&packed, 1, bit_depth).expect("unpack");
+                assert_eq!(back[0].to_bits(), q.to_bits());
+            }
+            Err(NetError::Decode(_)) => {}
+            Err(other) => panic!("unexpected error {other}"),
+        }
+    });
+}
+
+#[test]
+fn arbitrary_bytes_never_panic_the_unpacker() {
+    cases("arbitrary_bytes_never_panic_the_unpacker", CASES, |rng| {
+        let junk = bytes(rng, 0..96);
+        let count = rng.random_range(0usize..64);
+        // Any outcome is fine except a panic or a silently-wrong length.
+        if let Ok(values) = unpack_activations(&junk, count, 7) {
+            assert_eq!(values.len(), count);
+        }
     });
 }
 

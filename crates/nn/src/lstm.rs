@@ -116,15 +116,6 @@ impl Lstm {
         (i, f, g, o)
     }
 
-    /// Runs the sequence and returns every hidden state (`L` tensors of
-    /// `[N, H]`) without touching the backward cache. Inference helper for
-    /// per-step probing.
-    pub fn infer_states(&self, input: &Tensor) -> Vec<Tensor> {
-        let mut states = Vec::new();
-        self.run(input, |h, _| states.push(h.clone()));
-        states
-    }
-
     /// Runs the recurrence over the whole sequence, handing each step's
     /// new hidden state and backward cache to `on_step`; returns the last
     /// hidden state.
@@ -320,20 +311,6 @@ mod tests {
         let x = sl_tensor::randn([3, 10, 4], 0.0, 5.0, &mut rng);
         let out = lstm.forward(&x);
         assert!(out.max() < 1.0 && out.min() > -1.0);
-    }
-
-    #[test]
-    fn infer_states_matches_forward() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut lstm = Lstm::new(3, 4, &mut rng);
-        let x = sl_tensor::randn([2, 5, 3], 0.0, 1.0, &mut rng);
-        let states = lstm.infer_states(&x);
-        let out = lstm.forward(&x);
-        assert_eq!(states.len(), 5);
-        let last = states.last().unwrap();
-        for (a, b) in last.data().iter().zip(out.data()) {
-            assert!((a - b).abs() < 1e-6);
-        }
     }
 
     #[test]

@@ -27,7 +27,6 @@
 //! warning — exactly the signal the multimodal split network exploits.
 
 mod camera;
-mod chunked;
 mod config;
 mod dataset;
 mod pedestrian;
@@ -35,7 +34,6 @@ mod power;
 mod trace;
 
 pub use camera::DepthCamera;
-pub use chunked::TraceIoError;
 pub use config::{CameraConfig, SceneConfig};
 pub use dataset::{PowerNormalizer, SequenceDataset, SequenceSample, SplitIndices, PAPER_SEQ_LEN};
 pub use pedestrian::Pedestrian;

@@ -72,7 +72,7 @@ pub fn write_array<S: StorageWrite + ?Sized>(
     let encoded = run_ordered(pool, n_chunks, |i| {
         let lo = (i * chunk_items).min(items);
         let hi = ((i + 1) * chunk_items).min(items);
-        codec.encode(&values[lo * item_len..hi * item_len], item_len)
+        Ok(codec.encode(&values[lo * item_len..hi * item_len]))
     });
 
     let mut chunks = Vec::with_capacity(n_chunks);
@@ -141,13 +141,12 @@ fn decode_chunk(manifest: &Manifest, index: usize, bytes: &[u8]) -> Result<Vec<f
             actual,
         });
     }
-    manifest
-        .codec
-        .decode(bytes, info.items * manifest.item_len, manifest.item_len)
+    manifest.codec.decode(bytes, info.items * manifest.item_len)
 }
 
-/// Reads the whole array back, checksum-verifying and decoding chunks in
-/// parallel and concatenating them in ascending order.
+/// Reads the whole array back: storage reads run serially in ascending
+/// chunk order (a deterministic I/O order), then checksum verification
+/// and decoding fan out on the pool and concatenate in ascending order.
 pub fn read_array<S: StorageRead + ?Sized>(
     storage: &S,
     name: &str,
@@ -155,67 +154,18 @@ pub fn read_array<S: StorageRead + ?Sized>(
     metrics: &mut StoreMetrics,
 ) -> Result<(Manifest, Vec<f32>), StoreError> {
     let manifest = read_manifest(storage, name)?;
-    let values = read_items(storage, &manifest, 0, manifest.items, pool, metrics)?;
-    Ok((manifest, values))
-}
-
-/// Reads items `[start, start + count)` of the array described by
-/// `manifest`, touching only the chunks that overlap the range — the
-/// streaming path for frame-range scene reads.
-pub fn read_items<S: StorageRead + ?Sized>(
-    storage: &S,
-    manifest: &Manifest,
-    start: usize,
-    count: usize,
-    pool: &ComputePool,
-    metrics: &mut StoreMetrics,
-) -> Result<Vec<f32>, StoreError> {
-    let end = start
-        .checked_add(count)
-        .ok_or_else(|| StoreError::Range("range overflow".into()))?;
-    if end > manifest.items {
-        return Err(StoreError::Range(format!(
-            "items [{start}, {end}) out of bounds for array {:?} of {} items",
-            manifest.array, manifest.items
-        )));
-    }
-    if count == 0 {
-        return Ok(Vec::new());
-    }
-
-    // Chunk spans via the per-chunk item counts (logs may be ragged).
-    let mut spans = Vec::with_capacity(manifest.chunks.len());
-    let mut base = 0usize;
+    let mut raw = Vec::with_capacity(manifest.chunks.len());
     for info in &manifest.chunks {
-        spans.push((base, base + info.items));
-        base += info.items;
+        raw.push(storage.get(&info.file)?);
     }
-    let touched: Vec<usize> = (0..manifest.chunks.len())
-        .filter(|&i| spans[i].1 > start && spans[i].0 < end)
-        .collect();
-
-    // Storage reads happen serially in ascending order (deterministic
-    // I/O order); checksum + decode fan out on the pool.
-    let mut raw = Vec::with_capacity(touched.len());
-    for &i in &touched {
-        raw.push(storage.get(&manifest.chunks[i].file)?);
-    }
-    let decoded = run_ordered(pool, touched.len(), |j| {
-        decode_chunk(manifest, touched[j], &raw[j])
-    });
-
-    let mut out = Vec::with_capacity(count * manifest.item_len);
-    for (j, result) in decoded.into_iter().enumerate() {
-        let values = result?;
-        let chunk_index = touched[j];
-        let (chunk_start, chunk_end) = spans[chunk_index];
-        let lo = start.max(chunk_start) - chunk_start;
-        let hi = end.min(chunk_end) - chunk_start;
-        out.extend_from_slice(&values[lo * manifest.item_len..hi * manifest.item_len]);
+    let decoded = run_ordered(pool, raw.len(), |i| decode_chunk(&manifest, i, &raw[i]));
+    let mut values = Vec::with_capacity(manifest.items * manifest.item_len);
+    for result in decoded {
+        values.extend_from_slice(&result?);
         metrics.chunks_read += 1;
     }
     metrics.arrays_read += 1;
-    Ok(out)
+    Ok((manifest, values))
 }
 
 #[cfg(test)]
@@ -232,50 +182,27 @@ mod tests {
     }
 
     #[test]
-    fn write_read_round_trip_all_codecs() {
-        for codec in [Codec::Raw, Codec::DeltaRle] {
-            let mut storage = MemStorage::new();
-            let mut metrics = StoreMetrics::default();
-            let vals = values(1000);
-            let m =
-                write_array(&mut storage, "a", 10, &vals, 7, codec, pool(), &mut metrics).unwrap();
-            assert_eq!(m.items, 100);
-            assert_eq!(m.chunks.len(), 15);
-            let (m2, back) = read_array(&storage, "a", pool(), &mut metrics).unwrap();
-            assert_eq!(m2, m);
-            assert_eq!(back, vals);
-            assert!(metrics.bytes_encoded > 0);
-        }
-    }
-
-    #[test]
-    fn read_items_matches_full_slice() {
+    fn write_read_round_trip() {
         let mut storage = MemStorage::new();
         let mut metrics = StoreMetrics::default();
-        let vals = values(600);
+        let vals = values(1000);
         let m = write_array(
             &mut storage,
-            "rng",
-            4,
+            "a",
+            10,
             &vals,
-            16,
-            Codec::DeltaRle,
+            7,
+            Codec::Raw,
             pool(),
             &mut metrics,
         )
         .unwrap();
-        for (start, count) in [(0, 150), (0, 1), (149, 1), (10, 33), (140, 10), (5, 0)] {
-            let got = read_items(&storage, &m, start, count, pool(), &mut metrics).unwrap();
-            assert_eq!(
-                got,
-                vals[start * 4..(start + count) * 4],
-                "[{start}; {count})"
-            );
-        }
-        assert!(matches!(
-            read_items(&storage, &m, 100, 51, pool(), &mut metrics),
-            Err(StoreError::Range(_))
-        ));
+        assert_eq!(m.items, 100);
+        assert_eq!(m.chunks.len(), 15);
+        let (m2, back) = read_array(&storage, "a", pool(), &mut metrics).unwrap();
+        assert_eq!(m2, m);
+        assert_eq!(back, vals);
+        assert_eq!(metrics.bytes_encoded, 4000);
     }
 
     #[test]
@@ -310,7 +237,7 @@ mod tests {
             1,
             &values(64),
             64,
-            Codec::DeltaRle,
+            Codec::Raw,
             pool(),
             &mut metrics,
         )
@@ -344,18 +271,8 @@ mod tests {
         let mut m4 = StoreMetrics::default();
         let mut s1 = MemStorage::new();
         let mut s4 = MemStorage::new();
-        write_array(
-            &mut s1,
-            "x",
-            64,
-            &vals,
-            5,
-            Codec::DeltaRle,
-            &serial,
-            &mut m1,
-        )
-        .unwrap();
-        write_array(&mut s4, "x", 64, &vals, 5, Codec::DeltaRle, &wide, &mut m4).unwrap();
+        write_array(&mut s1, "x", 64, &vals, 5, Codec::Raw, &serial, &mut m1).unwrap();
+        write_array(&mut s4, "x", 64, &vals, 5, Codec::Raw, &wide, &mut m4).unwrap();
         assert_eq!(s1.names(), s4.names());
         for name in s1.names() {
             assert_eq!(s1.get(&name).unwrap(), s4.get(&name).unwrap(), "{name}");

@@ -1,9 +1,8 @@
 //! Typed store errors.
 //!
 //! Every failure mode of the chunked array store is a distinct variant:
-//! corruption is *detected* (checksums, length accounting, codec stream
-//! validation) and surfaces as a typed error — never a panic, never a
-//! silently-garbage tensor.
+//! corruption is *detected* (checksums, length accounting) and surfaces
+//! as a typed error — never a panic, never a silently-garbage tensor.
 
 use std::io;
 
@@ -26,19 +25,9 @@ pub enum StoreError {
         /// Checksum of the bytes actually read.
         actual: u64,
     },
-    /// Encoded chunk bytes are structurally invalid for the codec
-    /// (truncated stream, bad op code, wrong decoded length).
+    /// Chunk bytes are structurally invalid (wrong length for the
+    /// values the manifest says they hold).
     Corrupt(String),
-    /// A value handed to the bitpack encoder is not on the `R`-bit
-    /// quantizer grid (only grid values are representable).
-    OffGrid {
-        /// The offending value.
-        value: f32,
-        /// The codec's bit depth.
-        bit_depth: usize,
-    },
-    /// The requested item range exceeds the array.
-    Range(String),
 }
 
 impl std::fmt::Display for StoreError {
@@ -56,11 +45,6 @@ impl std::fmt::Display for StoreError {
                 "chunk {chunk} checksum mismatch: manifest {expected:016x}, data {actual:016x}"
             ),
             StoreError::Corrupt(what) => write!(f, "corrupt chunk data: {what}"),
-            StoreError::OffGrid { value, bit_depth } => write!(
-                f,
-                "value {value} is not on the {bit_depth}-bit quantizer grid"
-            ),
-            StoreError::Range(what) => write!(f, "store range error: {what}"),
         }
     }
 }

@@ -1,13 +1,11 @@
-//! `SLM_STORE_*` environment knobs.
+//! The `SLM_STORE_CHUNK` environment knob.
 //!
 //! Same contract as every other workspace knob (README § Environment
 //! knobs): unset means the default, an unusable value warns through
-//! `sl_telemetry` and falls back — never a silent ignore. Both knobs
-//! shape *how* arrays are stored, never *what* decodes back out.
+//! `sl_telemetry` and falls back — never a silent ignore. The knob
+//! shapes *how* arrays are stored, never *what* decodes back out.
 
 use sl_telemetry::Telemetry;
-
-use crate::codec::Codec;
 
 /// Default target `f32` values per chunk when `SLM_STORE_CHUNK` is
 /// unset.
@@ -37,24 +35,6 @@ pub fn configured_chunk_items(item_len: usize) -> usize {
     (configured_chunk_values() / item_len.max(1)).max(1)
 }
 
-/// The chunk codec from `SLM_STORE_CODEC` (default: `default`);
-/// unusable values warn and fall back.
-pub fn configured_codec(default: Codec) -> Codec {
-    let Ok(raw) = std::env::var("SLM_STORE_CODEC") else {
-        return default;
-    };
-    match Codec::parse(&raw) {
-        Ok(codec) => codec,
-        Err(e) => {
-            Telemetry::disabled().warn(&format!(
-                "unusable SLM_STORE_CODEC value {raw:?} ({e}); using {}",
-                default.name()
-            ));
-            default
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,27 +44,17 @@ mod tests {
     #[test]
     fn knobs_parse_defaults_and_overrides() {
         std::env::remove_var("SLM_STORE_CHUNK");
-        std::env::remove_var("SLM_STORE_CODEC");
         assert_eq!(configured_chunk_values(), DEFAULT_CHUNK_VALUES);
         assert_eq!(configured_chunk_items(100), DEFAULT_CHUNK_VALUES / 100);
         assert_eq!(configured_chunk_items(usize::MAX), 1);
-        assert_eq!(configured_codec(Codec::Raw), Codec::Raw);
 
         std::env::set_var("SLM_STORE_CHUNK", "1024");
-        std::env::set_var("SLM_STORE_CODEC", "bitpack6");
         assert_eq!(configured_chunk_values(), 1024);
         assert_eq!(configured_chunk_items(100), 10);
-        assert_eq!(
-            configured_codec(Codec::Raw),
-            Codec::Bitpack { bit_depth: 6 }
-        );
 
         std::env::set_var("SLM_STORE_CHUNK", "zero");
-        std::env::set_var("SLM_STORE_CODEC", "lzma");
         assert_eq!(configured_chunk_values(), DEFAULT_CHUNK_VALUES);
-        assert_eq!(configured_codec(Codec::DeltaRle), Codec::DeltaRle);
 
         std::env::remove_var("SLM_STORE_CHUNK");
-        std::env::remove_var("SLM_STORE_CODEC");
     }
 }

@@ -44,8 +44,7 @@ pub struct Manifest {
     pub item_len: usize,
     /// Total items across all chunks.
     pub items: usize,
-    /// Write-time target items per chunk (0 for append-logs, whose
-    /// chunks are sized by whatever each append carried).
+    /// Write-time target items per chunk.
     pub chunk_items: usize,
     /// The codec every chunk is encoded with.
     pub codec: Codec,
@@ -83,7 +82,7 @@ impl Manifest {
             .u64("item_len", self.item_len as u64)
             .u64("items", self.items as u64)
             .u64("chunk_items", self.chunk_items as u64)
-            .str("codec", &self.codec.name())
+            .str("codec", self.codec.name())
             .raw("chunks", &chunks.finish())
             .finish()
     }
@@ -173,7 +172,7 @@ mod tests {
             item_len: 64,
             items: 5,
             chunk_items: 3,
-            codec: Codec::DeltaRle,
+            codec: Codec::Raw,
             chunks: vec![
                 ChunkInfo {
                     file: Manifest::chunk_name("frames", 0),

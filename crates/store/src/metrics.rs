@@ -10,7 +10,7 @@ use sl_telemetry::Telemetry;
 pub struct StoreMetrics {
     /// Arrays committed (manifest written).
     pub arrays_written: u64,
-    /// Arrays (or ranges) read back.
+    /// Arrays read back.
     pub arrays_read: u64,
     /// Chunks encoded and stored.
     pub chunks_written: u64,
@@ -20,21 +20,9 @@ pub struct StoreMetrics {
     pub bytes_raw: u64,
     /// Encoded bytes written to storage.
     pub bytes_encoded: u64,
-    /// Activation-log append batches.
-    pub log_appends: u64,
 }
 
 impl StoreMetrics {
-    /// Overall write-side compression ratio (`raw / encoded`; 0 when
-    /// nothing was written).
-    pub fn ratio(&self) -> f64 {
-        if self.bytes_encoded == 0 {
-            0.0
-        } else {
-            self.bytes_raw as f64 / self.bytes_encoded as f64
-        }
-    }
-
     /// Publishes the accumulated counters under `store.*` and resets
     /// them to zero, so the next publish reports only new work.
     pub fn publish(&mut self, tele: &mut Telemetry) {
@@ -47,7 +35,6 @@ impl StoreMetrics {
         tele.add("store.chunks.read", self.chunks_read);
         tele.add("store.bytes.raw", self.bytes_raw);
         tele.add("store.bytes.encoded", self.bytes_encoded);
-        tele.add("store.log.appends", self.log_appends);
         *self = StoreMetrics::default();
     }
 }
@@ -64,7 +51,6 @@ mod tests {
             bytes_encoded: 200,
             ..StoreMetrics::default()
         };
-        assert_eq!(m.ratio(), 4.0);
         let mut tele = Telemetry::summary();
         m.publish(&mut tele);
         assert_eq!(m, StoreMetrics::default());

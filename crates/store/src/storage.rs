@@ -40,9 +40,6 @@ pub trait StorageRead {
     /// Reads the full contents of `name`. A missing object is
     /// [`StoreError::Missing`].
     fn get(&self, name: &str) -> Result<Vec<u8>, StoreError>;
-
-    /// Whether `name` exists.
-    fn exists(&self, name: &str) -> bool;
 }
 
 /// Write access to named byte objects.
@@ -78,11 +75,6 @@ impl DirStorage {
         }
         Ok(DirStorage { root })
     }
-
-    /// The backing directory.
-    pub fn root(&self) -> &std::path::Path {
-        &self.root
-    }
 }
 
 impl StorageRead for DirStorage {
@@ -93,10 +85,6 @@ impl StorageRead for DirStorage {
             Err(e) if e.kind() == ErrorKind::NotFound => Err(StoreError::Missing(name.into())),
             Err(e) => Err(StoreError::Io(e)),
         }
-    }
-
-    fn exists(&self, name: &str) -> bool {
-        validate_name(name).is_ok() && self.root.join(name).is_file()
     }
 }
 
@@ -141,10 +129,6 @@ impl StorageRead for MemStorage {
             .cloned()
             .ok_or_else(|| StoreError::Missing(name.into()))
     }
-
-    fn exists(&self, name: &str) -> bool {
-        self.objects.contains_key(name)
-    }
 }
 
 impl StorageWrite for MemStorage {
@@ -162,9 +146,8 @@ mod tests {
     #[test]
     fn mem_storage_round_trips() {
         let mut s = MemStorage::new();
-        assert!(!s.exists("a.bin"));
+        assert!(matches!(s.get("a.bin"), Err(StoreError::Missing(_))));
         s.put("a.bin", &[1, 2, 3]).unwrap();
-        assert!(s.exists("a.bin"));
         assert_eq!(s.get("a.bin").unwrap(), vec![1, 2, 3]);
         assert!(matches!(s.get("b.bin"), Err(StoreError::Missing(_))));
     }
@@ -174,7 +157,6 @@ mod tests {
         let root = std::env::temp_dir().join(format!("slstore_test_{}", std::process::id()));
         let mut s = DirStorage::create(&root).unwrap();
         s.put("x.chunk-000000.slc", &[9, 8]).unwrap();
-        assert!(s.exists("x.chunk-000000.slc"));
         assert_eq!(s.get("x.chunk-000000.slc").unwrap(), vec![9, 8]);
         assert!(matches!(s.get("nope"), Err(StoreError::Missing(_))));
         assert_eq!(

@@ -1,8 +1,8 @@
-//! Property-based tests of the `sl-store` codec chains and the
-//! checksummed array paths: every codec must round-trip bitwise for the
-//! inputs it accepts, over ragged shapes and adversarial bit patterns,
-//! and any corruption of stored bytes must surface as a *typed* error —
-//! never a panic, never silently-wrong values.
+//! Property-based tests of the `sl-store` raw codec and the checksummed
+//! array paths: every value must round-trip bitwise, over ragged shapes
+//! and adversarial bit patterns, and any corruption of stored bytes must
+//! surface as a *typed* error — never a panic, never silently-wrong
+//! values.
 
 use std::ops::Range;
 
@@ -15,7 +15,7 @@ use sl_tensor::ComputePool;
 const CASES: usize = 64;
 
 /// Arbitrary `f32` bit patterns: NaN payloads, infinities, subnormals,
-/// negative zero — everything the raw and delta+rle codecs must carry.
+/// negative zero — everything the raw codec must carry.
 fn any_bits(rng: &mut StdRng, lens: Range<usize>) -> Vec<f32> {
     let len = rng.random_range(lens);
     (0..len)
@@ -31,79 +31,10 @@ fn bits_eq(a: &[f32], b: &[f32]) -> bool {
 fn raw_round_trips_any_bits() {
     cases("raw_round_trips_any_bits", CASES, |rng| {
         let vals = any_bits(rng, 0..96);
-        let item_len = rng.random_range(1usize..9);
-        let enc = Codec::Raw.encode(&vals, item_len).unwrap();
+        let enc = Codec::Raw.encode(&vals);
         assert_eq!(enc.len(), vals.len() * 4);
-        let dec = Codec::Raw.decode(&enc, vals.len(), item_len).unwrap();
+        let dec = Codec::Raw.decode(&enc, vals.len()).unwrap();
         assert!(bits_eq(&vals, &dec));
-    });
-}
-
-#[test]
-fn delta_rle_round_trips_any_bits() {
-    cases("delta_rle_round_trips_any_bits", CASES, |rng| {
-        let vals = any_bits(rng, 0..96);
-        let item_len = rng.random_range(1usize..9);
-        let enc = Codec::DeltaRle.encode(&vals, item_len).unwrap();
-        let dec = Codec::DeltaRle.decode(&enc, vals.len(), item_len).unwrap();
-        assert!(bits_eq(&vals, &dec));
-    });
-}
-
-#[test]
-fn delta_rle_collapses_all_constant_arrays() {
-    cases("delta_rle_collapses_all_constant_arrays", CASES, |rng| {
-        let bits = rng.random_range(0u32..=u32::MAX);
-        let item_len = rng.random_range(1usize..9);
-        let items = rng.random_range(4usize..40);
-        let vals = vec![f32::from_bits(bits); item_len * items];
-        let enc = Codec::DeltaRle.encode(&vals, item_len).unwrap();
-        // Every item past the first deltas to zeros; the encoding must
-        // beat raw on anything bigger than a couple of items.
-        assert!(
-            enc.len() < vals.len() * 4,
-            "{} >= {}",
-            enc.len(),
-            vals.len() * 4
-        );
-        let dec = Codec::DeltaRle.decode(&enc, vals.len(), item_len).unwrap();
-        assert!(bits_eq(&vals, &dec));
-    });
-}
-
-#[test]
-fn bitpack_round_trips_grid_values() {
-    cases("bitpack_round_trips_grid_values", CASES, |rng| {
-        let bit_depth = rng.random_range(1usize..13);
-        let max = (1u32 << bit_depth) - 1;
-        let len = rng.random_range(0usize..96);
-        let vals: Vec<f32> = (0..len)
-            .map(|_| (rng.random_range(0u32..65_536) % (max + 1)) as f32 / max as f32)
-            .collect();
-        let codec = Codec::Bitpack { bit_depth };
-        let enc = codec.encode(&vals, 1).unwrap();
-        assert_eq!(enc.len(), (vals.len() * bit_depth).div_ceil(8));
-        let dec = codec.decode(&enc, vals.len(), 1).unwrap();
-        assert!(bits_eq(&vals, &dec));
-    });
-}
-
-#[test]
-fn bitpack_rejects_non_finite_and_off_grid() {
-    cases("bitpack_rejects_non_finite_and_off_grid", CASES, |rng| {
-        let bit_depth = rng.random_range(1usize..13);
-        let bits = rng.random_range(0u32..=u32::MAX);
-        let q = f32::from_bits(bits);
-        let codec = Codec::Bitpack { bit_depth };
-        match codec.encode(&[q], 1) {
-            // Accepted values must be exactly representable levels.
-            Ok(enc) => {
-                let dec = codec.decode(&enc, 1, 1).unwrap();
-                assert_eq!(dec[0].to_bits(), q.to_bits());
-            }
-            Err(StoreError::OffGrid { value, .. }) => assert_eq!(value.to_bits(), bits),
-            Err(other) => panic!("unexpected error {other}"),
-        }
     });
 }
 
@@ -111,19 +42,13 @@ fn bitpack_rejects_non_finite_and_off_grid() {
 fn truncated_chunk_bytes_are_a_typed_error() {
     cases("truncated_chunk_bytes_are_a_typed_error", CASES, |rng| {
         let vals = any_bits(rng, 1..64);
-        let item_len = rng.random_range(1usize..5);
         let cut = rng.random_range(0usize..256);
-        for codec in [Codec::Raw, Codec::DeltaRle] {
-            let enc = codec.encode(&vals, item_len).unwrap();
-            if enc.is_empty() {
-                return;
-            }
-            let cut = cut % enc.len(); // strict prefix
-            match codec.decode(&enc[..cut], vals.len(), item_len) {
-                Err(StoreError::Corrupt(_)) => {}
-                Err(other) => panic!("unexpected error {other}"),
-                Ok(_) => panic!("truncated chunk decoded"),
-            }
+        let enc = Codec::Raw.encode(&vals);
+        let cut = cut % enc.len(); // strict prefix
+        match Codec::Raw.decode(&enc[..cut], vals.len()) {
+            Err(StoreError::Corrupt(_)) => {}
+            Err(other) => panic!("unexpected error {other}"),
+            Ok(_) => panic!("truncated chunk decoded"),
         }
     });
 }
@@ -134,12 +59,9 @@ fn arbitrary_bytes_never_panic_the_decoders() {
         let len = rng.random_range(0usize..96);
         let junk: Vec<u8> = (0..len).map(|_| rng.random_range(0u8..=255)).collect();
         let count = rng.random_range(0usize..64);
-        let item_len = rng.random_range(1usize..5);
         // Any outcome is fine except a panic or a silently-wrong length.
-        for codec in [Codec::Raw, Codec::Bitpack { bit_depth: 7 }, Codec::DeltaRle] {
-            if let Ok(dec) = codec.decode(&junk, count, item_len) {
-                assert_eq!(dec.len(), count);
-            }
+        if let Ok(dec) = Codec::Raw.decode(&junk, count) {
+            assert_eq!(dec.len(), count);
         }
     });
 }
@@ -168,7 +90,7 @@ fn flipped_stored_byte_is_a_checksum_error() {
             item_len,
             vals,
             chunk_items,
-            Codec::DeltaRle,
+            Codec::Raw,
             pool,
             &mut metrics,
         )
@@ -205,24 +127,22 @@ fn full_array_round_trips_through_memory_storage() {
             let items = vals.len() / item_len;
             let vals = &vals[..items * item_len];
             let pool = ComputePool::global();
-            for codec in [Codec::Raw, Codec::DeltaRle] {
-                let mut storage = MemStorage::new();
-                let mut metrics = StoreMetrics::default();
-                write_array(
-                    &mut storage,
-                    "a",
-                    item_len,
-                    vals,
-                    chunk_items,
-                    codec,
-                    pool,
-                    &mut metrics,
-                )
-                .unwrap();
-                let (manifest, back) = read_array(&storage, "a", pool, &mut metrics).unwrap();
-                assert_eq!(manifest.items, items);
-                assert!(bits_eq(vals, &back));
-            }
+            let mut storage = MemStorage::new();
+            let mut metrics = StoreMetrics::default();
+            write_array(
+                &mut storage,
+                "a",
+                item_len,
+                vals,
+                chunk_items,
+                Codec::Raw,
+                pool,
+                &mut metrics,
+            )
+            .unwrap();
+            let (manifest, back) = read_array(&storage, "a", pool, &mut metrics).unwrap();
+            assert_eq!(manifest.items, items);
+            assert!(bits_eq(vals, &back));
         },
     );
 }

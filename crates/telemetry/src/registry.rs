@@ -233,7 +233,7 @@ pub const KEYS: &[KeyDecl] = &[
     key("nn.bs.layer.*", &[], "BS stack per-layer profile"),
     // -- chunked array store (sl-store) ---------------------------------
     key("store.arrays.written", &[], "chunked arrays committed"),
-    key("store.arrays.read", &[], "chunked arrays (or ranges) read"),
+    key("store.arrays.read", &[], "chunked arrays read"),
     key("store.chunks.written", &[], "chunks encoded and stored"),
     key(
         "store.chunks.read",
@@ -242,7 +242,6 @@ pub const KEYS: &[KeyDecl] = &[
     ),
     key("store.bytes.raw", &[], "raw f32 bytes represented"),
     key("store.bytes.encoded", &[], "encoded bytes on storage"),
-    key("store.log.appends", &[], "activation-log append batches"),
 ];
 
 /// The declared `SLM_*` environment-knob table.
@@ -299,12 +298,6 @@ pub const KNOBS: &[KnobDecl] = &[
         name: "SLM_STORE_CHUNK",
         default: "65536",
         parse: "usize ≥ 1 (target f32 values per chunk)",
-        doc: "README.md § Environment knobs",
-    },
-    KnobDecl {
-        name: "SLM_STORE_CODEC",
-        default: "per-array (delta+rle frames, raw weights)",
-        parse: "raw | bitpack[1..=16] | delta+rle",
         doc: "README.md § Environment knobs",
     },
 ];

@@ -235,31 +235,6 @@ impl Tensor {
         Tensor::from_slice(&self.data[row * cols..(row + 1) * cols])
     }
 
-    /// Stacks rank-1 tensors of equal length into a rank-2 tensor
-    /// (`[tensors.len(), len]`).
-    ///
-    /// # Panics
-    /// Panics if `tensors` is empty or lengths differ.
-    pub fn stack_rows(tensors: &[Tensor]) -> Tensor {
-        assert!(!tensors.is_empty(), "stack_rows: no tensors given");
-        let cols = tensors[0].numel();
-        let mut data = Vec::with_capacity(tensors.len() * cols);
-        for t in tensors {
-            assert_eq!(
-                t.numel(),
-                cols,
-                "stack_rows: row length {} differs from {}",
-                t.numel(),
-                cols
-            );
-            data.extend_from_slice(t.data());
-        }
-        Tensor {
-            shape: Shape::new(&[tensors.len(), cols]),
-            data,
-        }
-    }
-
     // ------------------------------------------------------------------
     // Elementwise operations
     // ------------------------------------------------------------------
@@ -281,11 +256,6 @@ impl Tensor {
     /// Elementwise (Hadamard) product, trailing-axis broadcast.
     pub fn mul(&self, other: &Tensor) -> Tensor {
         self.zip_broadcast("mul", other, |a, b| a * b)
-    }
-
-    /// Elementwise quotient, trailing-axis broadcast.
-    pub fn div(&self, other: &Tensor) -> Tensor {
-        self.zip_broadcast("div", other, |a, b| a / b)
     }
 
     /// Adds `other` into `self` in place (shapes must match exactly).
@@ -507,7 +477,6 @@ mod tests {
         assert_eq!(a.add(&b).data(), &[5.0, 7.0, 9.0]);
         assert_eq!(b.sub(&a).data(), &[3.0, 3.0, 3.0]);
         assert_eq!(a.mul(&b).data(), &[4.0, 10.0, 18.0]);
-        assert_eq!(b.div(&a).data(), &[4.0, 2.5, 2.0]);
         assert_eq!(a.scale(2.0).data(), &[2.0, 4.0, 6.0]);
     }
 
@@ -546,11 +515,9 @@ mod tests {
     }
 
     #[test]
-    fn rows_and_stacking() {
+    fn row_copies_one_row() {
         let t = Tensor::from_vec([2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
         assert_eq!(t.row(1).data(), &[4.0, 5.0, 6.0]);
-        let restacked = Tensor::stack_rows(&[t.row(0), t.row(1)]);
-        assert_eq!(restacked, t);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 #
 #   scripts/verify.sh            # everything
 #   scripts/verify.sh --fast     # skip build + smoke/report runs (lints,
-#                                # tests, the kernels bench and the store
-#                                # gates still run)
+#                                # tests, the kernels bench and the
+#                                # checkpoint resume gate still run)
 set -uo pipefail
 
 cd "$(dirname "$0")/.."
@@ -74,10 +74,16 @@ fi
 
 # Layering: the socket runtime never depends on the experiment harness.
 # sl-bench runs Fig. 3a over sl-net, so the edge goes the other way.
+# Neither the scene generator nor the socket runtime persists anything,
+# so neither depends on the chunked store directly.
 layering() {
-    local tree
+    local tree crate
     tree="$(cargo tree --offline -e normal -p sl-net)" || return 1
-    ! grep -q "sl-bench" <<<"$tree"
+    ! grep -q "sl-bench" <<<"$tree" || return 1
+    for crate in sl-scene sl-net; do
+        tree="$(cargo tree --offline -e normal --depth 1 -p "$crate")" || return 1
+        ! grep -q "sl-store" <<<"$tree" || return 1
+    done
 }
 if [[ "$blocked" -eq 0 ]]; then
     stage layering layering
@@ -269,35 +275,11 @@ if [[ "$blocked" -eq 0 ]]; then
         --kernels --check "$bench_dir"
 fi
 
-# Chunked array store (sl-store): codec throughput/ratio trajectory into
-# $bench_dir/BENCH_store.json, gated like the kernels (losslessness and the
-# delta+rle compression win, never throughput); then the determinism
-# contract end to end — the fig3a smoke scene chunk-encoded at 1 and 4
-# threads must be byte-identical file by file — and the checkpoint
-# resume gate: an interrupted + resumed smoke training must reproduce
-# the uninterrupted learning curve bitwise.
+# Checkpoint resume gate: an interrupted + resumed smoke training must
+# reproduce the uninterrupted learning curve bitwise.
 if [[ "$blocked" -eq 0 ]]; then
-    stage store-bench env SLM_THREADS=4 \
-        cargo run --release -q -p sl-bench --bin store -- "$bench_dir"
-    stage store-report cargo run --release -q -p sl-bench --bin slm-report -- \
-        --store --check "$bench_dir"
-    rm -rf results/store_scene_1t results/store_scene_4t
-    stage store-encode-1t env SLM_THREADS=1 \
-        cargo run --release -q -p sl-bench --bin store -- \
-        --encode-scene results/store_scene_1t
-    stage store-encode-4t env SLM_THREADS=4 \
-        cargo run --release -q -p sl-bench --bin store -- \
-        --encode-scene results/store_scene_4t
-    store_bitwise() {
-        local f
-        for f in results/store_scene_1t/*; do
-            cmp "$f" "results/store_scene_4t/$(basename "$f")" || return 1
-        done
-    }
-    stage store-bitwise store_bitwise
-    rm -rf results/store_scene_1t results/store_scene_4t
     stage store-resume env SLM_THREADS=4 \
-        cargo run --release -q -p sl-bench --bin store -- --resume-check
+        cargo run --release -q -p sl-bench --bin store
 fi
 
 echo

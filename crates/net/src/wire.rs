@@ -1177,6 +1177,23 @@ mod tests {
     }
 
     #[test]
+    fn every_level_round_trips() {
+        // Exhaustive over each grid: `level_of`'s ±1 neighbour search must
+        // recover every k in 0..=2^R−1, not just a random sample.
+        for bit_depth in [1usize, 3, 8, 12] {
+            let max = (1u32 << bit_depth) - 1;
+            let values: Vec<f32> = (0..=max).map(|k| k as f32 / max as f32).collect();
+            let packed = pack_activations(&values, bit_depth).unwrap();
+            assert_eq!(packed.len(), (values.len() * bit_depth).div_ceil(8));
+            let back = unpack_activations(&packed, values.len(), bit_depth).unwrap();
+            assert_eq!(back.len(), values.len());
+            for (k, (a, b)) in values.iter().zip(&back).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "R={bit_depth} k={k}");
+            }
+        }
+    }
+
+    #[test]
     fn quantizer_output_is_exactly_representable() {
         // End to end with the real quantizer: arbitrary floats in, the
         // packed wire payload reconstructs the quantized tensor bitwise.

@@ -19,6 +19,18 @@ use crate::manifest::{ChunkInfo, Manifest};
 use crate::metrics::StoreMetrics;
 use crate::storage::{StorageRead, StorageWrite};
 
+/// Target `f32` values per chunk. The arrays the program writes (a
+/// split model's weights or Adam moments: 4,666 values for the 1-pixel
+/// model, 4,385 for RF-only) fit in one chunk; tests pass a smaller
+/// `chunk_items` to [`write_array`] to exercise several.
+const CHUNK_VALUES: usize = 65_536;
+
+/// Items per chunk for items of `item_len` values: [`CHUNK_VALUES`] in
+/// whole items, at least one.
+pub fn configured_chunk_items(item_len: usize) -> usize {
+    (CHUNK_VALUES / item_len.max(1)).max(1)
+}
+
 /// Runs `jobs` fallible chunk tasks on the pool and returns their
 /// results in ascending job order (the fixed merge order behind the
 /// bitwise-determinism contract).
@@ -158,14 +170,15 @@ pub fn read_array<S: StorageRead + ?Sized>(
     for info in &manifest.chunks {
         raw.push(storage.get(&info.file)?);
     }
-    let decoded = run_ordered(pool, raw.len(), |i| decode_chunk(&manifest, i, &raw[i]));
-    let mut values = Vec::with_capacity(manifest.items * manifest.item_len);
-    for result in decoded {
-        values.extend_from_slice(&result?);
-        metrics.chunks_read += 1;
-    }
+    // Every chunk is verified against the bytes actually stored before
+    // the output is sized, so a manifest's claimed size is never trusted
+    // for an allocation.
+    let decoded = run_ordered(pool, raw.len(), |i| decode_chunk(&manifest, i, &raw[i]))
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+    metrics.chunks_read += decoded.len() as u64;
     metrics.arrays_read += 1;
-    Ok((manifest, values))
+    Ok((manifest, decoded.concat()))
 }
 
 #[cfg(test)]
@@ -179,6 +192,13 @@ mod tests {
 
     fn values(n: usize) -> Vec<f32> {
         (0..n).map(|i| ((i * 37) % 101) as f32 * 0.25).collect()
+    }
+
+    #[test]
+    fn chunk_items_are_whole_items() {
+        assert_eq!(configured_chunk_items(1), CHUNK_VALUES);
+        assert_eq!(configured_chunk_items(100), CHUNK_VALUES / 100);
+        assert_eq!(configured_chunk_items(usize::MAX), 1);
     }
 
     #[test]
@@ -246,6 +266,46 @@ mod tests {
             .object_mut(&Manifest::chunk_name("a", 0))
             .unwrap()
             .truncate(3);
+        assert!(matches!(
+            read_array(&storage, "a", pool(), &mut metrics),
+            Err(StoreError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn oversized_manifests_are_typed_errors_not_panics() {
+        let mut metrics = StoreMetrics::default();
+        let empty = Manifest::chunk_name("a", 0);
+        let manifest = |items: usize, bytes: usize| Manifest {
+            array: "a".into(),
+            item_len: 1,
+            items,
+            chunk_items: items,
+            codec: Codec::Raw,
+            chunks: vec![ChunkInfo {
+                file: empty.clone(),
+                items,
+                bytes,
+                checksum: fnv1a_64(&[]),
+            }],
+        };
+        // 2^62 items over one empty chunk: the byte count overflows.
+        let mut storage = MemStorage::new();
+        storage.put(&empty, &[]).unwrap();
+        let m = manifest(1 << 62, 0);
+        storage
+            .put(&Manifest::object_name("a"), m.to_json().as_bytes())
+            .unwrap();
+        assert!(matches!(
+            read_array(&storage, "a", pool(), &mut metrics),
+            Err(StoreError::Manifest(_))
+        ));
+        // A consistent manifest for 2^40 items whose chunk is empty on
+        // storage: rejected before anything is sized from the claim.
+        let m = manifest(1 << 40, 1 << 42);
+        storage
+            .put(&Manifest::object_name("a"), m.to_json().as_bytes())
+            .unwrap();
         assert!(matches!(
             read_array(&storage, "a", pool(), &mut metrics),
             Err(StoreError::Corrupt(_))

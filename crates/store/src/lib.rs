@@ -16,9 +16,6 @@
 //! any `SLM_THREADS` / `SLM_BACKEND`** — the same determinism contract
 //! as the tensor kernels.
 //!
-//! Knob: `SLM_STORE_CHUNK` (target values per chunk) — see README
-//! § Environment knobs.
-//!
 //! ```
 //! use sl_store::{read_array, write_array, Codec, MemStorage, StoreMetrics};
 //! use sl_tensor::ComputePool;
@@ -38,15 +35,13 @@
 mod array;
 mod codec;
 mod error;
-mod knobs;
 mod manifest;
 mod metrics;
 mod storage;
 
-pub use array::{read_array, write_array};
+pub use array::{configured_chunk_items, read_array, write_array};
 pub use codec::Codec;
 pub use error::StoreError;
-pub use knobs::configured_chunk_items;
 pub use manifest::{ChunkInfo, Manifest};
 pub use metrics::StoreMetrics;
 pub use storage::{DirStorage, MemStorage, StorageRead, StorageWrite};

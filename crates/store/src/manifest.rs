@@ -151,7 +151,28 @@ impl Manifest {
             codec,
             chunks,
         };
-        let counted: usize = manifest.chunks.iter().map(|c| c.items).sum();
+        // Raw is the only codec, so every chunk's byte count is known
+        // exactly; checked arithmetic keeps a hand-made manifest from
+        // overflowing a reader's size computations.
+        let mut counted = 0usize;
+        for (i, c) in manifest.chunks.iter().enumerate() {
+            let want = c
+                .items
+                .checked_mul(item_len)
+                .and_then(|v| v.checked_mul(4))
+                .ok_or_else(|| {
+                    StoreError::Manifest(format!("chunk {i}: {} items overflow", c.items))
+                })?;
+            if c.bytes != want {
+                return Err(StoreError::Manifest(format!(
+                    "chunk {i}: {} bytes, {} items of {item_len} raw values need {want}",
+                    c.bytes, c.items
+                )));
+            }
+            counted = counted
+                .checked_add(c.items)
+                .ok_or_else(|| bad("chunk items overflow"))?;
+        }
         if counted != manifest.items {
             return Err(StoreError::Manifest(format!(
                 "chunk items sum to {counted}, manifest claims {}",
@@ -177,13 +198,13 @@ mod tests {
                 ChunkInfo {
                     file: Manifest::chunk_name("frames", 0),
                     items: 3,
-                    bytes: 100,
+                    bytes: 3 * 64 * 4,
                     checksum: 0xdead_beef_0123_4567,
                 },
                 ChunkInfo {
                     file: Manifest::chunk_name("frames", 1),
                     items: 2,
-                    bytes: 70,
+                    bytes: 2 * 64 * 4,
                     checksum: 7,
                 },
             ],
@@ -212,5 +233,44 @@ mod tests {
         assert!(Manifest::from_json("{}").is_err());
         let wrong_version = sample().to_json().replace("\"version\":1", "\"version\":9");
         assert!(Manifest::from_json(&wrong_version).is_err());
+        let mut short = sample();
+        short.chunks[1].bytes -= 4;
+        assert!(matches!(
+            Manifest::from_json(&short.to_json()),
+            Err(StoreError::Manifest(_))
+        ));
+    }
+
+    #[test]
+    fn overflowing_geometry_is_a_typed_error() {
+        // 2^62 items: items × item_len × 4 overflows a 64-bit usize.
+        let mut huge = sample();
+        huge.items = 1 << 62;
+        huge.chunks = vec![ChunkInfo {
+            file: Manifest::chunk_name("frames", 0),
+            items: 1 << 62,
+            bytes: 0,
+            checksum: sl_rng::fnv1a_64(&[]),
+        }];
+        assert!(matches!(
+            Manifest::from_json(&huge.to_json()),
+            Err(StoreError::Manifest(_))
+        ));
+        // Five consistent chunks of 2^61 items whose sum overflows.
+        let mut sum = sample();
+        sum.item_len = 1;
+        sum.items = 1;
+        sum.chunks = (0..5)
+            .map(|i| ChunkInfo {
+                file: Manifest::chunk_name("frames", i),
+                items: 1 << 61,
+                bytes: 1 << 63,
+                checksum: 0,
+            })
+            .collect();
+        assert!(matches!(
+            Manifest::from_json(&sum.to_json()),
+            Err(StoreError::Manifest(_))
+        ));
     }
 }

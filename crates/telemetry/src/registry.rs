@@ -294,12 +294,6 @@ pub const KNOBS: &[KnobDecl] = &[
         parse: "auto | scalar | simd",
         doc: "README.md § Environment knobs",
     },
-    KnobDecl {
-        name: "SLM_STORE_CHUNK",
-        default: "65536",
-        parse: "usize ≥ 1 (target f32 values per chunk)",
-        doc: "README.md § Environment knobs",
-    },
 ];
 
 #[cfg(test)]

@@ -25,8 +25,8 @@ use crate::storage::{StorageRead, StorageWrite};
 /// `chunk_items` to [`write_array`] to exercise several.
 const CHUNK_VALUES: usize = 65_536;
 
-/// Items per chunk for items of `item_len` values: [`CHUNK_VALUES`] in
-/// whole items, at least one.
+/// Items per chunk for items of `item_len` values: a fixed 65,536-value
+/// target in whole items, at least one.
 pub fn configured_chunk_items(item_len: usize) -> usize {
     (CHUNK_VALUES / item_len.max(1)).max(1)
 }

@@ -32,6 +32,7 @@ use std::path::{Path, PathBuf};
 use sl_telemetry::json::{self, JsonArray, JsonObject, JsonValue};
 use sl_telemetry::{
     check_spans, latency_breakdown, spans_from_jsonl, SeriesStore, Snapshot, SpanRecord,
+    SAMPLE_EVERY,
 };
 
 use crate::fnv1a_64;
@@ -678,8 +679,7 @@ pub fn render_markdown(run: &RunData) -> String {
             let _ = writeln!(
                 out,
                 "No sampled series (`series.jsonl` missing — runs with telemetry \
-                 enabled sample every `SLM_SAMPLE_EVERY` steps on the simulated \
-                 clock)."
+                 enabled sample every {SAMPLE_EVERY} steps on the simulated clock)."
             );
         }
     }

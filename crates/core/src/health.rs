@@ -15,6 +15,8 @@
 
 use std::fmt;
 
+use sl_telemetry::Telemetry;
+
 /// What to do when the watchdog trips. Parsed from `SLM_HEALTH`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HealthAction {
@@ -79,25 +81,39 @@ impl Default for HealthConfig {
 }
 
 impl HealthConfig {
-    /// Builds the config from the `SLM_HEALTH` environment variable.
+    /// Builds the config from the `SLM_HEALTH` environment variable; an
+    /// unrecognized value warns on stderr, as `SLM_BACKEND` does.
     pub fn from_env() -> Self {
         let raw = std::env::var("SLM_HEALTH").ok();
-        HealthConfig::from_settings(raw.as_deref())
+        let (cfg, warning) = HealthConfig::from_settings(raw.as_deref());
+        if let Some(msg) = warning {
+            Telemetry::disabled().warn(&msg);
+        }
+        cfg
     }
 
     /// [`HealthConfig::from_env`] with the environment made explicit
-    /// (testable without mutating process state). Unrecognized values
-    /// fall back to `warn`; the monitor reports the bad value so the
-    /// trainer can surface a warning.
-    pub fn from_settings(value: Option<&str>) -> Self {
-        let action = match value {
-            None => HealthAction::Warn,
-            Some(s) => HealthAction::parse(s).unwrap_or(HealthAction::Warn),
+    /// (testable without mutating process state). An unrecognized value
+    /// falls back to `warn` and comes back with the warning to emit.
+    pub fn from_settings(value: Option<&str>) -> (Self, Option<String>) {
+        let (action, warning) = match value {
+            None => (HealthAction::Warn, None),
+            Some(s) => match HealthAction::parse(s) {
+                Some(action) => (action, None),
+                None => (
+                    HealthAction::Warn,
+                    Some(format!(
+                        "unrecognized SLM_HEALTH value {s:?} (expected off | warn | abort); \
+                         using warn"
+                    )),
+                ),
+            },
         };
-        HealthConfig {
+        let cfg = HealthConfig {
             action,
             ..HealthConfig::default()
-        }
+        };
+        (cfg, warning)
     }
 }
 
@@ -389,14 +405,26 @@ mod tests {
         assert_eq!(HealthAction::parse("WARN"), None);
         assert_eq!(HealthAction::parse("strict"), None);
         assert_eq!(
-            HealthConfig::from_settings(Some("abort")).action,
+            HealthConfig::from_settings(Some("abort")).0.action,
             HealthAction::Abort
         );
         assert_eq!(
-            HealthConfig::from_settings(Some("bogus")).action,
-            HealthAction::Warn
+            HealthConfig::from_settings(None),
+            (HealthConfig::default(), None)
         );
-        assert_eq!(HealthConfig::from_settings(None).action, HealthAction::Warn);
+    }
+
+    #[test]
+    fn unrecognized_setting_warns_and_falls_back_to_warn() {
+        for bad in ["strict", "strict:50", "bogus", "WARN"] {
+            let (cfg, warning) = HealthConfig::from_settings(Some(bad));
+            assert_eq!(cfg.action, HealthAction::Warn, "{bad}");
+            let msg = warning.unwrap_or_else(|| panic!("no warning for {bad:?}"));
+            assert!(msg.contains("SLM_HEALTH") && msg.contains(bad), "{msg}");
+        }
+        for good in ["off", "warn", "abort"] {
+            assert_eq!(HealthConfig::from_settings(Some(good)).1, None, "{good}");
+        }
     }
 
     #[test]

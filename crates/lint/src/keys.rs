@@ -12,8 +12,8 @@
 //! - `key-undeclared` — a publish site whose key unifies with no
 //!   declared pattern (namespace drift at the source).
 //! - `key-dead` — a declared pattern no publish site can produce.
-//! - `key-unread` — a declaration tagged with a reader (`report`,
-//!   `top`) whose reader file shows no evidence of consuming it
+//! - `key-unread` — a declaration tagged with a reader (`report`)
+//!   whose reader file shows no evidence of consuming it
 //!   (publish-but-never-consumed drift).
 //! - `key-unpublished` — a reader lookup (`counter("…")`,
 //!   `gauge("…")`, `histograms.get("…")`, `series.get("…")`) whose key
@@ -55,10 +55,7 @@ impl KeySpec {
 }
 
 /// Reader name → path suffix of the file that consumes the keys.
-pub const READER_FILES: &[(&str, &str)] = &[
-    ("report", "crates/bench/src/report.rs"),
-    ("top", "crates/bench/src/bin/slm-top.rs"),
-];
+pub const READER_FILES: &[(&str, &str)] = &[("report", "crates/bench/src/report.rs")];
 
 /// Telemetry publish methods whose first argument is a key.
 const PUBLISH_METHODS: &[&str] = &[
@@ -401,9 +398,7 @@ pub fn check_keys(files: &[FileIndex], specs: &[KeySpec]) -> Vec<Finding> {
 }
 
 /// Evidence that `reader` consumes keys from `pattern`'s family: a
-/// non-test literal in the reader file that unifies with the pattern,
-/// or that equals its final concrete segment (per-session bare lookups
-/// in slm-top read scoped names after the prefix is stripped).
+/// non-test literal in the reader file that unifies with the pattern.
 fn reader_evidence(files: &[FileIndex], reader: &str, pattern: &str) -> bool {
     let Some(suffix) = READER_FILES
         .iter()
@@ -415,12 +410,8 @@ fn reader_evidence(files: &[FileIndex], reader: &str, pattern: &str) -> bool {
     let Some(f) = files.iter().find(|f| f.path.ends_with(suffix)) else {
         return false;
     };
-    let last = pattern.rsplit('.').next().unwrap_or(pattern);
     f.strings.iter().any(|s| {
-        !s.in_test
-            && !s.byte
-            && !s.text.is_empty()
-            && (unify(pattern, &normalize(&s.text, false)) || (last != "*" && s.text == last))
+        !s.in_test && !s.byte && !s.text.is_empty() && unify(pattern, &normalize(&s.text, false))
     })
 }
 
@@ -494,16 +485,21 @@ mod tests {
     #[test]
     fn a_missing_reader_file_is_a_finding() {
         let src = "fn f(s: &S) { s.counter(\"train.steps\"); }";
-        let report = index_file(src, READER_FILES[0].1, "x", TargetKind::Lib);
-        let findings = check_keys(&[report], &[]);
-        let missing: Vec<&Finding> = findings
-            .iter()
-            .filter(|f| f.rule == "key-reader-missing")
-            .collect();
-        assert_eq!(missing.len(), READER_FILES.len() - 1, "{findings:?}");
+        let missing = |path: &str| {
+            let findings = check_keys(&[index_file(src, path, "x", TargetKind::Lib)], &[]);
+            findings
+                .into_iter()
+                .filter(|f| f.rule == "key-reader-missing")
+                .map(|f| f.message)
+                .collect::<Vec<_>>()
+        };
+        let (reader, reader_path) = READER_FILES[0];
+        assert!(missing(reader_path).is_empty());
+        let found = missing("crates/bench/src/bin/moved.rs");
+        assert_eq!(found.len(), READER_FILES.len(), "{found:?}");
         assert!(
-            missing[0].message.contains(READER_FILES[1].1),
-            "{findings:?}"
+            found[0].contains(reader) && found[0].contains(reader_path),
+            "{found:?}"
         );
     }
 

@@ -9,8 +9,7 @@
 //!
 //! ```sh
 //! cargo run --release -p sl-net --bin slm-bs -- \
-//!     --addr 127.0.0.1:0 --sessions 5 --port-file results/bs.port \
-//!     --metrics-port 0 --metrics-port-file results/bs.metrics
+//!     --addr 127.0.0.1:0 --sessions 5 --port-file results/bs.port
 //! ```
 //!
 //! `--addr 127.0.0.1:0` binds an ephemeral port; `--port-file` writes
@@ -18,29 +17,20 @@
 //! `fig3a --addr-file`, at it.
 //! `--sessions N` exits after `N` sessions (default: serve forever).
 //!
-//! `--metrics-port PORT` additionally serves a read-only plaintext
-//! metrics snapshot on `127.0.0.1:PORT` (0: ephemeral) — per-session
-//! `net.session.<id>.*` gauges/counters plus fleet-wide `net.*` sums,
-//! scrapeable while sessions are in flight (`slm-top --addr …`).
-//! `--metrics-port-file` mirrors `--port-file` for that endpoint.
-//!
 //! Sessions are journaled *as they finish*, and every finished session
 //! triggers a telemetry flush plus a `slm_bs.snapshot.json` rewrite
 //! next to the journal, so a server killed mid-fleet has already
 //! persisted everything its completed sessions produced.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 
-use sl_net::{spawn_metrics_endpoint, BsServer, LiveMetrics};
+use sl_net::BsServer;
 use sl_telemetry::Telemetry;
 
 struct Args {
     addr: String,
     sessions: Option<usize>,
     port_file: Option<String>,
-    metrics_port: Option<u16>,
-    metrics_port_file: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -48,8 +38,6 @@ fn parse_args() -> Result<Args, String> {
         addr: "127.0.0.1:0".to_string(),
         sessions: None,
         port_file: None,
-        metrics_port: None,
-        metrics_port_file: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -64,26 +52,14 @@ fn parse_args() -> Result<Args, String> {
                 )
             }
             "--port-file" => args.port_file = Some(value("--port-file")?),
-            "--metrics-port" => {
-                args.metrics_port = Some(
-                    value("--metrics-port")?
-                        .parse()
-                        .map_err(|e| format!("--metrics-port: {e}"))?,
-                )
-            }
-            "--metrics-port-file" => args.metrics_port_file = Some(value("--metrics-port-file")?),
             "--help" | "-h" => {
                 return Err(
-                    "usage: slm-bs [--addr HOST:PORT] [--sessions N] [--port-file PATH] \
-                     [--metrics-port PORT] [--metrics-port-file PATH]"
+                    "usage: slm-bs [--addr HOST:PORT] [--sessions N] [--port-file PATH]"
                         .to_string(),
                 )
             }
             other => return Err(format!("unknown flag {other}")),
         }
-    }
-    if args.metrics_port_file.is_some() && args.metrics_port.is_none() {
-        return Err("--metrics-port-file requires --metrics-port".to_string());
     }
     Ok(args)
 }
@@ -135,28 +111,8 @@ fn main() -> ExitCode {
         }
     }
 
-    let live = Arc::new(LiveMetrics::new());
-    if let Some(port) = args.metrics_port {
-        let bind = format!("127.0.0.1:{port}");
-        let metrics_addr = match spawn_metrics_endpoint(&bind, Arc::clone(&live)) {
-            Ok(a) => a,
-            Err(e) => {
-                tele.warn(&format!("slm-bs: metrics bind {bind}: {e}"));
-                return ExitCode::FAILURE;
-            }
-        };
-        tele.progress(&format!("slm-bs: metrics on {metrics_addr}"));
-        if let Some(path) = &args.metrics_port_file {
-            // Same readiness contract as --port-file.
-            if let Err(e) = std::fs::write(path, metrics_addr.to_string()) {
-                tele.warn(&format!("slm-bs: write {path}: {e}"));
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
     let mut failures = 0usize;
-    server.serve(args.sessions, Some(&live), |id, peer, outcome| {
+    server.serve(args.sessions, |id, peer, outcome| {
         match outcome {
             Ok(s) => {
                 tele.progress(&format!(

@@ -20,10 +20,6 @@
 //!   miswired sessions at handshake time via `sl_core::WiringSpec`.
 //! * [`trainer`] — [`NetTrainer`]: the UE training loop, byte-identical
 //!   (at `SLM_THREADS=1`) to the in-process trainer's learning curve.
-//! * [`live`] — [`LiveMetrics`]: per-session live registries the server
-//!   publishes into, plus a read-only plaintext scrape endpoint
-//!   (`slm-bs --metrics-port`) and the scrape/parse helpers that
-//!   `sl-bench`'s `slm-top` polls with (DESIGN.md §11).
 //!
 //! The wire protocol carries **exact** `f32` bit patterns (losses,
 //! gradients, predictions) and grid-level-packed activations, so
@@ -32,17 +28,13 @@
 
 pub mod client;
 pub mod fault;
-pub mod live;
 pub mod server;
 pub mod trainer;
 pub mod wire;
 
 pub use client::{Connection, NetMetrics, RetryPolicy, UeClient};
 pub use fault::{FaultAction, FaultCounters, FaultPlan, Faulty};
-pub use live::{
-    parse_exposition, render_exposition, scrape_metrics, spawn_metrics_endpoint, LiveMetrics,
-};
-pub use server::{serve_session, serve_session_observed, BsServer, SessionSummary};
+pub use server::{serve_session, BsServer, SessionSummary};
 pub use trainer::NetTrainer;
 pub use wire::{
     decode_frame, encode_frame, EvalRequest, Frame, MsgType, NackCode, NetError, SessionSpec,

@@ -35,7 +35,6 @@ use sl_telemetry::{SpanRecord, Tracer, Value, BS_SPAN_NAMESPACE};
 use sl_tensor::Tensor;
 
 use crate::client::Connection;
-use crate::live::LiveMetrics;
 use crate::wire::{
     encode_config_ack, encode_nack, encode_predictions, unpack_activations, EvalRequest, MsgType,
     NackCode, NetError, SessionSpec, StepReply, StepRequest, TraceContext, FLAG_WANT_RATIO,
@@ -65,8 +64,8 @@ pub struct SessionSummary {
     /// Whether the session ended with a clean Shutdown exchange.
     pub clean_shutdown: bool,
     /// Exponential moving average of the per-step training loss
-    /// (α = 0.1; 0.0 until the first step) — the live-view health
-    /// signal published as the `loss_ema` session gauge.
+    /// (α = 0.1; 0.0 until the first step), journaled by `slm-bs` as
+    /// the session's `loss_ema` gauge.
     pub loss_ema: f64,
     /// BS-side spans recorded under the UE's trace id (empty unless the
     /// handshake carried a nonzero `SessionSpec::trace_id`). Span ids
@@ -235,18 +234,6 @@ impl Session {
 pub fn serve_session<S: Read + Write>(
     stream: S,
     compute_lock: &Mutex<()>,
-) -> Result<SessionSummary, NetError> {
-    serve_session_observed(stream, compute_lock, None)
-}
-
-/// [`serve_session`] with an optional live-metrics observer: after
-/// every handled frame the running [`SessionSummary`] is published to
-/// `live` under the given session id, so a scrape sees steps, nacks and
-/// the loss EMA move while training is in flight.
-pub fn serve_session_observed<S: Read + Write>(
-    stream: S,
-    compute_lock: &Mutex<()>,
-    live: Option<(&LiveMetrics, u64)>,
 ) -> Result<SessionSummary, NetError> {
     let mut conn = Connection::new(stream);
     let mut summary = SessionSummary::default();
@@ -475,14 +462,6 @@ pub fn serve_session_observed<S: Read + Write>(
                 );
             }
         }
-
-        // Keep transport totals current and publish the running summary
-        // to the live view so scrapes observe training in flight.
-        summary.frames_received = conn.metrics.frames_received;
-        summary.bytes_received = conn.metrics.bytes_received;
-        if let Some((hub, id)) = live {
-            hub.update(id, &summary, true);
-        }
     }
 }
 
@@ -507,30 +486,13 @@ impl BsServer {
     }
 
     /// Accepts and serves sessions until `max_sessions` have completed
-    /// (`None`: serve forever). Each connection runs on its own thread;
-    /// returns every finished session's outcome with its peer address.
-    pub fn run(
-        &self,
-        max_sessions: Option<usize>,
-    ) -> Vec<(SocketAddr, Result<SessionSummary, NetError>)> {
-        let mut out = Vec::new();
-        self.serve(max_sessions, None, |_id, peer, result| {
-            out.push((peer, result));
-        });
-        out
-    }
-
-    /// The streaming form of [`BsServer::run`]: accepts and serves
-    /// sessions, invoking `on_session` *as each session finishes* (in
-    /// completion order) rather than collecting everything until the
-    /// accept loop ends. A journaling caller can therefore flush
-    /// per-session state the moment it exists — a dying server never
-    /// holds hours of summaries only in memory.
-    ///
-    /// Session ids are the accept order (0-based); with `live` given,
-    /// every session publishes its running summary under that id while
-    /// it is in flight, and its final state when it completes.
-    pub fn serve<F>(&self, max_sessions: Option<usize>, live: Option<&LiveMetrics>, on_session: F)
+    /// (`None`: serve forever), one thread per connection, invoking
+    /// `on_session` *as each session finishes* (in completion order)
+    /// with its id (the 0-based accept order), peer address and
+    /// outcome. A journaling caller can therefore flush per-session
+    /// state the moment it exists — a dying server never holds hours of
+    /// summaries only in memory.
+    pub fn serve<F>(&self, max_sessions: Option<usize>, on_session: F)
     where
         F: FnMut(u64, SocketAddr, Result<SessionSummary, NetError>),
     {
@@ -556,12 +518,7 @@ impl BsServer {
                     let tx = accept_tx.clone();
                     // slm-lint: allow(no-nondeterminism) connection handling is sl-net's concurrency domain; model compute stays serialized behind the session lock
                     scope.spawn(move || {
-                        let result =
-                            serve_session_observed(stream, lock, live.map(|hub| (hub, id)));
-                        if let Some(hub) = live {
-                            hub.finish(id, result.as_ref().ok());
-                        }
-                        tx.send((id, peer, result)).ok();
+                        tx.send((id, peer, serve_session(stream, lock))).ok();
                     });
                     accepted += 1;
                     if let Some(max) = max_sessions {

@@ -143,7 +143,7 @@ impl<S: Read + Write> BsLink for NetLink<S> {
         self.client.publish_metrics(tele);
     }
 
-    /// The cumulative link counters: the live view of retry pressure.
+    /// The cumulative link counters, sampled into the run's time series.
     fn sample_series(&self, tele: &mut Telemetry, sim_s: f64) {
         let m = self.client.metrics();
         tele.series_point("net.frames.sent", sim_s, m.frames_sent as f64);

@@ -32,7 +32,13 @@ type ServedSessions = Vec<(SocketAddr, Result<SessionSummary, NetError>)>;
 fn spawn_bs(sessions: usize) -> (SocketAddr, thread::JoinHandle<ServedSessions>) {
     let server = BsServer::bind("127.0.0.1:0").expect("bind loopback");
     let addr = server.local_addr().expect("local addr");
-    let handle = thread::spawn(move || server.run(Some(sessions)));
+    let handle = thread::spawn(move || {
+        let mut served = Vec::new();
+        server.serve(Some(sessions), |_id, peer, result| {
+            served.push((peer, result))
+        });
+        served
+    });
     (addr, handle)
 }
 
@@ -55,14 +61,21 @@ fn train_both(
     let client = UeClient::connect(addr, RetryPolicy::default()).expect("connect");
     let mut net = NetTrainer::new(cfg, ds, client).expect("handshake");
     let b = net.train(ds).expect("networked training");
-    let metrics = net.client_mut().metrics();
     let faults = net.client_mut().fault_counters();
-    net.finish().expect("clean shutdown");
+    // Counted after the Shutdown exchange, so both sides' totals are final.
+    let metrics = net.finish().expect("clean shutdown").metrics();
 
     let mut served = server.join().expect("server thread");
     assert_eq!(served.len(), 1);
     let summary = served.pop().unwrap().1.expect("session ok");
     assert!(summary.clean_shutdown);
+    // The BS's transport totals match what the UE put on the wire: every
+    // frame arrives, intact (received) or corrupted in flight (Nack'd).
+    assert_eq!(summary.bytes_received, metrics.bytes_sent);
+    assert_eq!(
+        summary.frames_received + summary.nacks_sent,
+        metrics.frames_sent
+    );
     (a, b, metrics, faults, summary)
 }
 
@@ -111,11 +124,13 @@ fn imgrf_loopback_is_byte_identical_to_in_process() {
 fn rf_only_loopback_is_byte_identical_to_in_process() {
     let ds = dataset(91);
     let cfg = ExperimentConfig::quick(Scheme::RfOnly, PoolingDim::new(4, 4));
-    let (a, b, _metrics, faults, summary) = train_both(cfg, &ds);
+    let (a, b, metrics, faults, summary) = train_both(cfg, &ds);
     assert_byte_identical(&a, &b);
     assert_eq!(summary.steps, b.steps_applied);
-    // RF-only rides no simulated channel: the wire stays fault-free.
+    // RF-only rides no simulated channel: the wire stays fault-free, so
+    // the BS receives every frame the UE sent.
     assert_eq!(faults.corrupted, 0);
+    assert_eq!(summary.frames_received, metrics.frames_sent);
 }
 
 #[test]

@@ -74,22 +74,8 @@ impl TelemetryMode {
     }
 }
 
-/// Default sampling cadence: one time-series sample every 8 training
-/// steps (overridden by `SLM_SAMPLE_EVERY`).
-pub const DEFAULT_SAMPLE_EVERY: u64 = 8;
-
-/// Parses an `SLM_SAMPLE_EVERY` value: a positive step count. `None`
-/// (unset) selects the default; an unparseable or zero value is an
-/// `Err` carrying it so the caller can warn.
-pub fn parse_sample_every(value: Option<&str>) -> Result<u64, String> {
-    match value {
-        None => Ok(DEFAULT_SAMPLE_EVERY),
-        Some(s) => match s.parse::<u64>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(s.to_string()),
-        },
-    }
-}
+/// Sampling cadence: one time-series sample every 8 training steps.
+pub const SAMPLE_EVERY: u64 = 8;
 
 /// The telemetry handle: one metrics registry plus one event sink.
 pub struct Telemetry {
@@ -97,7 +83,6 @@ pub struct Telemetry {
     origin: Instant,
     registry: MetricsRegistry,
     series: SeriesStore,
-    sample_every: u64,
     sink: Box<dyn Sink>,
     events_path: Option<PathBuf>,
     tracing: bool,
@@ -126,7 +111,6 @@ impl Telemetry {
             origin: Instant::now(),
             registry: MetricsRegistry::new(),
             series: SeriesStore::default(),
-            sample_every: DEFAULT_SAMPLE_EVERY,
             sink,
             events_path: None,
             tracing: false,
@@ -151,14 +135,6 @@ impl Telemetry {
             .unwrap_or_else(|_| PathBuf::from("results/telemetry"));
         let mut tele = Telemetry::from_settings(raw.as_deref(), &dir, stream);
         tele.set_tracing(trace::trace_env_enabled());
-        let every = std::env::var("SLM_SAMPLE_EVERY").ok();
-        match parse_sample_every(every.as_deref()) {
-            Ok(n) => tele.set_sample_every(n),
-            Err(bad) => tele.warn(&format!(
-                "unrecognized SLM_SAMPLE_EVERY value {bad:?} (expected a positive \
-                 step count); using {DEFAULT_SAMPLE_EVERY}"
-            )),
-        }
         tele
     }
 
@@ -292,22 +268,12 @@ impl Telemetry {
 
     // ---- time series (no-ops when off) -----------------------------------
 
-    /// The sampling cadence in training steps (`SLM_SAMPLE_EVERY`).
-    pub fn sample_every(&self) -> u64 {
-        self.sample_every
-    }
-
-    /// Sets the sampling cadence (clamped to ≥ 1 step).
-    pub fn set_sample_every(&mut self, every: u64) {
-        self.sample_every = every.max(1);
-    }
-
-    /// `true` when 1-based step `step` falls on the sampling cadence.
-    /// Keyed to the deterministic step counter — never wall clock — so
-    /// two runs of the same config sample identical steps at any thread
-    /// count.
+    /// `true` when 1-based step `step` falls on the [`SAMPLE_EVERY`]
+    /// cadence. Keyed to the deterministic step counter — never wall
+    /// clock — so two runs of the same config sample identical steps at
+    /// any thread count.
     pub fn should_sample(&self, step: u64) -> bool {
-        self.is_enabled() && step.is_multiple_of(self.sample_every)
+        self.is_enabled() && step.is_multiple_of(SAMPLE_EVERY)
     }
 
     /// Appends one `(sim_time_s, value)` sample to time series `name`.
@@ -556,24 +522,13 @@ mod tests {
     }
 
     #[test]
-    fn sample_every_parsing() {
-        assert_eq!(parse_sample_every(None), Ok(DEFAULT_SAMPLE_EVERY));
-        assert_eq!(parse_sample_every(Some("1")), Ok(1));
-        assert_eq!(parse_sample_every(Some("64")), Ok(64));
-        assert_eq!(parse_sample_every(Some("0")), Err("0".to_string()));
-        assert_eq!(parse_sample_every(Some("-3")), Err("-3".to_string()));
-        assert_eq!(parse_sample_every(Some("fast")), Err("fast".to_string()));
-    }
-
-    #[test]
     fn sampling_cadence_is_step_keyed() {
         let (sink, _events) = MemorySink::new();
-        let mut tele = Telemetry::with_sink(TelemetryMode::Jsonl, Box::new(sink));
-        tele.set_sample_every(4);
-        let sampled: Vec<u64> = (1..=10).filter(|&s| tele.should_sample(s)).collect();
-        assert_eq!(sampled, vec![4, 8]);
-        tele.set_sample_every(0); // clamps to 1: every step
-        assert!((1..=10).all(|s| tele.should_sample(s)));
+        let tele = Telemetry::with_sink(TelemetryMode::Jsonl, Box::new(sink));
+        let sampled: Vec<u64> = (1..3 * SAMPLE_EVERY)
+            .filter(|&s| tele.should_sample(s))
+            .collect();
+        assert_eq!(sampled, vec![SAMPLE_EVERY, 2 * SAMPLE_EVERY]);
         // Disabled handles never sample and record no points.
         let mut off = Telemetry::disabled();
         assert!(!off.should_sample(4));

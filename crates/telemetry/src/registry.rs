@@ -18,10 +18,6 @@
 //! namespaced later by `merge_prefixed`/`absorb`) are declared exactly
 //! as the publish site spells them; the runtime keys additionally carry
 //! a `net.session.<id>.` or `net.fleet.` prefix.
-//!
-//! Not listed: `net.sessions.{active,total}` — synthesized directly
-//! into snapshots by `sl-net::live`, never routed through a publish
-//! method, hence outside the harvestable surface.
 
 /// One declared key family.
 #[derive(Debug, Clone, Copy)]
@@ -29,7 +25,7 @@ pub struct KeyDecl {
     /// Dot-separated pattern; `*` matches one or more segments.
     pub pattern: &'static str,
     /// Reader binaries expected to consume the family (`report` =
-    /// slm-report, `top` = slm-top). Empty = write-only telemetry.
+    /// slm-report). Empty = write-only telemetry.
     pub readers: &'static [&'static str],
     /// What the metric means.
     pub doc: &'static str,
@@ -112,9 +108,9 @@ pub const KEYS: &[KeyDecl] = &[
     key("sim.airtime_s", &["report"], "simulated airtime seconds"),
     // -- sl-net transport (client/server connection metrics) -----------
     key("net.frames.sent", &[], "wire frames sent"),
-    key("net.frames.received", &["top"], "wire frames received"),
+    key("net.frames.received", &[], "wire frames received"),
     key("net.bytes.sent", &[], "payload bytes sent"),
-    key("net.bytes.received", &["top"], "payload bytes received"),
+    key("net.bytes.received", &[], "payload bytes received"),
     key("net.retries", &[], "frame retransmission attempts"),
     key("net.timeouts", &[], "read deadlines missed"),
     key(
@@ -123,8 +119,8 @@ pub const KEYS: &[KeyDecl] = &[
         "completed Hello/ConfigAck handshakes",
     ),
     key("net.deadline_miss", &[], "deployment frames past deadline"),
-    key("net.nacks.sent", &["top"], "Nack frames sent"),
-    key("net.nacks.received", &["top"], "Nack frames received"),
+    key("net.nacks.sent", &[], "Nack frames sent"),
+    key("net.nacks.received", &[], "Nack frames received"),
     key(
         "net.faults.frames",
         &[],
@@ -155,8 +151,8 @@ pub const KEYS: &[KeyDecl] = &[
     //    net.fleet.<name> / net.<name>) --------------------------------
     key(
         "net.session.*",
-        &["top"],
-        "per-session live counters/gauges (steps, evals, loss_ema, up, …)",
+        &[],
+        "per-session counters/gauges (steps, evals, loss_ema, …)",
     ),
     key(
         "net.fleet.*",
@@ -265,12 +261,6 @@ pub const KNOBS: &[KnobDecl] = &[
         doc: "README.md § Environment knobs",
     },
     KnobDecl {
-        name: "SLM_SAMPLE_EVERY",
-        default: "8",
-        parse: "u64 ≥ 1",
-        doc: "README.md § Environment knobs",
-    },
-    KnobDecl {
         name: "SLM_TRACE",
         default: "off",
         parse: "on | 1 | true",
@@ -279,7 +269,7 @@ pub const KNOBS: &[KnobDecl] = &[
     KnobDecl {
         name: "SLM_HEALTH",
         default: "warn",
-        parse: "off | warn | strict[:window]",
+        parse: "off | warn | abort",
         doc: "README.md § Environment knobs",
     },
     KnobDecl {
@@ -322,7 +312,7 @@ mod tests {
                 );
             }
             for r in k.readers {
-                assert!(matches!(*r, "report" | "top"), "unknown reader {r}");
+                assert_eq!(*r, "report", "unknown reader {r}");
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Deterministic time-series store: fixed-capacity ring buffers of
 //! `(sim_time, value)` samples per metric.
 //!
-//! The store is the live half of the observability stack: where the
+//! The store is the time-resolved half of the observability stack: where the
 //! [`crate::MetricsRegistry`] keeps end-of-run totals, the series store
 //! keeps a bounded time-resolved record of how each metric evolved. Two
 //! properties make it reproducible:
@@ -11,8 +11,9 @@
 //!   runs of the same config produce identical `(t, v)` pairs at any
 //!   thread count.
 //! * **Step-keyed cadence.** Callers sample on a step-count cadence
-//!   (`Telemetry::should_sample`, `SLM_SAMPLE_EVERY`) — a property of
-//!   the deterministic training loop, not of elapsed host time.
+//!   (`Telemetry::should_sample`, every `SAMPLE_EVERY` steps) — a
+//!   property of the deterministic training loop, not of elapsed host
+//!   time.
 //!
 //! The export is a one-line-per-metric `series.jsonl` (byte-stable:
 //! `verify.sh` literally `cmp`s two runs).
@@ -166,7 +167,7 @@ impl SeriesStore {
 
     /// Parses a store serialized by [`SeriesStore::to_jsonl`]. The
     /// result has `capacity` = max(retained length, 1) per the whole
-    /// store — enough for tools (`slm-top --series`) that only read.
+    /// store — enough for tools (`slm-report`) that only read.
     pub fn from_jsonl(text: &str) -> Result<SeriesStore, String> {
         let mut cap = 1;
         let mut series = BTreeMap::new();

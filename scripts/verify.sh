@@ -200,50 +200,25 @@ if [[ "$fast" -eq 0 && "$blocked" -eq 0 ]]; then
     net_traced_run() {
         local tag="$1"
         mkdir -p results/fig3a_net
-        rm -f results/fig3a_net/bs.port results/fig3a_net/bs.metrics \
+        rm -f results/fig3a_net/bs.port \
             results/fig3a_net/slm_bs.jsonl results/fig3a_net/fig3a_net.jsonl \
             results/fig3a_net/series.jsonl results/fig3a_net/slm_bs.snapshot.json
         env SLM_THREADS=1 SLM_TELEMETRY=jsonl SLM_TRACE=on \
             SLM_TELEMETRY_PATH=results/fig3a_net \
             cargo run --release -q -p sl-net --bin slm-bs -- \
-            --addr 127.0.0.1:0 --sessions 5 --port-file results/fig3a_net/bs.port \
-            --metrics-port 0 --metrics-port-file results/fig3a_net/bs.metrics &
+            --addr 127.0.0.1:0 --sessions 5 --port-file results/fig3a_net/bs.port &
         bs_pid=$!
         for _ in $(seq 1 100); do
             [[ -s results/fig3a_net/bs.port ]] && break
             sleep 0.1
         done
-        # The UE runs in the background so the live endpoint can be
-        # scraped while training is in flight: slm-top --raw validates
-        # that the exposition parses, then the grep asserts it carries
-        # both aggregate (net.frames.*) and per-session metrics.
-        env SLM_THREADS=1 SLM_PROFILE=smoke SLM_TELEMETRY=jsonl SLM_TRACE=on \
-            cargo run --release -q -p sl-bench --bin fig3a -- \
-            --addr-file results/fig3a_net/bs.port &
-        ue_pid=$!
-        if [[ "$tag" == run1 ]]; then
-            scrape=""
-            for _ in $(seq 1 150); do
-                if [[ -s results/fig3a_net/bs.metrics ]]; then
-                    scrape="$(cargo run --release -q -p sl-bench --bin slm-top -- \
-                        --addr "$(cat results/fig3a_net/bs.metrics)" --once --raw \
-                        2>/dev/null || true)"
-                    grep -q "net\.frames" <<<"$scrape" \
-                        && grep -q "net\.session\." <<<"$scrape" && break
-                fi
-                kill -0 "$ue_pid" 2>/dev/null || break
-                sleep 0.1
-            done
-            live_metrics_seen() {
-                grep -q "net\.frames" <<<"$scrape" \
-                    && grep -q "net\.session\." <<<"$scrape"
-            }
-            stage live-metrics live_metrics_seen
-        fi
         # A failed UE leaves the server waiting for its sessions.
-        stage "net-smoke-$tag" wait "$ue_pid" || kill "$bs_pid" 2>/dev/null || true
+        stage "net-smoke-$tag" env SLM_THREADS=1 SLM_PROFILE=smoke SLM_TELEMETRY=jsonl \
+            SLM_TRACE=on cargo run --release -q -p sl-bench --bin fig3a -- \
+            --addr-file results/fig3a_net/bs.port \
+            || kill "$bs_pid" 2>/dev/null || true
         wait "$bs_pid" 2>/dev/null || true
-        rm -f results/fig3a_net/bs.port results/fig3a_net/bs.metrics
+        rm -f results/fig3a_net/bs.port
         stage "net-trace-$tag" cargo run --release -q -p sl-bench --bin slm-trace -- \
             --out "results/fig3a_net/trace_$tag.json" \
             results/fig3a_net/fig3a_net.jsonl results/fig3a_net/slm_bs.jsonl

@@ -42,7 +42,9 @@ use crate::fnv1a_64;
 pub struct HealthEvent {
     /// Event kind (`health.diverged`).
     pub kind: String,
-    /// The offending metric (`loss_ema`, `update_ratio`, ...).
+    /// The offending metric: `loss_ema` (or `loss`, when no finite loss
+    /// kept the streak) for a divergence streak, else the last
+    /// non-finite observation (`loss`, `grad_norm.ue`, `grad_norm.bs`).
     pub metric: String,
     /// Human-readable verdict line.
     pub detail: String,

@@ -2,22 +2,20 @@
 //!
 //! Long simulated-training runs can silently go bad: a NaN loss, an
 //! exploding gradient, or a loss that quietly diverges while the run
-//! keeps burning compute. The [`HealthMonitor`] watches the per-step
-//! statistics the trainer already computes — loss (tracked as an EMA),
-//! clipped gradient norms, weight-update ratios and non-finite counts —
-//! and raises a [`HealthVerdict`] when training is demonstrably
-//! diverging. What happens then is configured by `SLM_HEALTH`:
+//! keeps burning compute. The [`HealthMonitor`] watches what the UE
+//! half of each step already has in hand — the loss the BS sent back
+//! (tracked as an EMA) and both halves' pre-clip gradient norms — and
+//! raises a [`HealthVerdict`] when training is demonstrably diverging.
+//! It sends nothing across the split. What happens then is the
+//! configured [`HealthAction`]:
 //!
-//! * `warn` (default) — emit a `health.diverged` event and keep going;
-//! * `abort` — stop the run with [`crate::StopReason::HealthAborted`]
-//!   and a readable report;
-//! * `off` — disable the watchdog entirely.
+//! * `Warn` (default) — emit a `health.diverged` event and keep going;
+//! * `Abort` — stop the run with [`crate::StopReason::HealthAborted`]
+//!   and a readable report.
 
 use std::fmt;
 
-use sl_telemetry::Telemetry;
-
-/// What to do when the watchdog trips. Parsed from `SLM_HEALTH`.
+/// What to do when the watchdog trips.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HealthAction {
     /// Emit a diagnostic event and continue training (default).
@@ -25,20 +23,6 @@ pub enum HealthAction {
     Warn,
     /// Stop the run with [`crate::StopReason::HealthAborted`].
     Abort,
-    /// Watchdog disabled: observe nothing, never trip.
-    Off,
-}
-
-impl HealthAction {
-    /// Parses an `SLM_HEALTH` value; `None` for unrecognized input.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "warn" => Some(HealthAction::Warn),
-            "abort" => Some(HealthAction::Abort),
-            "off" => Some(HealthAction::Off),
-            _ => None,
-        }
-    }
 }
 
 /// Watchdog thresholds. The defaults are deliberately loose: the goal is
@@ -51,8 +35,7 @@ pub struct HealthConfig {
     /// EMA smoothing factor for the per-step loss.
     pub ema_alpha: f64,
     /// A step is "divergent" when the loss EMA exceeds
-    /// `divergence_factor × best_ema` (or the update ratio exceeds
-    /// [`HealthConfig::max_update_ratio`]).
+    /// `divergence_factor × best_ema`.
     pub divergence_factor: f64,
     /// Consecutive divergent steps before tripping.
     pub patience: usize,
@@ -62,8 +45,6 @@ pub struct HealthConfig {
     /// Total non-finite observations (loss or gradient norms) before
     /// tripping outright.
     pub nonfinite_tolerance: u64,
-    /// Per-step `‖Δθ‖/‖θ‖` above this counts as a divergent step.
-    pub max_update_ratio: f64,
 }
 
 impl Default for HealthConfig {
@@ -75,45 +56,7 @@ impl Default for HealthConfig {
             patience: 25,
             warmup_steps: 10,
             nonfinite_tolerance: 3,
-            max_update_ratio: 10.0,
         }
-    }
-}
-
-impl HealthConfig {
-    /// Builds the config from the `SLM_HEALTH` environment variable; an
-    /// unrecognized value warns on stderr, as `SLM_BACKEND` does.
-    pub fn from_env() -> Self {
-        let raw = std::env::var("SLM_HEALTH").ok();
-        let (cfg, warning) = HealthConfig::from_settings(raw.as_deref());
-        if let Some(msg) = warning {
-            Telemetry::disabled().warn(&msg);
-        }
-        cfg
-    }
-
-    /// [`HealthConfig::from_env`] with the environment made explicit
-    /// (testable without mutating process state). An unrecognized value
-    /// falls back to `warn` and comes back with the warning to emit.
-    pub fn from_settings(value: Option<&str>) -> (Self, Option<String>) {
-        let (action, warning) = match value {
-            None => (HealthAction::Warn, None),
-            Some(s) => match HealthAction::parse(s) {
-                Some(action) => (action, None),
-                None => (
-                    HealthAction::Warn,
-                    Some(format!(
-                        "unrecognized SLM_HEALTH value {s:?} (expected off | warn | abort); \
-                         using warn"
-                    )),
-                ),
-            },
-        };
-        let cfg = HealthConfig {
-            action,
-            ..HealthConfig::default()
-        };
-        (cfg, warning)
     }
 }
 
@@ -126,10 +69,6 @@ pub struct StepStats {
     pub grad_norm_ue: f64,
     /// BS-side global gradient norm.
     pub grad_norm_bs: f64,
-    /// UE-side `‖Δθ‖/‖θ‖` for the optimizer step just applied.
-    pub update_ratio_ue: f64,
-    /// BS-side `‖Δθ‖/‖θ‖`.
-    pub update_ratio_bs: f64,
 }
 
 /// Why the watchdog tripped.
@@ -143,7 +82,7 @@ pub enum HealthVerdict {
         /// Total non-finite observations so far.
         count: u64,
     },
-    /// Sustained divergence of the loss EMA or update ratio.
+    /// Sustained divergence of the loss EMA.
     Diverged {
         /// The metric that kept the divergence streak alive.
         metric: String,
@@ -198,7 +137,6 @@ pub struct HealthMonitor {
     streak: usize,
     nonfinite_loss: u64,
     nonfinite_grad: u64,
-    nonfinite_ratio: u64,
     tripped: bool,
     last_stats: Option<StepStats>,
 }
@@ -214,15 +152,9 @@ impl HealthMonitor {
             streak: 0,
             nonfinite_loss: 0,
             nonfinite_grad: 0,
-            nonfinite_ratio: 0,
             tripped: false,
             last_stats: None,
         }
-    }
-
-    /// A monitor configured from `SLM_HEALTH`.
-    pub fn from_env() -> Self {
-        HealthMonitor::new(HealthConfig::from_env())
     }
 
     /// The active configuration.
@@ -250,16 +182,10 @@ impl HealthMonitor {
         self.ema
     }
 
-    /// Whether update-ratio tracking is needed (lets the trainer skip
-    /// the parameter-copy overhead when the watchdog is off).
-    pub fn wants_update_ratio(&self) -> bool {
-        self.cfg.action != HealthAction::Off && !self.tripped
-    }
-
     /// Feeds one step's statistics. Returns a verdict the first time the
     /// watchdog trips, `None` otherwise.
     pub fn observe_step(&mut self, stats: StepStats) -> Option<HealthVerdict> {
-        if self.cfg.action == HealthAction::Off || self.tripped {
+        if self.tripped {
             return None;
         }
         self.step += 1;
@@ -281,15 +207,7 @@ impl HealthMonitor {
             self.nonfinite_grad += 1;
             last_nonfinite = Some("grad_norm.bs");
         }
-        if !stats.update_ratio_ue.is_finite() {
-            self.nonfinite_ratio += 1;
-            last_nonfinite = Some("update_ratio.ue");
-        }
-        if !stats.update_ratio_bs.is_finite() {
-            self.nonfinite_ratio += 1;
-            last_nonfinite = Some("update_ratio.bs");
-        }
-        let nonfinite_total = self.nonfinite_loss + self.nonfinite_grad + self.nonfinite_ratio;
+        let nonfinite_total = self.nonfinite_loss + self.nonfinite_grad;
         if let Some(metric) = last_nonfinite {
             if nonfinite_total >= self.cfg.nonfinite_tolerance {
                 self.tripped = true;
@@ -315,10 +233,7 @@ impl HealthMonitor {
                 self.best_ema = self.best_ema.min(ema);
                 return None;
             }
-            let diverged_loss = ema > self.cfg.divergence_factor * self.best_ema.max(f64::EPSILON);
-            let diverged_ratio = stats.update_ratio_ue > self.cfg.max_update_ratio
-                || stats.update_ratio_bs > self.cfg.max_update_ratio;
-            if diverged_loss || diverged_ratio {
+            if ema > self.cfg.divergence_factor * self.best_ema.max(f64::EPSILON) {
                 self.streak += 1;
             } else {
                 self.streak = 0;
@@ -327,11 +242,7 @@ impl HealthMonitor {
             if self.streak >= self.cfg.patience {
                 self.tripped = true;
                 return Some(HealthVerdict::Diverged {
-                    metric: if diverged_loss {
-                        "loss_ema".to_string()
-                    } else {
-                        "update_ratio".to_string()
-                    },
+                    metric: "loss_ema".to_string(),
                     ema,
                     best_ema: self.best_ema,
                     streak: self.streak,
@@ -363,14 +274,13 @@ impl HealthMonitor {
         }
         out.push_str(&format!("  divergent streak: {}\n", self.streak));
         out.push_str(&format!(
-            "  non-finite: loss {} / grad {} / update-ratio {}\n",
-            self.nonfinite_loss, self.nonfinite_grad, self.nonfinite_ratio
+            "  non-finite: loss {} / grad {}\n",
+            self.nonfinite_loss, self.nonfinite_grad
         ));
         if let Some(s) = self.last_stats {
             out.push_str(&format!(
-                "  last step: loss {:.6e}, grad_norm ue {:.3e} bs {:.3e}, \
-                 update_ratio ue {:.3e} bs {:.3e}",
-                s.loss, s.grad_norm_ue, s.grad_norm_bs, s.update_ratio_ue, s.update_ratio_bs
+                "  last step: loss {:.6e}, grad_norm ue {:.3e} bs {:.3e}",
+                s.loss, s.grad_norm_ue, s.grad_norm_bs
             ));
         }
         out
@@ -392,38 +302,6 @@ mod tests {
             loss,
             grad_norm_ue: 1.0,
             grad_norm_bs: 1.0,
-            update_ratio_ue: 1e-3,
-            update_ratio_bs: 1e-3,
-        }
-    }
-
-    #[test]
-    fn action_parsing() {
-        assert_eq!(HealthAction::parse("warn"), Some(HealthAction::Warn));
-        assert_eq!(HealthAction::parse("abort"), Some(HealthAction::Abort));
-        assert_eq!(HealthAction::parse("off"), Some(HealthAction::Off));
-        assert_eq!(HealthAction::parse("WARN"), None);
-        assert_eq!(HealthAction::parse("strict"), None);
-        assert_eq!(
-            HealthConfig::from_settings(Some("abort")).0.action,
-            HealthAction::Abort
-        );
-        assert_eq!(
-            HealthConfig::from_settings(None),
-            (HealthConfig::default(), None)
-        );
-    }
-
-    #[test]
-    fn unrecognized_setting_warns_and_falls_back_to_warn() {
-        for bad in ["strict", "strict:50", "bogus", "WARN"] {
-            let (cfg, warning) = HealthConfig::from_settings(Some(bad));
-            assert_eq!(cfg.action, HealthAction::Warn, "{bad}");
-            let msg = warning.unwrap_or_else(|| panic!("no warning for {bad:?}"));
-            assert!(msg.contains("SLM_HEALTH") && msg.contains(bad), "{msg}");
-        }
-        for good in ["off", "warn", "abort"] {
-            assert_eq!(HealthConfig::from_settings(Some(good)).1, None, "{good}");
         }
     }
 
@@ -464,6 +342,26 @@ mod tests {
         assert_eq!(m.nonfinite_loss(), 3);
         // After tripping the monitor goes quiet.
         assert_eq!(m.observe_step(ok_stats(f64::NAN)), None);
+
+        // A step whose loss and both gradient norms are NaN is three
+        // observations at once, so it trips on that step.
+        let mut m = HealthMonitor::default();
+        let all_nan = StepStats {
+            loss: f64::NAN,
+            grad_norm_ue: f64::NAN,
+            grad_norm_bs: f64::NAN,
+        };
+        let v = m
+            .observe_step(all_nan)
+            .expect("must trip on the first step");
+        assert_eq!(
+            v,
+            HealthVerdict::NonFinite {
+                metric: "grad_norm.bs".to_string(),
+                count: 3
+            }
+        );
+        assert_eq!((m.nonfinite_loss(), m.nonfinite_grad()), (1, 2));
     }
 
     #[test]
@@ -526,40 +424,6 @@ mod tests {
             }
         }
         assert!(!m.tripped());
-    }
-
-    #[test]
-    fn huge_update_ratio_counts_as_divergence() {
-        let cfg = HealthConfig {
-            patience: 3,
-            warmup_steps: 1,
-            ..HealthConfig::default()
-        };
-        let mut m = HealthMonitor::new(cfg);
-        m.observe_step(ok_stats(1.0));
-        let bad = StepStats {
-            update_ratio_bs: 100.0,
-            ..ok_stats(1.0)
-        };
-        assert_eq!(m.observe_step(bad), None);
-        assert_eq!(m.observe_step(bad), None);
-        let v = m.observe_step(bad).expect("must trip");
-        assert_eq!(v.metric(), "update_ratio");
-    }
-
-    #[test]
-    fn off_mode_observes_nothing() {
-        let cfg = HealthConfig {
-            action: HealthAction::Off,
-            ..HealthConfig::default()
-        };
-        let mut m = HealthMonitor::new(cfg);
-        assert!(!m.wants_update_ratio());
-        for _ in 0..100 {
-            assert_eq!(m.observe_step(ok_stats(f64::NAN)), None);
-        }
-        assert!(!m.tripped());
-        assert_eq!(m.nonfinite_loss(), 0);
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //!   instead.
 //! * [`TrainOutcome`] / [`CurvePoint`] — learning curves, stop-reason
 //!   bookkeeping, and prediction traces for Fig. 3b.
-//! * [`HealthMonitor`] — training-health watchdog: tracks the loss EMA,
-//!   gradient norms, update ratios and non-finite counts each step and
-//!   (per `SLM_HEALTH=warn|abort|off`) warns on or aborts demonstrably
+//! * [`HealthMonitor`] — training-health watchdog on the UE half:
+//!   tracks the loss EMA, gradient norms and non-finite counts each
+//!   step and (per [`HealthAction`]) warns on or aborts demonstrably
 //!   diverging runs.
 //! * [`WiringSpec`] — pre-run static validation of the
 //!   UE→pool→payload→BS shapes: propagates symbolic shapes through the

@@ -70,8 +70,8 @@ pub enum StopReason {
     /// is too bulky for the link (the fate of 1×1 pooling under the
     /// paper's whole-payload policy).
     LinkStalled,
-    /// The training-health watchdog tripped under `SLM_HEALTH=abort`
-    /// (NaN/inf stream or sustained divergence).
+    /// The training-health watchdog tripped under [`HealthAction::Abort`]
+    /// (NaN/inf stream or sustained loss-EMA divergence).
     HealthAborted,
 }
 
@@ -152,8 +152,6 @@ pub struct BsStep<'a> {
     pub cut: Option<Tensor>,
     /// The minibatch; the BS half reads its powers and targets.
     pub batch: Batch,
-    /// Whether the health watchdog wants the BS update ratio back.
-    pub want_ratio: bool,
     /// Slots beyond the clean minimum that the uplink and the downlink
     /// took, each one a simulated retransmission.
     pub excess_slots: [u64; 2],
@@ -185,8 +183,6 @@ pub struct BsReply {
     pub loss: f32,
     /// The BS parameters' global gradient norm before clipping.
     pub grad_norm: f32,
-    /// `‖Δθ‖/‖θ‖` of the BS update, when it was asked for.
-    pub update_ratio: Option<f64>,
     /// The unclipped cut-layer gradient, `[B·L, 1, ph, pw]`; `None` for
     /// RF-only.
     pub cut_grad: Option<Tensor>,
@@ -226,7 +222,7 @@ pub trait BsLink {
 }
 
 /// The BS half of one SGD step: forward → MSE → backward → clip →
-/// Adam, plus the update ratio when `want_ratio`. `powers` is `[B, L]`
+/// Adam. `powers` is `[B, L]`
 /// and `targets` `[B, 1]`. The forward and backward are timed into
 /// `train.model.host_s` while the thread records ([`host`]). The cut
 /// gradient ships unclipped: clipping applies to parameter gradients,
@@ -238,7 +234,6 @@ pub fn bs_half_step(
     powers: &Tensor,
     targets: &Tensor,
     grad_clip: f32,
-    want_ratio: bool,
 ) -> BsReply {
     let (loss, cut_grad) = host::time("train.model", || {
         let pred = model.forward_bs(cut, powers, powers.dims()[0], powers.dims()[1]);
@@ -247,13 +242,11 @@ pub fn bs_half_step(
         (loss, cut_grad)
     });
     let grad_norm = clip_params(model.bs_params_and_grads(), grad_clip);
-    let prev = want_ratio.then(|| snapshot(model.bs_params_and_grads()));
     opt_bs.step(&mut model.bs_params_and_grads());
     model.bs_mut().zero_grads();
     BsReply {
         loss: loss.loss,
         grad_norm,
-        update_ratio: prev.map(|prev| update_ratio(&prev, &model.bs_params_and_grads())),
         cut_grad,
     }
 }
@@ -263,11 +256,6 @@ pub fn bs_half_step(
 fn clip_params(mut pairs: Vec<(&mut Tensor, &mut Tensor)>, max_norm: f32) -> f32 {
     let mut grads: Vec<&mut Tensor> = pairs.iter_mut().map(|(_, g)| &mut **g).collect();
     clip_global_norm(&mut grads, max_norm)
-}
-
-/// Copies of a parameter list's values, for [`update_ratio`].
-fn snapshot(pairs: Vec<(&mut Tensor, &mut Tensor)>) -> Vec<Tensor> {
-    pairs.into_iter().map(|(p, _)| p.clone()).collect()
 }
 
 /// The BS half in this process. It also keeps the checkpoints' store
@@ -294,7 +282,6 @@ impl BsLink for LocalBs {
             &step.batch.powers_norm,
             &step.batch.targets_norm,
             self.grad_clip,
-            step.want_ratio,
         ))
     }
 
@@ -487,15 +474,15 @@ impl<L: BsLink> StepEngine<L> {
             model,
             config,
             rng,
-            health: HealthMonitor::from_env(),
+            health: HealthMonitor::default(),
             tracer,
             steps_seen: 0,
             link,
         }
     }
 
-    /// Replaces the `SLM_HEALTH`-derived watchdog configuration (resets
-    /// the monitor's state).
+    /// Replaces the default watchdog configuration (resets the
+    /// monitor's state).
     pub fn set_health_config(&mut self, cfg: HealthConfig) {
         self.health = HealthMonitor::new(cfg);
     }
@@ -532,7 +519,7 @@ impl<L: BsLink> StepEngine<L> {
     ///   (the thread's [`host`] recorder is on for the whole run whenever
     ///   `tele` is enabled, and drains into `tele` at the end);
     /// * health — a `health.diverged` event if the [`HealthMonitor`]
-    ///   trips (under `SLM_HEALTH=abort` the run then stops with
+    ///   trips (under [`HealthAction::Abort`] the run then stops with
     ///   [`StopReason::HealthAborted`]);
     /// * per epoch — an `"epoch"` event plus the `train.val_rmse_db`
     ///   gauge;
@@ -764,9 +751,6 @@ impl<L: BsLink> StepEngine<L> {
         let idx = dataset.sample_train_batch(b, &mut self.rng);
         let batch = Batch::assemble(dataset, dataset.normalizer(), &idx, uses_images);
         let cut = host::time("train.model", || self.model.forward_ue(&batch));
-        // Whether the watchdog is watching: it can only stop inside
-        // `observe_step` below, so one read serves the whole step.
-        let watching = self.health.wants_update_ratio();
         let trace = match (self.tracer.as_mut(), &open) {
             (Some(tracer), Some((root, bs_span))) => Some(LinkTrace {
                 tracer,
@@ -782,7 +766,6 @@ impl<L: BsLink> StepEngine<L> {
         let step = BsStep {
             cut,
             batch,
-            want_ratio: watching,
             excess_slots: [excess(ul), excess(dl)],
             trace,
         };
@@ -823,7 +806,6 @@ impl<L: BsLink> StepEngine<L> {
             }
         }
 
-        let prev_ue = watching.then(|| snapshot(self.model.ue_params_and_grads()));
         self.opt_ue.step(&mut self.model.ue_params_and_grads());
         self.model.zero_ue_grads();
 
@@ -832,33 +814,27 @@ impl<L: BsLink> StepEngine<L> {
             close_step(tr, root, t[4], seq, Some(loss), label);
         }
 
-        if watching {
-            let stats = StepStats {
-                loss: loss as f64,
-                grad_norm_ue: ue_norm as f64,
-                grad_norm_bs: bs_norm as f64,
-                update_ratio_ue: prev_ue
-                    .map(|prev| update_ratio(&prev, &self.model.ue_params_and_grads()))
-                    .unwrap_or(0.0),
-                update_ratio_bs: reply.update_ratio.unwrap_or(0.0),
-            };
-            if let Some(verdict) = self.health.observe_step(stats) {
-                let abort = self.health.config().action == HealthAction::Abort;
-                if tele.is_enabled() {
-                    tele.emit(
-                        EventBuilder::new("health.diverged")
-                            .str("metric", verdict.metric())
-                            .str("detail", &verdict.to_string())
-                            .str("action", if abort { "abort" } else { "warn" })
-                            .u64("nonfinite_loss", self.health.nonfinite_loss())
-                            .u64("nonfinite_grad", self.health.nonfinite_grad()),
-                    );
-                }
-                tele.warn(&format!("health watchdog tripped: {verdict}"));
-                tele.warn(&self.health.report());
-                if abort {
-                    return Ok(StepResult::HealthAborted);
-                }
+        let stats = StepStats {
+            loss: loss as f64,
+            grad_norm_ue: ue_norm as f64,
+            grad_norm_bs: bs_norm as f64,
+        };
+        if let Some(verdict) = self.health.observe_step(stats) {
+            let abort = self.health.config().action == HealthAction::Abort;
+            if tele.is_enabled() {
+                tele.emit(
+                    EventBuilder::new("health.diverged")
+                        .str("metric", verdict.metric())
+                        .str("detail", &verdict.to_string())
+                        .str("action", if abort { "abort" } else { "warn" })
+                        .u64("nonfinite_loss", self.health.nonfinite_loss())
+                        .u64("nonfinite_grad", self.health.nonfinite_grad()),
+                );
+            }
+            tele.warn(&format!("health watchdog tripped: {verdict}"));
+            tele.warn(&self.health.report());
+            if abort {
+                return Ok(StepResult::HealthAborted);
             }
         }
         Ok(StepResult::Applied)
@@ -941,8 +917,8 @@ impl SplitTrainer {
         }
     }
 
-    /// Replaces the `SLM_HEALTH`-derived watchdog configuration (for
-    /// tests and programmatic callers; resets the monitor's state).
+    /// Replaces the default watchdog configuration (for tests and
+    /// programmatic callers; resets the monitor's state).
     pub fn set_health_config(&mut self, cfg: HealthConfig) {
         self.engine.set_health_config(cfg);
     }
@@ -1150,21 +1126,6 @@ fn write_checkpoint(
         params,
     };
     checkpoint::save(dir, &ck, &mut e.link.store_metrics)
-}
-
-/// `‖θ_new − θ_old‖ / ‖θ_old‖` across a parameter list (the classic
-/// update-ratio health signal; ~1e-3 is healthy, ≫1 is divergence).
-fn update_ratio(prev: &[Tensor], pairs: &[(&mut Tensor, &mut Tensor)]) -> f64 {
-    let mut delta_sq = 0.0f64;
-    let mut norm_sq = 0.0f64;
-    for (old, (new, _)) in prev.iter().zip(pairs) {
-        for (a, b) in old.data().iter().zip(new.data()) {
-            let d = (*b - *a) as f64;
-            delta_sq += d * d;
-            norm_sq += (*a as f64) * (*a as f64);
-        }
-    }
-    delta_sq.sqrt() / (norm_sq.sqrt() + 1e-12)
 }
 
 /// Deterministic stride subsample of `indices` down to at most `cap` —

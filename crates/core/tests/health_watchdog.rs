@@ -54,6 +54,7 @@ fn diverging_run_aborts_with_health_event() {
         Some(sl_telemetry::Value::Str(s)) => assert_eq!(s, "abort"),
         f => panic!("health event missing action field: {f:?}"),
     }
+    assert_trips_on_loss_ema(health[0]);
     // The report is available and readable after the abort.
     let report = t.health().report();
     assert!(report.contains("training-health report"), "{report}");
@@ -74,11 +75,22 @@ fn diverging_run_completes_under_warn() {
     assert_eq!(out.epochs, 20);
     assert!(t.health().tripped());
     let evs = events.borrow();
+    let health: Vec<_> = evs.iter().filter(|e| e.kind == "health.diverged").collect();
     assert_eq!(
-        evs.iter().filter(|e| e.kind == "health.diverged").count(),
+        health.len(),
         1,
         "the watchdog journals once, then goes quiet"
     );
+    assert_trips_on_loss_ema(health[0]);
+}
+
+/// The diverging runs trip on the loss-EMA rule, not on a non-finite
+/// stream.
+fn assert_trips_on_loss_ema(event: &sl_telemetry::Event) {
+    match event.field("metric") {
+        Some(sl_telemetry::Value::Str(s)) => assert_eq!(s, "loss_ema"),
+        f => panic!("health event missing metric field: {f:?}"),
+    }
 }
 
 #[test]

@@ -5,9 +5,8 @@
 //! `merge_histogram`/`series_point`, and the host recorder's
 //! `host::{time,add,set}`, whose `time` keys gain `.host_s`), including
 //! `format!`/`format_args!`-built keys whose placeholders become `*`
-//! wildcard segments and bare scoped names which are absorbed under a
-//! prefix and therefore harvest as `*.<name>`, then cross-checks the
-//! harvest against the declared key registry:
+//! wildcard segments, then cross-checks the harvest against the
+//! declared key registry:
 //!
 //! - `key-undeclared` — a publish site whose key unifies with no
 //!   declared pattern (namespace drift at the source).
@@ -27,8 +26,9 @@
 //!   or renamed reader).
 //!
 //! Wildcards match **one or more** dot segments on either side, so the
-//! declared family `net.session.*` unifies with both the scoped bare
-//! publish `*.steps` and the concrete reader key `net.session.3.steps`.
+//! declared family `nn.ue.layer.*` unifies with both the `format!`-built
+//! publish `*.fwd.host_s` and the concrete reader key
+//! `nn.ue.layer.0.fused_cnn.fwd.host_s`.
 
 use crate::index::{FileIndex, StrRef};
 use crate::workspace::TargetKind;
@@ -81,7 +81,7 @@ const CONSUME_MAPS: &[&str] = &["counters", "gauges", "histograms", "series"];
 /// A harvested publish or consume site.
 #[derive(Debug, Clone)]
 pub struct KeySite {
-    /// Normalized pattern (placeholders → `*`, bare names → `*.name`).
+    /// Normalized pattern (placeholders → `*`).
     pub pattern: String,
     /// Source file (workspace-relative).
     pub file: String,
@@ -117,9 +117,6 @@ pub fn harvest_publishes(files: &[FileIndex]) -> Vec<KeySite> {
 
 /// The publish pattern of one string literal, when its call context is
 /// a publish method (directly, or through `format!` as first argument).
-/// All-wildcard patterns (e.g. `MetricsRegistry::merge_prefixed`'s
-/// `{prefix}.{k}` re-publish plumbing) carry no contract information
-/// and are dropped.
 fn publish_pattern(s: &StrRef) -> Option<String> {
     let call = s.call.as_ref()?;
     let (site, from_format) =
@@ -128,18 +125,11 @@ fn publish_pattern(s: &StrRef) -> Option<String> {
         } else {
             (call, false)
         };
-    let pattern =
-        if site.method && site.first_arg && PUBLISH_METHODS.contains(&site.callee.as_str()) {
-            normalize(&s.text, from_format)
-        } else if let Some((_, suffix)) = recorder_fn(site) {
-            normalize(&format!("{}{suffix}", s.text), from_format)
-        } else {
-            return None;
-        };
-    if pattern.split('.').all(|seg| seg == "*") {
-        return None;
+    if site.method && site.first_arg && PUBLISH_METHODS.contains(&site.callee.as_str()) {
+        Some(normalize(&s.text, from_format))
+    } else {
+        recorder_fn(site).map(|(_, suffix)| normalize(&format!("{}{suffix}", s.text), from_format))
     }
-    Some(pattern)
 }
 
 /// The [`RECORDER_FNS`] entry a `host::<fn>(key, ..)` call names.
@@ -191,21 +181,16 @@ pub fn harvest_consumes(files: &[FileIndex]) -> Vec<(String, KeySite)> {
 }
 
 /// Normalizes a harvested literal into a pattern: `format!` placeholder
-/// segments become `*`; dotless bare names (scoped publishes, absorbed
-/// under a prefix at runtime) become `*.name`.
+/// segments become `*`.
 pub fn normalize(text: &str, from_format: bool) -> String {
-    let mut pat: String = if from_format {
+    if from_format {
         text.split('.')
             .map(|seg| if seg.contains('{') { "*" } else { seg })
             .collect::<Vec<_>>()
             .join(".")
     } else {
         text.to_string()
-    };
-    if !pat.contains('.') && pat != "*" {
-        pat = format!("*.{pat}");
     }
-    pat
 }
 
 /// `true` when the two patterns can denote a common concrete key; `*`
@@ -433,10 +418,10 @@ mod tests {
     }
 
     #[test]
-    fn normalize_wildcardizes_placeholders_and_bare_names() {
+    fn normalize_wildcardizes_placeholders() {
         assert_eq!(normalize("net.session.{id}", true), "net.session.*");
         assert_eq!(normalize("{base}.flops", true), "*.flops");
-        assert_eq!(normalize("steps", false), "*.steps");
+        assert_eq!(normalize("steps", false), "steps");
         assert_eq!(normalize("train.loss", false), "train.loss");
     }
 

@@ -17,10 +17,9 @@
 //! `fig3a --addr-file`, at it.
 //! `--sessions N` exits after `N` sessions (default: serve forever).
 //!
-//! Sessions are journaled *as they finish*, and every finished session
-//! triggers a telemetry flush plus a `slm_bs.snapshot.json` rewrite
-//! next to the journal, so a server killed mid-fleet has already
-//! persisted everything its completed sessions produced.
+//! Sessions are journaled *as they finish*, each followed by a
+//! telemetry flush, so a server killed mid-run has already persisted
+//! every completed session's line and spans.
 
 use std::process::ExitCode;
 
@@ -62,20 +61,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
-}
-
-/// Rewrite `slm_bs.snapshot.json` next to the journal (jsonl mode
-/// only). Called after every finished session and at shutdown so the
-/// on-disk snapshot always reflects the latest fleet state.
-fn write_live_snapshot(tele: &mut Telemetry) {
-    let Some(dir) = tele.events_path().and_then(|p| p.parent()) else {
-        return;
-    };
-    let path = dir.join("slm_bs.snapshot.json");
-    let body = tele.snapshot().to_json() + "\n";
-    if let Err(e) = std::fs::write(&path, body) {
-        tele.warn(&format!("slm-bs: write {}: {e}", path.display()));
-    }
 }
 
 fn main() -> ExitCode {
@@ -138,35 +123,16 @@ fn main() -> ExitCode {
                 for span in &s.spans {
                     tele.emit(span.to_event());
                 }
-                // Fold the session into the registry: per-session scope
-                // plus the fleet-wide aggregate (counters sum, gauges
-                // last-write, DESIGN.md §11).
-                let mut scope = tele.scoped(&format!("net.session.{id}"));
-                scope.add("steps", s.steps);
-                scope.add("evals", s.evals);
-                scope.add("heartbeats", s.heartbeats);
-                scope.add("nacks.sent", s.nacks_sent);
-                scope.add("nacks.received", s.nacks_received);
-                scope.add("resends", s.resends);
-                scope.add("frames.received", s.frames_received);
-                scope.add("bytes.received", s.bytes_received);
-                scope.gauge_set("clean_shutdown", if s.clean_shutdown { 1.0 } else { 0.0 });
-                if s.loss_ema.is_finite() && s.steps > 0 {
-                    scope.gauge_set("loss_ema", s.loss_ema);
-                }
-                tele.absorb(&scope, Some("net.fleet"));
             }
             Err(e) => {
                 failures += 1;
                 tele.warn(&format!("slm-bs: {peer}: session {id} failed: {e}"));
             }
         }
-        // Persist after *every* session — a server killed mid-fleet has
-        // already journaled and snapshotted everything that finished.
-        write_live_snapshot(&mut tele);
+        // Persist after *every* session — a server killed mid-run has
+        // already journaled everything that finished.
         tele.flush();
     });
-    write_live_snapshot(&mut tele);
     tele.flush();
     if failures > 0 {
         ExitCode::FAILURE

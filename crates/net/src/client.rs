@@ -12,8 +12,7 @@ use sl_telemetry::{Telemetry, Value};
 use crate::fault::{FaultCounters, FaultPlan, Faulty};
 use crate::wire::{
     decode_config_ack, decode_frame, decode_nack, encode_frame, parse_header, Frame, MsgType,
-    NackCode, NetError, SessionSpec, StepReply, StepRequest, TraceContext, FLAG_WANT_RATIO,
-    HEADER_LEN, TRAILER_LEN,
+    NackCode, NetError, SessionSpec, StepReply, StepRequest, TraceContext, HEADER_LEN, TRAILER_LEN,
 };
 
 /// Bounds on the client's persistence. The *base* retry budget for one
@@ -225,16 +224,20 @@ impl<S: Read + Write> UeClient<S> {
     /// end, parented to the step's root: the windows were charged
     /// before the bytes moved, and the `window` attribute says which
     /// direction misbehaved.
+    ///
+    /// `_reserved` is ignored: the request never sets frame bit 0 and
+    /// the reply carries only the loss, the BS gradient norm and the cut
+    /// gradient. The argument keeps existing callers' signature.
     pub fn train_step(
         &mut self,
         req: &StepRequest,
-        want_ratio: bool,
+        _reserved: bool,
         uplink_plan: FaultPlan,
         downlink_plan: FaultPlan,
         mut trace: Option<LinkTrace<'_>>,
     ) -> Result<StepReply, NetError> {
         let ty = req.msg_type();
-        let mut flags = if want_ratio { FLAG_WANT_RATIO } else { 0 };
+        let mut flags = 0;
         let plan_budget = uplink_plan.len() + downlink_plan.len();
         self.conn.faults().arm_write(uplink_plan, Some(ty as u8));
         self.conn
@@ -263,7 +266,7 @@ impl<S: Read + Write> UeClient<S> {
             plan_budget,
             trace.as_mut(),
         )?;
-        StepReply::decode(reply.flags, &reply.payload)
+        StepReply::decode(&reply.payload)
     }
 
     /// Runs one validation forward (always clean: validation does not

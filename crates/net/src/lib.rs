@@ -38,5 +38,5 @@ pub use server::{serve_session, BsServer, SessionSummary};
 pub use trainer::NetTrainer;
 pub use wire::{
     decode_frame, encode_frame, EvalRequest, Frame, MsgType, NackCode, NetError, SessionSpec,
-    StepReply, StepRequest, TraceContext, FLAG_TRACE, FLAG_WANT_RATIO, PROTOCOL_VERSION,
+    StepReply, StepRequest, TraceContext, FLAG_TRACE, PROTOCOL_VERSION,
 };

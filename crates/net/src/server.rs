@@ -37,7 +37,7 @@ use sl_tensor::Tensor;
 use crate::client::Connection;
 use crate::wire::{
     encode_config_ack, encode_nack, encode_predictions, unpack_activations, EvalRequest, MsgType,
-    NackCode, NetError, SessionSpec, StepReply, StepRequest, TraceContext, FLAG_WANT_RATIO,
+    NackCode, NetError, SessionSpec, StepReply, StepRequest, TraceContext,
 };
 
 /// What one session did, for operator reporting.
@@ -63,10 +63,6 @@ pub struct SessionSummary {
     pub bytes_received: u64,
     /// Whether the session ended with a clean Shutdown exchange.
     pub clean_shutdown: bool,
-    /// Exponential moving average of the per-step training loss
-    /// (α = 0.1; 0.0 until the first step), journaled by `slm-bs` as
-    /// the session's `loss_ema` gauge.
-    pub loss_ema: f64,
     /// BS-side spans recorded under the UE's trace id (empty unless the
     /// handshake carried a nonzero `SessionSpec::trace_id`). Span ids
     /// live in [`BS_SPAN_NAMESPACE`] so they never collide with the
@@ -174,7 +170,7 @@ impl Session {
 
     /// One BS-side training step: the shared `sl_core::bs_half_step`,
     /// the same code the in-process trainer calls.
-    fn train_step(&mut self, req: StepRequest, want_ratio: bool) -> Result<StepReply, String> {
+    fn train_step(&mut self, req: StepRequest) -> Result<StepReply, String> {
         if req.batch != self.spec.batch_size {
             return Err(format!(
                 "step batch {} != session batch {}",
@@ -198,12 +194,10 @@ impl Session {
             &powers,
             &targets,
             self.spec.grad_clip,
-            want_ratio,
         );
         Ok(StepReply {
             loss: reply.loss,
             bs_grad_norm: reply.grad_norm,
-            update_ratio_bs: reply.update_ratio,
             cut_grad: reply.cut_grad.map(Tensor::into_vec).unwrap_or_default(),
         })
     }
@@ -241,7 +235,7 @@ pub fn serve_session<S: Read + Write>(
     // The last substantive reply, cached so a Nack'd (corrupted) reply
     // can be resent without recomputing — recomputing would double-apply
     // the optimizer step.
-    let mut last_reply: Option<(MsgType, u8, Vec<u8>)> = None;
+    let mut last_reply: Option<(MsgType, Vec<u8>)> = None;
     // BS-side tracing: created at handshake when the UE announces a
     // trace id; spans stitch under the UE's trace via the per-step
     // wire context. `last_end_us` is the latest simulated instant the
@@ -320,7 +314,7 @@ pub fn serve_session<S: Read + Write>(
                         }
                         session = Some(s);
                         conn.send(MsgType::ConfigAck, 0, &ack)?;
-                        last_reply = Some((MsgType::ConfigAck, 0, ack));
+                        last_reply = Some((MsgType::ConfigAck, ack));
                     }
                     Err(detail) => {
                         nack!(NackCode::WiringRejected, &detail);
@@ -354,22 +348,13 @@ pub fn serve_session<S: Read + Write>(
                         continue;
                     }
                 };
-                let want_ratio = frame.flags & FLAG_WANT_RATIO != 0;
                 let reply = {
                     let _guard = compute_lock.lock().unwrap_or_else(|e| e.into_inner());
-                    sess.train_step(req, want_ratio)
+                    sess.train_step(req)
                 };
                 match reply {
                     Ok(reply) => {
                         summary.steps += 1;
-                        let loss = f64::from(reply.loss);
-                        if loss.is_finite() {
-                            summary.loss_ema = if summary.steps == 1 {
-                                loss
-                            } else {
-                                0.9 * summary.loss_ema + 0.1 * loss
-                            };
-                        }
                         // Stitch the BS compute under the UE's per-step
                         // `bs.compute` span via the wire context.
                         if let (Some(t), Some(c)) = (tracer.as_mut(), ctx) {
@@ -386,9 +371,9 @@ pub fn serve_session<S: Read + Write>(
                                 ],
                             );
                         }
-                        let (flags, payload) = reply.encode();
-                        conn.send(MsgType::Gradients, flags, &payload)?;
-                        last_reply = Some((MsgType::Gradients, flags, payload));
+                        let payload = reply.encode();
+                        conn.send(MsgType::Gradients, 0, &payload)?;
+                        last_reply = Some((MsgType::Gradients, payload));
                     }
                     Err(detail) => nack!(NackCode::Protocol, &detail),
                 }
@@ -413,7 +398,7 @@ pub fn serve_session<S: Read + Write>(
                     Ok(payload) => {
                         summary.evals += 1;
                         conn.send(MsgType::Predictions, 0, &payload)?;
-                        last_reply = Some((MsgType::Predictions, 0, payload));
+                        last_reply = Some((MsgType::Predictions, payload));
                     }
                     Err(detail) => nack!(NackCode::Protocol, &detail),
                 }
@@ -423,9 +408,9 @@ pub fn serve_session<S: Read + Write>(
                 // copy byte-for-byte.
                 summary.nacks_received += 1;
                 match &last_reply {
-                    Some((ty, flags, payload)) => {
+                    Some((ty, payload)) => {
                         summary.resends += 1;
-                        conn.send(*ty, *flags, payload)?;
+                        conn.send(*ty, 0, payload)?;
                         if let Some(t) = tracer.as_mut() {
                             t.record_under(
                                 0,
@@ -443,7 +428,7 @@ pub fn serve_session<S: Read + Write>(
             MsgType::Heartbeat => {
                 summary.heartbeats += 1;
                 conn.send(MsgType::Heartbeat, 0, &[])?;
-                last_reply = Some((MsgType::Heartbeat, 0, Vec::new()));
+                last_reply = Some((MsgType::Heartbeat, Vec::new()));
             }
             MsgType::Shutdown => {
                 conn.send(MsgType::Shutdown, 0, &[])?;

@@ -70,7 +70,6 @@ impl<S: Read + Write> BsLink for NetLink<S> {
         let BsStep {
             cut,
             batch,
-            want_ratio,
             excess_slots: [ul_excess, dl_excess],
             trace,
         } = step;
@@ -89,7 +88,7 @@ impl<S: Read + Write> BsLink for NetLink<S> {
         // wire (→ Nack → resend).
         let reply = self.client.train_step(
             &req,
-            want_ratio,
+            false,
             FaultPlan::retransmissions(ul_excess),
             FaultPlan::retransmissions(dl_excess),
             trace,
@@ -104,7 +103,6 @@ impl<S: Read + Write> BsLink for NetLink<S> {
         Ok(BsReply {
             loss: reply.loss,
             grad_norm: reply.bs_grad_norm,
-            update_ratio: reply.update_ratio_bs,
             cut_grad,
         })
     }
@@ -223,7 +221,7 @@ impl<S: Read + Write> NetTrainer<S> {
         Ok(NetTrainer { engine })
     }
 
-    /// Replaces the `SLM_HEALTH`-derived watchdog configuration.
+    /// Replaces the default watchdog configuration.
     pub fn set_health_config(&mut self, cfg: HealthConfig) {
         self.engine.set_health_config(cfg);
     }

@@ -8,10 +8,9 @@
 //!      0     4  magic  b"SLNF"
 //!      4     2  protocol version, u16 LE (currently 2)
 //!      6     1  message type (MsgType)
-//!      7     1  flags (bit 0: FLAG_WANT_RATIO on step requests,
-//!               "ratio present" on gradient replies; bit 1:
-//!               FLAG_TRACE — the payload starts with a 32-byte
-//!               TraceContext prefix)
+//!      7     1  flags (bit 0: reserved, ignored on receipt and
+//!               never set; bit 1: FLAG_TRACE — the payload starts
+//!               with a 32-byte TraceContext prefix)
 //!      8     4  payload length, u32 LE
 //!     12     N  payload
 //!   12+N     8  FNV-1a 64 checksum over header+payload, u64 LE
@@ -58,10 +57,6 @@ pub const TRAILER_LEN: usize = 8;
 /// Upper bound on a frame payload (guards allocation on garbage input).
 pub const MAX_PAYLOAD: u32 = 64 << 20;
 
-/// Step requests carry this flag when the UE wants the BS-side update
-/// ratio computed; gradient replies carry it when the ratio is present.
-pub const FLAG_WANT_RATIO: u8 = 0b0000_0001;
-
 /// The payload starts with a [`TraceContext::WIRE_LEN`]-byte
 /// [`TraceContext`] prefix (distributed tracing, protocol version 2).
 pub const FLAG_TRACE: u8 = 0b0000_0010;
@@ -79,8 +74,7 @@ pub enum MsgType {
     /// UE -> BS: image-scheme training step (packed cut activations +
     /// powers + targets).
     Activations = 4,
-    /// BS -> UE: loss, BS gradient norm, optional update ratio, and the
-    /// cut-layer gradient.
+    /// BS -> UE: loss, BS gradient norm and the cut-layer gradient.
     Gradients = 5,
     /// UE -> BS: validation forward request.
     EvalBatch = 6,
@@ -446,11 +440,6 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends an `f64` as its IEEE-754 bits, LE.
-    pub fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a length-prefixed (u16) UTF-8 string, truncated to 64 KiB.
     pub fn str(&mut self, s: &str) {
         let bytes = s.as_bytes();
@@ -545,14 +534,6 @@ impl<'a> Dec<'a> {
     pub fn f32(&mut self) -> Result<f32, NetError> {
         let b = self.take(4)?;
         Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Reads an `f64` from its LE bits.
-    pub fn f64(&mut self) -> Result<f64, NetError> {
-        let b = self.take(8)?;
-        Ok(f64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -865,47 +846,33 @@ pub struct StepReply {
     pub loss: f32,
     /// BS-half post-clip global gradient norm.
     pub bs_grad_norm: f32,
-    /// `‖Δθ_BS‖/‖θ_BS‖` for this update, when the request asked for it.
-    pub update_ratio_bs: Option<f64>,
     /// Raw (unclipped) cut-layer gradient, `B·L·ph·pw` values; empty for
     /// RF-only.
     pub cut_grad: Vec<f32>,
 }
 
 impl StepReply {
-    /// Wire encoding; the ratio's presence is signalled by
-    /// [`FLAG_WANT_RATIO`] on the frame.
-    pub fn encode(&self) -> (u8, Vec<u8>) {
+    /// Wire encoding (the reply frame's flags are 0).
+    pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         e.f32(self.loss);
         e.f32(self.bs_grad_norm);
-        let mut flags = 0u8;
-        if let Some(r) = self.update_ratio_bs {
-            flags |= FLAG_WANT_RATIO;
-            e.f64(r);
-        }
         e.u32(self.cut_grad.len() as u32);
         e.f32_slice(&self.cut_grad);
-        (flags, e.finish())
+        e.finish()
     }
 
     /// Wire decoding with typed errors.
-    pub fn decode(flags: u8, payload: &[u8]) -> Result<StepReply, NetError> {
+    pub fn decode(payload: &[u8]) -> Result<StepReply, NetError> {
         let mut d = Dec::new(payload);
         let loss = d.f32()?;
         let bs_grad_norm = d.f32()?;
-        let update_ratio_bs = if flags & FLAG_WANT_RATIO != 0 {
-            Some(d.f64()?)
-        } else {
-            None
-        };
         let n = d.u32()? as usize;
         let cut_grad = d.f32_vec(n)?;
         d.expect_empty()?;
         Ok(StepReply {
             loss,
             bs_grad_norm,
-            update_ratio_bs,
             cut_grad,
         })
     }
@@ -1238,18 +1205,21 @@ mod tests {
     }
 
     #[test]
-    fn step_reply_roundtrip_with_and_without_ratio() {
-        for ratio in [None, Some(0.001234f64)] {
-            let reply = StepReply {
-                loss: 0.75,
-                bs_grad_norm: 2.5,
-                update_ratio_bs: ratio,
-                cut_grad: vec![0.1, -0.2, 0.3],
-            };
-            let (flags, payload) = reply.encode();
-            let back = StepReply::decode(flags, &payload).unwrap();
-            assert_eq!(back, reply);
-        }
+    fn step_reply_roundtrip() {
+        let reply = StepReply {
+            loss: 0.75,
+            bs_grad_norm: 2.5,
+            cut_grad: vec![0.1, -0.2, 0.3],
+        };
+        let payload = reply.encode();
+        assert_eq!(StepReply::decode(&payload).unwrap(), reply);
+        // Eight trailing bytes are a typed error, not silently ignored.
+        let mut longer = payload;
+        longer.extend_from_slice(&0.001234f64.to_le_bytes());
+        assert!(matches!(
+            StepReply::decode(&longer),
+            Err(NetError::Decode(_))
+        ));
     }
 
     #[test]

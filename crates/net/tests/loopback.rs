@@ -16,8 +16,8 @@ use sl_rng::rngs::StdRng;
 use sl_channel::LinkConfig;
 use sl_core::{ExperimentConfig, PoolingDim, Scheme, SplitTrainer};
 use sl_net::{
-    BsServer, FaultAction, FaultPlan, MsgType, NackCode, NetError, NetTrainer, RetryPolicy,
-    SessionSpec, SessionSummary, StepRequest, UeClient,
+    BsServer, Connection, FaultAction, FaultPlan, MsgType, NackCode, NetError, NetTrainer,
+    RetryPolicy, SessionSpec, SessionSummary, StepReply, StepRequest, UeClient,
 };
 use sl_scene::{Scene, SceneConfig, SequenceDataset};
 
@@ -485,6 +485,35 @@ fn training_bytes_before_handshake_are_refused() {
     }
     client.shutdown().expect("shutdown");
     server.join().expect("server thread");
+}
+
+#[test]
+fn reserved_bit_0_on_a_step_request_gets_a_plain_reply() {
+    let (addr, server) = spawn_bs(1);
+    let mut conn = Connection::new(TcpStream::connect(addr).expect("connect"));
+    conn.send(MsgType::Hello, 0, &rf_spec().encode())
+        .expect("send hello");
+    assert_eq!(conn.recv().expect("config ack").ty, MsgType::ConfigAck);
+
+    // An older UE sets bit 0 on its step requests to ask for a BS
+    // update ratio. The BS ignores the bit: the reply has no flags and
+    // holds only the loss, the gradient norm and an empty cut gradient.
+    let req = rf_step_request();
+    conn.send(req.msg_type(), 0b1, &req.encode())
+        .expect("send step");
+    let reply = conn.recv().expect("step reply");
+    assert_eq!(reply.ty, MsgType::Gradients);
+    assert_eq!(reply.flags, 0);
+    assert_eq!(reply.payload.len(), 4 + 4 + 4);
+    let step = StepReply::decode(&reply.payload).expect("plain reply decodes");
+    assert!(step.loss.is_finite() && step.cut_grad.is_empty());
+
+    conn.send(MsgType::Shutdown, 0, &[]).expect("send shutdown");
+    assert_eq!(conn.recv().expect("shutdown echo").ty, MsgType::Shutdown);
+    let served = server.join().expect("server thread");
+    let summary = served[0].1.as_ref().expect("session ok");
+    assert_eq!(summary.steps, 1);
+    assert!(summary.clean_shutdown);
 }
 
 #[test]

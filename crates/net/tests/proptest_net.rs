@@ -5,7 +5,7 @@
 use sl_core::{PoolingDim, Scheme};
 use sl_net::wire::{
     decode_frame, encode_frame, pack_activations, unpack_activations, MsgType, SessionSpec,
-    StepReply, StepRequest, TraceContext, FLAG_TRACE, FLAG_WANT_RATIO,
+    StepReply, StepRequest, TraceContext, FLAG_TRACE,
 };
 use sl_net::{FaultPlan, NetError};
 use sl_rng::rngs::StdRng;
@@ -186,30 +186,19 @@ fn step_request_roundtrips() {
 }
 
 #[test]
-fn step_reply_roundtrips_with_and_without_ratio() {
-    cases(
-        "step_reply_roundtrips_with_and_without_ratio",
-        CASES,
-        |rng| {
-            let loss = rng.random_range(0.0f32..10.0);
-            let norm = rng.random_range(0.0f32..100.0);
-            let ratio = rng.random_range(0.0f64..1.0);
-            let with_ratio: bool = rng.random();
-            let grad_len = rng.random_range(0usize..64);
-            let reply = StepReply {
-                loss,
-                bs_grad_norm: norm,
-                update_ratio_bs: with_ratio.then_some(ratio),
-                cut_grad: (0..grad_len)
-                    .map(|_| rng.random_range(-1.0f32..1.0))
-                    .collect(),
-            };
-            let (flags, payload) = reply.encode();
-            assert_eq!(flags & FLAG_WANT_RATIO != 0, with_ratio);
-            let back = StepReply::decode(flags, &payload).expect("decode");
-            assert_eq!(back, reply);
-        },
-    );
+fn step_reply_roundtrips() {
+    cases("step_reply_roundtrips", CASES, |rng| {
+        let grad_len = rng.random_range(0usize..64);
+        let reply = StepReply {
+            loss: rng.random_range(0.0f32..10.0),
+            bs_grad_norm: rng.random_range(0.0f32..100.0),
+            cut_grad: (0..grad_len)
+                .map(|_| rng.random_range(-1.0f32..1.0))
+                .collect(),
+        };
+        let back = StepReply::decode(&reply.encode()).expect("decode");
+        assert_eq!(back, reply);
+    });
 }
 
 #[test]
@@ -242,7 +231,8 @@ fn session_spec_roundtrips() {
 fn trace_context_rides_any_frame_bit_exactly() {
     cases("trace_context_rides_any_frame_bit_exactly", CASES, |rng| {
         let ty = any_msg_type(rng);
-        let want_ratio: bool = rng.random();
+        // Whatever the other flag bits hold rides along untouched.
+        let other = rng.random_range(0u8..=255) & !FLAG_TRACE;
         let payload = any_payload(rng);
         let ctx = TraceContext {
             trace_id: rng.random_range(1u64..u64::MAX),
@@ -252,10 +242,9 @@ fn trace_context_rides_any_frame_bit_exactly() {
         };
         let (flag, with_ctx) = ctx.prepend(&payload);
         assert_eq!(flag, FLAG_TRACE);
-        let base = if want_ratio { FLAG_WANT_RATIO } else { 0 };
-        let bytes = encode_frame(ty, base | flag, &with_ctx);
+        let bytes = encode_frame(ty, other | flag, &with_ctx);
         let frame = decode_frame(&bytes).expect("own encoding decodes");
-        assert_eq!(frame.flags & FLAG_WANT_RATIO != 0, want_ratio);
+        assert_eq!(frame.flags, other | FLAG_TRACE);
         let (back, body) = TraceContext::strip(frame.flags, &frame.payload).expect("strip");
         assert_eq!(back, Some(ctx));
         assert_eq!(body, &payload[..]);
@@ -266,7 +255,8 @@ fn trace_context_rides_any_frame_bit_exactly() {
 fn untraced_frames_strip_to_no_context() {
     cases("untraced_frames_strip_to_no_context", CASES, |rng| {
         let payload = any_payload(rng);
-        let bytes = encode_frame(MsgType::Activations, FLAG_WANT_RATIO, &payload);
+        let flags = rng.random_range(0u8..=255) & !FLAG_TRACE;
+        let bytes = encode_frame(MsgType::Activations, flags, &payload);
         let frame = decode_frame(&bytes).expect("decodes");
         let (ctx, body) = TraceContext::strip(frame.flags, &frame.payload).expect("strip");
         assert_eq!(ctx, None);

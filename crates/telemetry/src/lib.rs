@@ -291,39 +291,6 @@ impl Telemetry {
         &self.series
     }
 
-    // ---- scoped registries -----------------------------------------------
-
-    /// A detached registry recording under its own namespace — e.g.
-    /// `net.session.3` for one BS session. The scope records bare metric
-    /// names ("steps", "loss_ema"); [`Telemetry::absorb`] later folds
-    /// them into this handle as `<prefix>.<name>` (and optionally into a
-    /// fleet-wide aggregate namespace). The scope inherits this handle's
-    /// enabled/disabled state, so instrumentation stays free when
-    /// telemetry is off.
-    pub fn scoped(&self, prefix: &str) -> ScopedMetrics {
-        ScopedMetrics {
-            prefix: prefix.to_string(),
-            enabled: self.is_enabled(),
-            registry: MetricsRegistry::new(),
-        }
-    }
-
-    /// Folds a scoped registry into this handle: every metric lands
-    /// under `<scope.prefix>.<name>`, and — when `aggregate` is given —
-    /// also under `<aggregate>.<name>` (counters sum, gauges last-write,
-    /// histograms bucket-merge). Callers absorbing several scopes must
-    /// do so in one fixed order (ascending session id) so gauge
-    /// last-write stays deterministic.
-    pub fn absorb(&mut self, scope: &ScopedMetrics, aggregate: Option<&str>) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.registry.merge_prefixed(&scope.prefix, &scope.registry);
-        if let Some(agg) = aggregate {
-            self.registry.merge_prefixed(agg, &scope.registry);
-        }
-    }
-
     // ---- event journal ---------------------------------------------------
 
     /// Emits a structured event (timestamped now).
@@ -384,61 +351,6 @@ impl Telemetry {
     pub fn flush(&mut self) {
         self.flush_pending_warn();
         self.sink.flush();
-    }
-}
-
-/// A per-scope metrics namespace handed out by [`Telemetry::scoped`]:
-/// plain owned data (no sink, no clock), so a server can keep one per
-/// session and fold them into the parent in a fixed order afterwards.
-#[derive(Debug, Clone)]
-pub struct ScopedMetrics {
-    prefix: String,
-    enabled: bool,
-    registry: MetricsRegistry,
-}
-
-impl ScopedMetrics {
-    /// The scope's namespace prefix (e.g. `net.session.3`).
-    pub fn prefix(&self) -> &str {
-        &self.prefix
-    }
-
-    /// Increments counter `name`.
-    pub fn inc(&mut self, name: &str) {
-        self.add(name, 1);
-    }
-
-    /// Adds `n` to counter `name`.
-    pub fn add(&mut self, name: &str, n: u64) {
-        if self.enabled {
-            self.registry.add(name, n);
-        }
-    }
-
-    /// Sets gauge `name` to `v`.
-    pub fn gauge_set(&mut self, name: &str, v: f64) {
-        if self.enabled {
-            self.registry.gauge_set(name, v);
-        }
-    }
-
-    /// Records `v` into histogram `name`.
-    pub fn observe(&mut self, name: &str, v: f64) {
-        if self.enabled {
-            self.registry.observe(name, v);
-        }
-    }
-
-    /// Merges a standalone histogram into histogram `name`.
-    pub fn merge_histogram(&mut self, name: &str, h: &Histogram) {
-        if self.enabled {
-            self.registry.merge_histogram(name, h);
-        }
-    }
-
-    /// Read access to the scope's (bare-named) metrics.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
     }
 }
 
@@ -545,37 +457,6 @@ mod tests {
         let s = tele.series().get("train.loss").unwrap();
         assert_eq!(s.len(), 2);
         assert_eq!(s.last(), Some((0.25, 3.25)));
-    }
-
-    #[test]
-    fn scoped_registries_absorb_per_session_and_aggregate() {
-        let (sink, _events) = MemorySink::new();
-        let mut tele = Telemetry::with_sink(TelemetryMode::Summary, Box::new(sink));
-        // Fixed merge order: ascending session id.
-        for (id, steps, ema) in [(0u64, 10u64, 2.5f64), (1, 4, 3.5)] {
-            let mut scope = tele.scoped(&format!("net.session.{id}"));
-            scope.add("steps", steps);
-            scope.gauge_set("loss_ema", ema);
-            scope.observe("latency", 0.5);
-            tele.absorb(&scope, Some("net.fleet"));
-        }
-        let s = tele.snapshot();
-        assert_eq!(s.counter("net.session.0.steps"), 10);
-        assert_eq!(s.counter("net.session.1.steps"), 4);
-        assert_eq!(s.counter("net.fleet.steps"), 14); // counters sum
-        assert_eq!(s.gauge("net.fleet.loss_ema"), Some(3.5)); // last write
-        assert_eq!(s.histograms["net.fleet.latency"].count(), 2); // merge
-    }
-
-    #[test]
-    fn scoped_registry_is_inert_when_disabled() {
-        let mut tele = Telemetry::disabled();
-        let mut scope = tele.scoped("net.session.0");
-        scope.inc("steps");
-        scope.gauge_set("loss_ema", 1.0);
-        assert!(scope.registry().is_empty());
-        tele.absorb(&scope, Some("net.fleet"));
-        assert!(tele.snapshot().is_empty());
     }
 
     #[test]

@@ -330,9 +330,8 @@ impl MetricsRegistry {
 
     /// Folds `other` into `self`: counters add, gauges take `other`'s
     /// value (it is the later registry), histograms bucket-merge.
-    /// Merging registries in one fixed order is the scoped-registry
-    /// aggregation path (DESIGN.md §11), and the counter/histogram part
-    /// is order-insensitive by construction.
+    /// The counter and histogram parts are order-insensitive by
+    /// construction.
     pub fn merge_from(&mut self, other: &MetricsRegistry) {
         for (k, v) in &other.counters {
             self.add(k, *v);
@@ -342,21 +341,6 @@ impl MetricsRegistry {
         }
         for (k, h) in &other.histograms {
             self.merge_histogram(k, h);
-        }
-    }
-
-    /// [`MetricsRegistry::merge_from`] with every metric name rewritten
-    /// to `<prefix>.<name>` — how a scoped registry's bare names land
-    /// under its namespace in the parent.
-    pub fn merge_prefixed(&mut self, prefix: &str, other: &MetricsRegistry) {
-        for (k, v) in &other.counters {
-            self.add(&format!("{prefix}.{k}"), *v);
-        }
-        for (k, v) in &other.gauges {
-            self.gauge_set(&format!("{prefix}.{k}"), *v);
-        }
-        for (k, h) in &other.histograms {
-            self.merge_histogram(&format!("{prefix}.{k}"), h);
         }
     }
 
@@ -534,23 +518,6 @@ mod tests {
         assert_eq!(a.gauge("rate"), Some(0.75)); // later registry wins
         assert_eq!(a.histogram("loss").unwrap().count(), 2);
         assert_eq!(a.histogram("loss").unwrap().max(), Some(4.0));
-    }
-
-    #[test]
-    fn merge_prefixed_namespaces_every_metric() {
-        let mut scope = MetricsRegistry::new();
-        scope.add("steps", 7);
-        scope.gauge_set("loss_ema", 2.5);
-        scope.observe("latency", 0.125);
-        let mut parent = MetricsRegistry::new();
-        parent.merge_prefixed("net.session.0", &scope);
-        assert_eq!(parent.counter("net.session.0.steps"), 7);
-        assert_eq!(parent.gauge("net.session.0.loss_ema"), Some(2.5));
-        assert_eq!(
-            parent.histogram("net.session.0.latency").unwrap().count(),
-            1
-        );
-        assert_eq!(parent.counter("steps"), 0);
     }
 
     #[test]

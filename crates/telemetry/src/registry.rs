@@ -13,11 +13,7 @@
 //!
 //! Pattern grammar: dot-separated `sub.noun.verb` segments, each
 //! `[a-z][a-z0-9_]*`; a `*` segment matches one or more concrete
-//! segments (`net.session.*` covers `net.session.3.steps`). Patterns
-//! that are *session-relative* (published into a scoped registry and
-//! namespaced later by `merge_prefixed`/`absorb`) are declared exactly
-//! as the publish site spells them; the runtime keys additionally carry
-//! a `net.session.<id>.` or `net.fleet.` prefix.
+//! segments (`nn.ue.layer.*` covers `nn.ue.layer.0.fused_cnn.fwd.host_s`).
 
 /// One declared key family.
 #[derive(Debug, Clone, Copy)]
@@ -146,39 +142,6 @@ pub const KEYS: &[KeyDecl] = &[
         &[],
         "total injected delay in slots",
     ),
-    // -- per-session scope (bare names inside a scoped registry; the
-    //    runtime key is net.session.<id>.<name>, sums land under
-    //    net.fleet.<name> / net.<name>) --------------------------------
-    key(
-        "net.session.*",
-        &[],
-        "per-session counters/gauges (steps, evals, loss_ema, …)",
-    ),
-    key(
-        "net.fleet.*",
-        &[],
-        "cross-session sums of the session scope",
-    ),
-    key(
-        "nacks.sent",
-        &[],
-        "session-relative Nack-sent counter (scoped publish)",
-    ),
-    key(
-        "nacks.received",
-        &[],
-        "session-relative Nack-received counter (scoped publish)",
-    ),
-    key(
-        "frames.received",
-        &[],
-        "session-relative frames-received counter (scoped publish)",
-    ),
-    key(
-        "bytes.received",
-        &[],
-        "session-relative bytes-received counter (scoped publish)",
-    ),
     // -- deployment-phase simulation (sl-core::deploy) ------------------
     key(
         "deploy.deadline_miss",
@@ -264,12 +227,6 @@ pub const KNOBS: &[KnobDecl] = &[
         name: "SLM_TRACE",
         default: "off",
         parse: "on | 1 | true",
-        doc: "README.md § Environment knobs",
-    },
-    KnobDecl {
-        name: "SLM_HEALTH",
-        default: "warn",
-        parse: "off | warn | abort",
         doc: "README.md § Environment knobs",
     },
     KnobDecl {

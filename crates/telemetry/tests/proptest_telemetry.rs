@@ -6,9 +6,7 @@
 use sl_rng::rngs::StdRng;
 use sl_rng::{cases, Rng};
 
-use sl_telemetry::{
-    Histogram, MetricsRegistry, SeriesStore, Snapshot, Telemetry, TelemetryMode, BUCKETS_PER_OCTAVE,
-};
+use sl_telemetry::{Histogram, MetricsRegistry, SeriesStore, Snapshot, BUCKETS_PER_OCTAVE};
 
 const CASES: usize = 64;
 
@@ -113,63 +111,48 @@ fn quantile_estimates_within_bucket_error() {
 }
 
 #[test]
-fn scoped_aggregation_is_order_insensitive_at_bucket_level() {
-    cases(
-        "scoped_aggregation_is_order_insensitive_at_bucket_level",
-        CASES,
-        |rng| {
-            let n_sessions = rng.random_range(1usize..6);
-            let sessions: Vec<Vec<f64>> = (0..n_sessions).map(|_| any_values(rng)).collect();
-            let order_seed = rng.random_range(0usize..720);
-            // Absorb the same per-session scoped registries into two parents
-            // in different orders: the aggregate histogram's buckets (and
-            // counters) must not depend on the merge order.
-            let scopes: Vec<_> = sessions
-                .iter()
-                .enumerate()
-                .map(|(id, values)| {
-                    let tele = Telemetry::summary();
-                    let mut scope = tele.scoped(&format!("net.session.{id}"));
-                    scope.add("steps", values.len() as u64);
-                    for &v in values {
-                        scope.observe("latency", v);
-                    }
-                    scope
-                })
-                .collect();
-            let mut order: Vec<usize> = (0..scopes.len()).collect();
-            // A deterministic non-identity permutation derived from the seed.
-            let mut shuffled = order.clone();
-            let mut seed = order_seed;
-            for i in (1..shuffled.len()).rev() {
-                shuffled.swap(i, seed % (i + 1));
-                seed /= i + 1;
-            }
-            order.sort_unstable();
-
-            let absorb_in = |order: &[usize]| {
-                let (sink, _events) = sl_telemetry::MemorySink::new();
-                let mut tele = Telemetry::with_sink(TelemetryMode::Summary, Box::new(sink));
-                for &i in order {
-                    tele.absorb(&scopes[i], Some("net.fleet"));
+fn merge_order_is_insensitive_at_bucket_level() {
+    cases("merge_order_is_insensitive_at_bucket_level", CASES, |rng| {
+        let n = rng.random_range(3usize..7);
+        let parts: Vec<MetricsRegistry> = (0..n)
+            .map(|_| {
+                let values = any_values(rng);
+                let mut r = MetricsRegistry::new();
+                r.add("steps", values.len() as u64);
+                for &v in &values {
+                    r.observe("latency", v);
                 }
-                tele.snapshot()
-            };
-            let fwd = absorb_in(&order);
-            let rev = absorb_in(&shuffled);
-            assert_eq!(fwd.counters, rev.counters);
-            let ha = &fwd.histograms["net.fleet.latency"];
-            let hb = &rev.histograms["net.fleet.latency"];
-            assert_eq!(ha.count(), hb.count());
-            assert_eq!(ha.min(), hb.min());
-            assert_eq!(ha.max(), hb.max());
-            assert_eq!(ha.nonzero_buckets(), hb.nonzero_buckets());
+                r
+            })
+            .collect();
+        // A deterministic permutation derived from the case's stream.
+        let mut shuffled: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            shuffled.swap(i, rng.random_range(0..i + 1));
+        }
+        // Merging the same registries in two orders: the counters and
+        // the histogram's buckets must not depend on the order.
+        let merge_in = |order: &[usize]| {
+            let mut total = MetricsRegistry::new();
+            for &i in order {
+                total.merge_from(&parts[i]);
+            }
+            total.snapshot()
+        };
+        let fwd = merge_in(&(0..n).collect::<Vec<_>>());
+        let rev = merge_in(&shuffled);
+        assert_eq!(fwd.counters, rev.counters);
+        let buckets = |s: &Snapshot| {
+            s.histograms
+                .get("latency")
+                .map(|h| (h.count(), h.min(), h.max(), h.nonzero_buckets()))
+        };
+        assert_eq!(buckets(&fwd), buckets(&rev));
 
-            // And the aggregated snapshot round-trips through its JSON form.
-            let back = Snapshot::from_json(&fwd.to_json()).unwrap();
-            assert_eq!(back, fwd);
-        },
-    );
+        // And the merged snapshot round-trips through its JSON form.
+        let back = Snapshot::from_json(&fwd.to_json()).unwrap();
+        assert_eq!(back, fwd);
+    });
 }
 
 #[test]

@@ -202,7 +202,7 @@ if [[ "$fast" -eq 0 && "$blocked" -eq 0 ]]; then
         mkdir -p results/fig3a_net
         rm -f results/fig3a_net/bs.port \
             results/fig3a_net/slm_bs.jsonl results/fig3a_net/fig3a_net.jsonl \
-            results/fig3a_net/series.jsonl results/fig3a_net/slm_bs.snapshot.json
+            results/fig3a_net/series.jsonl
         env SLM_THREADS=1 SLM_TELEMETRY=jsonl SLM_TRACE=on \
             SLM_TELEMETRY_PATH=results/fig3a_net \
             cargo run --release -q -p sl-net --bin slm-bs -- \

@@ -442,6 +442,13 @@ pub fn render_markdown(run: &RunData) -> String {
         let _ = writeln!(out, "  - {label}: `{hash}`");
     }
     let _ = writeln!(out, "- wall time: {:.1} s", run.wall_s);
+    if let Some(n) = run.snapshot.gauge("tensor.knob_fallbacks") {
+        let _ = writeln!(
+            out,
+            "- **knob fallbacks: {n}**: an `SLM_THREADS` / `SLM_BACKEND` value was \
+             unusable and a default ran instead (the journal's `warn` events name it)"
+        );
+    }
     let _ = writeln!(out);
 
     let _ = writeln!(out, "## Simulated time");
@@ -1655,6 +1662,17 @@ mod tests {
             spans: Vec::new(),
             series: None,
         }
+    }
+
+    #[test]
+    fn knob_fallbacks_show_in_the_run_report() {
+        let mut run = run_data(4.0, 10.0, 0);
+        assert!(!render_markdown(&run).contains("knob fallbacks"));
+        let mut reg = sl_telemetry::MetricsRegistry::new();
+        reg.gauge_set("tensor.knob_fallbacks", 2.0);
+        run.snapshot = reg.snapshot();
+        let md = render_markdown(&run);
+        assert!(md.contains("**knob fallbacks: 2**"), "{md}");
     }
 
     #[test]

@@ -108,7 +108,7 @@ impl StreamingDeployment {
     /// `offset` through `model`.
     pub fn run(
         &mut self,
-        model: &mut SplitModel,
+        model: &SplitModel,
         dataset: &SequenceDataset,
         offset: usize,
         count: usize,
@@ -124,7 +124,7 @@ impl StreamingDeployment {
     /// under `deploy.uplink.*`.
     pub fn run_with(
         &mut self,
-        model: &mut SplitModel,
+        model: &SplitModel,
         dataset: &SequenceDataset,
         offset: usize,
         count: usize,
@@ -143,8 +143,11 @@ impl StreamingDeployment {
         let uses_images = model.scheme().uses_images();
         let payload = model.frame_payload_bits();
 
+        // The features the BS holds for the last `L` frames, oldest
+        // first; its last entry is the newest delivered feature (zeros
+        // until one arrives).
         let mut feature_window: Vec<Tensor> = Vec::with_capacity(l);
-        let mut last_delivered: Option<Tensor> = None;
+        let mut powers: Vec<f32> = Vec::with_capacity(l);
         let mut points = Vec::with_capacity(count);
         let mut misses = 0usize;
         let mut total_bits = 0u64;
@@ -154,11 +157,12 @@ impl StreamingDeployment {
 
         for &k in &val[offset..offset + count] {
             // Power history is local to the BS.
-            let start = k + 1 - l;
-            let powers: Vec<f32> = dataset.trace().powers_dbm[start..=k]
-                .iter()
-                .map(|&p| normalizer.normalize(p))
-                .collect();
+            powers.clear();
+            powers.extend(
+                dataset.trace().powers_dbm[k + 1 - l..=k]
+                    .iter()
+                    .map(|&p| normalizer.normalize(p)),
+            );
 
             let mut stale = false;
             if uses_images {
@@ -171,7 +175,6 @@ impl StreamingDeployment {
                 let on_time = outcome.delivered() && outcome.slots() <= self.slots_per_frame;
                 let arrived = if on_time {
                     feature_age = 0;
-                    last_delivered = Some(fresh.clone());
                     fresh
                 } else {
                     stale = true;
@@ -182,17 +185,18 @@ impl StreamingDeployment {
                     // runtime's dashboards gate on one metric family for
                     // both simulated and socket-borne deadline misses.
                     tele.inc("net.deadline_miss");
-                    last_delivered.clone().unwrap_or_else(|| fresh.map(|_| 0.0))
+                    feature_window
+                        .last()
+                        .cloned()
+                        .unwrap_or_else(|| fresh.map(|_| 0.0))
                 };
                 tele.observe("deploy.feature_age_frames", feature_age as f64);
-                if feature_window.len() == l {
-                    feature_window.remove(0);
-                }
-                feature_window.push(arrived);
-                // Cold start: replicate the first feature backwards.
-                while feature_window.len() < l {
-                    let first = feature_window[0].clone();
-                    feature_window.insert(0, first);
+                if feature_window.is_empty() {
+                    // Cold start: replicate the first feature backwards.
+                    feature_window.resize(l, arrived);
+                } else {
+                    feature_window.rotate_left(1);
+                    feature_window[l - 1] = arrived;
                 }
             }
 
@@ -414,6 +418,45 @@ mod tests {
         let report = deploy.run(trainer.model_mut(), &ds, 0, 30);
         assert_eq!(report.deadline_misses, 0);
         assert_eq!(report.miss_rate(), 0.0);
+    }
+
+    #[test]
+    fn streamed_predictions_equal_infer_bs_on_the_windows_as_one_batch() {
+        let ds = dataset(301);
+        let (cfg, mut trainer) = trained(Scheme::ImgRf, &ds);
+        let (offset, count) = (3, 30);
+        let mut deploy = StreamingDeployment::new(&cfg, ds.trace().frame_interval_s, 2);
+        let report = deploy.run(trainer.model_mut(), &ds, offset, count);
+        assert_eq!(report.deadline_misses, 0);
+
+        // Every feature arrived on time, so the window at stream position
+        // `i` holds positions `i+1-L ..= i`, the cold start repeating
+        // position 0.
+        let model = trainer.model_mut();
+        let (l, p, norm) = (ds.seq_len(), model.pooled_pixels(), ds.normalizer());
+        let val = &ds.val_indices()[offset..offset + count];
+        let feats: Vec<Tensor> = val
+            .iter()
+            .map(|&k| model.encode_frame(&ds.trace().frames[k]))
+            .collect();
+        let (mut cut, mut powers) = (Vec::new(), Vec::new());
+        for (i, &k) in val.iter().enumerate() {
+            for t in 0..l {
+                cut.extend_from_slice(feats[(i + t + 1).saturating_sub(l)].data());
+                powers.push(norm.normalize(ds.trace().powers_dbm[k + 1 - l + t]));
+            }
+        }
+        let cut = Tensor::from_vec([count * l, 1, 1, p], cut).unwrap();
+        let powers = Tensor::from_vec([count, l], powers).unwrap();
+        let batch = model.infer_bs(Some(&cut), &powers, count, l);
+        for (point, &pred) in report.points.iter().zip(batch.data()) {
+            assert_eq!(
+                point.predicted_dbm.to_bits(),
+                norm.denormalize(pred).to_bits(),
+                "frame {}",
+                point.at_index
+            );
+        }
     }
 
     #[test]

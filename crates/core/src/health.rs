@@ -177,11 +177,6 @@ impl HealthMonitor {
         self.nonfinite_grad
     }
 
-    /// Current loss EMA, when at least one finite loss was seen.
-    pub fn loss_ema(&self) -> Option<f64> {
-        self.ema
-    }
-
     /// Feeds one step's statistics. Returns a verdict the first time the
     /// watchdog trips, `None` otherwise.
     pub fn observe_step(&mut self, stats: StepStats) -> Option<HealthVerdict> {

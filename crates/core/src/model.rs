@@ -358,7 +358,7 @@ impl SplitModel {
         match self.ue.as_ref() {
             Some(ue) => {
                 let pooled = ue.infer_pooled_map(frame);
-                self.quantizer.quantize(&pooled).reshape([p])
+                Tensor::from_parts([p], self.quantizer.quantize(&pooled).into_vec())
             }
             None => Tensor::zeros([0]),
         }
@@ -377,7 +377,11 @@ impl SplitModel {
     /// (possibly stale) feature vector for step `t` and `powers_norm[t]`
     /// the normalized RF power; both must have length `L`. Returns the
     /// normalized power prediction.
-    pub fn predict_window(&mut self, features: &[Tensor], powers_norm: &[f32]) -> f32 {
+    ///
+    /// Cache-free, like [`SplitModel::infer_bs`]: it touches neither
+    /// half's training caches nor gradients, so it may run between a
+    /// step's forward and backward.
+    pub fn predict_window(&self, features: &[Tensor], powers_norm: &[f32]) -> f32 {
         let l = self.seq_len;
         assert_eq!(
             powers_norm.len(),
@@ -408,9 +412,7 @@ impl SplitModel {
                 input.data_mut()[t * f + f - 1] = pw;
             }
         }
-        let out = self.bs.forward(&input);
-        self.bs.zero_grads();
-        out.item()
+        self.bs.infer(&input).item()
     }
 
     /// Parameter/gradient pairs of the UE half (empty for RF-only).
@@ -562,6 +564,42 @@ mod tests {
         assert_eq!(got.dims(), &[16, 1, 4, 4]);
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
+    fn predict_window_between_forward_and_backward_leaves_the_step_bit_identical() {
+        let ds = dataset();
+        let mut clean = model(Scheme::ImgRf, PoolingDim::new(4, 4));
+        let mut probed = model(Scheme::ImgRf, PoolingDim::new(4, 4));
+        let b = batch(&ds, Scheme::ImgRf, 3);
+        let g = Tensor::ones([3, 1]);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let grads = |m: &mut SplitModel| {
+            let mut all: Vec<u32> = m
+                .ue_params_and_grads()
+                .iter()
+                .flat_map(|(_, g)| bits(g))
+                .collect();
+            all.extend(m.bs_params_and_grads().iter().flat_map(|(_, g)| bits(g)));
+            all
+        };
+        let window: Vec<Tensor> = ds.val_indices()[..4]
+            .iter()
+            .map(|&k| probed.encode_frame(&ds.trace().frames[k]))
+            .collect();
+        // A first step leaves accumulated gradients; the probe runs
+        // inside the second, between its forward and backward.
+        for probe in [false, true] {
+            let pred = clean.forward(&b);
+            assert_eq!(bits(&probed.forward(&b)), bits(&pred));
+            if probe {
+                let p = probed.predict_window(&window, &[0.1, -0.2, 0.3, 0.4]);
+                assert!(p.is_finite());
+            }
+            let cut = clean.backward(&g).unwrap();
+            assert_eq!(bits(&probed.backward(&g).unwrap()), bits(&cut));
+            assert_eq!(grads(&mut probed), grads(&mut clean));
+        }
     }
 
     #[test]

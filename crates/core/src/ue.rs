@@ -129,7 +129,7 @@ impl UeNetwork {
         let x = image.reshape([1, 1, self.image_h, self.image_w]);
         let pooled = self.net.infer(&x);
         let (ph, pw) = self.pooling.output_size(self.image_h, self.image_w);
-        pooled.reshape([ph, pw])
+        Tensor::from_parts([ph, pw], pooled.into_vec())
     }
 
     /// Parameter/gradient pairs for the UE-side optimizer.

@@ -11,13 +11,27 @@
 //! state. The per-step gate matmuls and their BPTT transposed variants
 //! run on `sl-tensor`'s pool-parallel GEMM kernels (`SLM_THREADS`), bitwise
 //! identical at every thread count.
+//!
+//! Training's forward and inference share one recurrence over reused
+//! buffers; only the forward copies each step out for BPTT.
+
+use std::sync::OnceLock;
 
 use sl_rng::Rng;
 
-use sl_tensor::{matmul, matmul_a_bt, matmul_at_b, xavier_uniform, Tensor};
+use sl_tensor::{matmul, matmul_at_b, matmul_into, transpose, xavier_uniform, Tensor};
 
 use crate::activation::sigmoid;
 use crate::Layer;
+
+/// One time step's values, borrowed from the recurrence's buffers.
+struct Step<'a> {
+    t: usize,
+    h_prev: &'a [f32], // [N, H]
+    c_prev: &'a [f32], // [N, H]
+    gates: &'a [f32],  // [N, 4H] activated, in [i, f, g, o] order
+    tanh_c: &'a [f32], // [N, H]
+}
 
 /// Cached values for one time step, needed by BPTT.
 struct StepCache {
@@ -29,6 +43,38 @@ struct StepCache {
     g: Tensor,      // [N, H] cell candidate (post-tanh)
     o: Tensor,      // [N, H] output gate
     tanh_c: Tensor, // [N, H] tanh of the new cell state
+}
+
+impl StepCache {
+    /// Copies step `step.t` of `input` (`[N, L, X]`) out of the
+    /// recurrence's buffers of `hd` units per row.
+    fn new(input: &Tensor, step: &Step<'_>, hd: usize) -> StepCache {
+        let (n, l, x) = (input.dims()[0], input.dims()[1], input.dims()[2]);
+        let mut xs = Vec::with_capacity(n * x);
+        for b in 0..n {
+            let base = (b * l + step.t) * x;
+            xs.extend_from_slice(&input.data()[base..base + x]);
+        }
+        let nh = |v: &[f32]| Tensor::from_parts([n, hd], v.to_vec());
+        let gate = |k: usize| {
+            let rows = step.gates.chunks_exact(4 * hd);
+            let v = rows
+                .flat_map(|r| &r[k * hd..(k + 1) * hd])
+                .copied()
+                .collect();
+            Tensor::from_parts([n, hd], v)
+        };
+        StepCache {
+            x: Tensor::from_parts([n, x], xs),
+            h_prev: nh(step.h_prev),
+            c_prev: nh(step.c_prev),
+            i: gate(0),
+            f: gate(1),
+            g: gate(2),
+            o: gate(3),
+            tanh_c: nh(step.tanh_c),
+        }
+    }
 }
 
 /// An LSTM over `[N, L, X]` sequences returning the final hidden state
@@ -46,6 +92,13 @@ pub struct Lstm {
     grad_w_h: Tensor,
     grad_bias: Tensor,
     cache: Vec<StepCache>,
+    /// `w_x` and `w_h` laid out as `[X, 4H]` and `[H, 4H]` for the
+    /// recurrence's `ab` products: built by the first pass that needs
+    /// them and dropped whenever [`Layer::params_and_grads`] hands the
+    /// weights out for mutation, so inference passes between two
+    /// optimizer steps (a validation sweep, a deployment) lay them out
+    /// once.
+    gate_weights: OnceLock<(Tensor, Tensor)>,
 }
 
 impl Lstm {
@@ -72,6 +125,7 @@ impl Lstm {
             grad_w_h: Tensor::zeros([h4, hidden_dim]),
             grad_bias: Tensor::zeros([h4]),
             cache: Vec::new(),
+            gate_weights: OnceLock::new(),
         }
     }
 
@@ -85,71 +139,65 @@ impl Lstm {
         self.hidden_dim
     }
 
-    /// Extracts time step `t` from `[N, L, X]` as `[N, X]`.
-    fn step_input(input: &Tensor, t: usize) -> Tensor {
-        let (n, l, x) = (input.dims()[0], input.dims()[1], input.dims()[2]);
-        let mut out = Vec::with_capacity(n * x);
-        for b in 0..n {
-            let base = (b * l + t) * x;
-            out.extend_from_slice(&input.data()[base..base + x]);
-        }
-        Tensor::from_parts([n, x], out)
-    }
-
-    /// Splits the pre-activation `[N, 4H]` into activated gates.
-    fn gates(&self, z: &Tensor) -> (Tensor, Tensor, Tensor, Tensor) {
-        let n = z.dims()[0];
-        let h = self.hidden_dim;
-        let mut i = Tensor::zeros([n, h]);
-        let mut f = Tensor::zeros([n, h]);
-        let mut g = Tensor::zeros([n, h]);
-        let mut o = Tensor::zeros([n, h]);
-        for b in 0..n {
-            let row = &z.data()[b * 4 * h..(b + 1) * 4 * h];
-            for j in 0..h {
-                i.data_mut()[b * h + j] = sigmoid(row[j]);
-                f.data_mut()[b * h + j] = sigmoid(row[h + j]);
-                g.data_mut()[b * h + j] = row[2 * h + j].tanh();
-                o.data_mut()[b * h + j] = sigmoid(row[3 * h + j]);
-            }
-        }
-        (i, f, g, o)
-    }
-
-    /// Runs the recurrence over the whole sequence, handing each step's
-    /// new hidden state and backward cache to `on_step`; returns the last
-    /// hidden state.
-    fn run(&self, input: &Tensor, mut on_step: impl FnMut(&Tensor, StepCache)) -> Tensor {
+    /// The recurrence behind both passes, over `[N, L, X]` input: hands
+    /// each step's values to `on_step` and returns the last hidden state.
+    ///
+    /// With the gate weights laid out as `[X, 4H]` and `[H, 4H]`
+    /// (`gate_weights`), each step's pre-activations come from the
+    /// backend's `ab` kernel into buffers reused across steps. By the backend
+    /// contract (one accumulator per element, ascending `k`, mul then
+    /// add) that is the bits `a_bt` gives on the `[4H, ·]` originals,
+    /// with no allocation and no weight packing per step. The input
+    /// projection of all `N·L` rows runs as one product before the first
+    /// step. The elementwise work keeps the operand order the bits
+    /// depend on: `(x·Wxᵀ + h·Whᵀ) + b`, `f·c + i·g`, `o·tanh(c)`.
+    fn run(&self, input: &Tensor, mut on_step: impl FnMut(Step<'_>)) -> Tensor {
         let (n, l) = self.check_input(input);
         assert!(l > 0, "Lstm: empty sequence");
-        let mut h = Tensor::zeros([n, self.hidden_dim]);
-        let mut c = Tensor::zeros([n, self.hidden_dim]);
+        let hd = self.hidden_dim;
+        let h4 = 4 * hd;
+        let (w_x, w_h) = self
+            .gate_weights
+            .get_or_init(|| (transpose(&self.w_x), transpose(&self.w_h)));
+        let mut zx = vec![0.0f32; n * l * h4];
+        matmul_into(&mut zx, input.data(), w_x);
+        let mut z = vec![0.0f32; n * h4];
+        let [mut h, mut h_next, mut c, mut c_next, mut tanh_c] =
+            std::array::from_fn(|_| vec![0.0f32; n * hd]);
         for t in 0..l {
-            let x = Self::step_input(input, t);
-            let z = matmul_a_bt(&x, &self.w_x)
-                .add(&matmul_a_bt(&h, &self.w_h))
-                .add(&self.bias);
-            let (i, f, g, o) = self.gates(&z);
-            let c_new = f.mul(&c).add(&i.mul(&g));
-            let tanh_c = c_new.map(f32::tanh);
-            let h_new = o.mul(&tanh_c);
-            on_step(
-                &h_new,
-                StepCache {
-                    x,
-                    h_prev: h,
-                    c_prev: c,
-                    i,
-                    f,
-                    g,
-                    o,
-                    tanh_c,
-                },
-            );
-            h = h_new;
-            c = c_new;
+            matmul_into(&mut z, &h, w_h);
+            for b in 0..n {
+                let zb = &mut z[b * h4..(b + 1) * h4];
+                let xb = &zx[(b * l + t) * h4..(b * l + t + 1) * h4];
+                for ((zv, &xv), &bv) in zb.iter_mut().zip(xb).zip(self.bias.data()) {
+                    *zv = (xv + *zv) + bv;
+                }
+                let (i_f, g_o) = zb.split_at_mut(2 * hd);
+                let (g, o) = g_o.split_at_mut(hd);
+                i_f.iter_mut()
+                    .chain(o.iter_mut())
+                    .for_each(|v| *v = sigmoid(*v));
+                g.iter_mut().for_each(|v| *v = v.tanh());
+                let (i, f) = i_f.split_at(hd);
+                let base = b * hd;
+                for j in 0..hd {
+                    let cj = f[j] * c[base + j] + i[j] * g[j];
+                    c_next[base + j] = cj;
+                    tanh_c[base + j] = cj.tanh();
+                    h_next[base + j] = o[j] * tanh_c[base + j];
+                }
+            }
+            on_step(Step {
+                t,
+                h_prev: &h,
+                c_prev: &c,
+                gates: &z,
+                tanh_c: &tanh_c,
+            });
+            std::mem::swap(&mut h, &mut h_next);
+            std::mem::swap(&mut c, &mut c_next);
         }
-        h
+        Tensor::from_parts([n, hd], h)
     }
 
     fn check_input(&self, input: &Tensor) -> (usize, usize) {
@@ -174,13 +222,14 @@ impl Layer for Lstm {
     fn forward(&mut self, input: &Tensor) -> Tensor {
         let mut cache = std::mem::take(&mut self.cache);
         cache.clear();
-        let h = self.run(input, |_, step| cache.push(step));
+        let hd = self.hidden_dim;
+        let h = self.run(input, |step| cache.push(StepCache::new(input, &step, hd)));
         self.cache = cache;
         h
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
-        self.run(input, |_, _| {})
+        self.run(input, |_| {})
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -250,6 +299,7 @@ impl Layer for Lstm {
     }
 
     fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
+        self.gate_weights.take();
         vec![
             (&mut self.w_x, &mut self.grad_w_x),
             (&mut self.w_h, &mut self.grad_w_h),
@@ -291,6 +341,9 @@ mod tests {
         let mut lstm = Lstm::new(3, 5, &mut rng);
         let out = lstm.forward(&Tensor::zeros([2, 4, 3]));
         assert_eq!(out.dims(), &[2, 5]);
+        let empty = Tensor::zeros([0, 4, 3]);
+        assert_eq!(lstm.forward(&empty).dims(), &[0, 5]);
+        assert_eq!(lstm.infer(&empty).dims(), &[0, 5]);
     }
 
     #[test]

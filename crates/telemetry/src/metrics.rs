@@ -328,22 +328,6 @@ impl MetricsRegistry {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
-    /// Folds `other` into `self`: counters add, gauges take `other`'s
-    /// value (it is the later registry), histograms bucket-merge.
-    /// The counter and histogram parts are order-insensitive by
-    /// construction.
-    pub fn merge_from(&mut self, other: &MetricsRegistry) {
-        for (k, v) in &other.counters {
-            self.add(k, *v);
-        }
-        for (k, v) in &other.gauges {
-            self.gauge_set(k, *v);
-        }
-        for (k, h) in &other.histograms {
-            self.merge_histogram(k, h);
-        }
-    }
-
     /// A point-in-time copy of every metric.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
@@ -501,23 +485,6 @@ mod tests {
         r.observe("loss", 4.0);
         assert_eq!(r.histogram("loss").unwrap().count(), 2);
         assert!(!r.is_empty());
-    }
-
-    #[test]
-    fn merge_from_adds_counters_and_merges_histograms() {
-        let mut a = MetricsRegistry::new();
-        a.add("steps", 3);
-        a.gauge_set("rate", 0.25);
-        a.observe("loss", 1.0);
-        let mut b = MetricsRegistry::new();
-        b.add("steps", 2);
-        b.gauge_set("rate", 0.75);
-        b.observe("loss", 4.0);
-        a.merge_from(&b);
-        assert_eq!(a.counter("steps"), 5);
-        assert_eq!(a.gauge("rate"), Some(0.75)); // later registry wins
-        assert_eq!(a.histogram("loss").unwrap().count(), 2);
-        assert_eq!(a.histogram("loss").unwrap().max(), Some(4.0));
     }
 
     #[test]

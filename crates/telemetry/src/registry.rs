@@ -179,6 +179,11 @@ pub const KEYS: &[KeyDecl] = &[
         "per-kernel host time histogram (its count is the call count)",
     ),
     key(
+        "tensor.knob_fallbacks",
+        &["report"],
+        "SLM_THREADS / SLM_BACKEND values that fell back to a default (set only when one did)",
+    ),
+    key(
         "tensor.backend",
         &[],
         "selected compute backend (0 = scalar, 2 = simd; 1 was the removed blocked tier)",

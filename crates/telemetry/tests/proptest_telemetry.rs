@@ -6,7 +6,7 @@
 use sl_rng::rngs::StdRng;
 use sl_rng::{cases, Rng};
 
-use sl_telemetry::{Histogram, MetricsRegistry, SeriesStore, Snapshot, BUCKETS_PER_OCTAVE};
+use sl_telemetry::{Histogram, MetricsRegistry, SeriesStore, BUCKETS_PER_OCTAVE};
 
 const CASES: usize = 64;
 
@@ -107,51 +107,6 @@ fn quantile_estimates_within_bucket_error() {
             rel <= tol + 1e-9,
             "q={q}: est {est} vs true {truth} (rel {rel})"
         );
-    });
-}
-
-#[test]
-fn merge_order_is_insensitive_at_bucket_level() {
-    cases("merge_order_is_insensitive_at_bucket_level", CASES, |rng| {
-        let n = rng.random_range(3usize..7);
-        let parts: Vec<MetricsRegistry> = (0..n)
-            .map(|_| {
-                let values = any_values(rng);
-                let mut r = MetricsRegistry::new();
-                r.add("steps", values.len() as u64);
-                for &v in &values {
-                    r.observe("latency", v);
-                }
-                r
-            })
-            .collect();
-        // A deterministic permutation derived from the case's stream.
-        let mut shuffled: Vec<usize> = (0..n).collect();
-        for i in (1..n).rev() {
-            shuffled.swap(i, rng.random_range(0..i + 1));
-        }
-        // Merging the same registries in two orders: the counters and
-        // the histogram's buckets must not depend on the order.
-        let merge_in = |order: &[usize]| {
-            let mut total = MetricsRegistry::new();
-            for &i in order {
-                total.merge_from(&parts[i]);
-            }
-            total.snapshot()
-        };
-        let fwd = merge_in(&(0..n).collect::<Vec<_>>());
-        let rev = merge_in(&shuffled);
-        assert_eq!(fwd.counters, rev.counters);
-        let buckets = |s: &Snapshot| {
-            s.histograms
-                .get("latency")
-                .map(|h| (h.count(), h.min(), h.max(), h.nonzero_buckets()))
-        };
-        assert_eq!(buckets(&fwd), buckets(&rev));
-
-        // And the merged snapshot round-trips through its JSON form.
-        let back = Snapshot::from_json(&fwd.to_json()).unwrap();
-        assert_eq!(back, fwd);
     });
 }
 

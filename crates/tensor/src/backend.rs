@@ -836,14 +836,24 @@ pub fn resolve_backend(raw: Option<&str>, simd_supported: bool) -> (BackendKind,
 /// The process-wide backend choice, resolved once from `SLM_BACKEND`
 /// (mirroring [`crate::pool::ComputePool::global`] for `SLM_THREADS`).
 pub fn global_backend_kind() -> BackendKind {
-    static KIND: OnceLock<BackendKind> = OnceLock::new();
-    *KIND.get_or_init(|| {
+    resolved_backend().0
+}
+
+/// The warning `SLM_BACKEND` gave when the process-wide backend fell
+/// back, for [`crate::ComputePool::publish_metrics`] to journal.
+pub(crate) fn global_backend_fallback() -> Option<&'static str> {
+    resolved_backend().1.as_deref()
+}
+
+fn resolved_backend() -> &'static (BackendKind, Option<String>) {
+    static KIND: OnceLock<(BackendKind, Option<String>)> = OnceLock::new();
+    KIND.get_or_init(|| {
         let raw = std::env::var("SLM_BACKEND").ok();
         let (kind, warning) = resolve_backend(raw.as_deref(), simd::supported());
-        if let Some(msg) = warning {
-            Telemetry::disabled().warn(&msg);
+        if let Some(msg) = &warning {
+            Telemetry::disabled().warn(msg);
         }
-        kind
+        (kind, warning)
     })
 }
 

@@ -81,7 +81,7 @@ pub use conv::{
 pub use init::{he_normal, randn, uniform, xavier_uniform};
 pub use linalg::{
     matmul, matmul_a_bt, matmul_a_bt_in, matmul_a_bt_with, matmul_at_b, matmul_at_b_in,
-    matmul_at_b_with, matmul_in, matmul_with, matvec, outer, transpose,
+    matmul_at_b_with, matmul_in, matmul_into, matmul_with, matvec, outer, transpose,
 };
 pub use pool::{ComputePool, MAX_THREADS};
 pub use pooling::{avg_pool2d, avg_pool2d_backward};

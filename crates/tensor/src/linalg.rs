@@ -140,6 +140,36 @@ pub fn matmul_with(pool: &ComputePool, backend: &dyn Backend, a: &Tensor, b: &Te
     })
 }
 
+/// [`matmul`] into a caller's buffer: `out[m×n] = a[m×k] · b` for
+/// `b: [k, n]` and `m = a.len() / k`, on the process-wide pool and
+/// backend. It allocates nothing, so a recurrence can reuse one buffer
+/// for every step.
+///
+/// # Panics
+/// Panics unless `b` is rank-2 with `k > 0`, `a.len()` is a multiple of
+/// `k` and `out.len() == m·n`.
+pub fn matmul_into(out: &mut [f32], a: &[f32], b: &Tensor) {
+    let (k, n) = dims2(b, "matmul_into");
+    assert!(
+        k > 0 && a.len().is_multiple_of(k) && out.len() == a.len() / k * n,
+        "matmul_into: {} A values and {} outputs do not fit B {}",
+        a.len(),
+        out.len(),
+        b.shape()
+    );
+    host::time("tensor.kernel.matmul", || {
+        gemm_ab(
+            ComputePool::global(),
+            global_backend(),
+            out,
+            a,
+            b.data(),
+            k,
+            n,
+        );
+    });
+}
+
 /// `C = Aᵀ · B` for `A: [k, m]`, `B: [k, n]` (yields `[m, n]`), computed
 /// on the process-wide pool.
 ///

@@ -32,7 +32,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
 use std::time::Instant;
 
-use sl_telemetry::Telemetry;
+use sl_telemetry::{EventBuilder, Telemetry};
 
 /// Upper clamp for the worker count — beyond this, per-call dispatch
 /// overhead dwarfs any speedup at the paper's tensor sizes.
@@ -150,6 +150,9 @@ pub struct ComputePool {
     threads: usize,
     jobs: AtomicU64,
     steal_idle_nanos: AtomicU64,
+    /// The warning `SLM_THREADS` gave when the global pool fell back to
+    /// a default; `None` for every other pool.
+    knob_fallback: Option<String>,
 }
 
 impl ComputePool {
@@ -177,6 +180,7 @@ impl ComputePool {
             threads,
             jobs: AtomicU64::new(0),
             steal_idle_nanos: AtomicU64::new(0),
+            knob_fallback: None,
         }
     }
 
@@ -184,7 +188,16 @@ impl ComputePool {
     /// use (see the module docs for the parsing rules).
     pub fn global() -> &'static ComputePool {
         static GLOBAL: OnceLock<ComputePool> = OnceLock::new();
-        GLOBAL.get_or_init(|| ComputePool::new(configured_threads()))
+        GLOBAL.get_or_init(|| {
+            let (threads, knob_fallback) = configured_threads();
+            if let Some(msg) = &knob_fallback {
+                Telemetry::disabled().warn(msg);
+            }
+            ComputePool {
+                knob_fallback,
+                ..ComputePool::new(threads)
+            }
+        })
     }
 
     /// Number of participants (caller + workers).
@@ -288,6 +301,11 @@ impl ComputePool {
     /// Publishes the pool counters as telemetry gauges:
     /// `tensor.pool.{threads,jobs,steal_idle_s}` and the selected
     /// `tensor.backend` (its [`crate::backend::BackendKind::index`]).
+    ///
+    /// A knob that fell back to its default (`SLM_THREADS` for the
+    /// global pool, `SLM_BACKEND` for the process) is journaled as a
+    /// `warn` event naming the knob, and counted in the
+    /// `tensor.knob_fallbacks` gauge, set only when one did.
     pub fn publish_metrics(&self, tele: &mut Telemetry) {
         tele.gauge_set("tensor.pool.threads", self.threads as f64);
         tele.gauge_set(
@@ -296,38 +314,53 @@ impl ComputePool {
         );
         tele.gauge_set("tensor.pool.jobs", self.jobs_dispatched() as f64);
         tele.gauge_set("tensor.pool.steal_idle_s", self.steal_idle_s());
+        let fallbacks = [
+            ("SLM_THREADS", self.knob_fallback.as_deref()),
+            ("SLM_BACKEND", crate::backend::global_backend_fallback()),
+        ];
+        let mut count = 0;
+        for (knob, msg) in fallbacks {
+            if let Some(msg) = msg {
+                count += 1;
+                tele.emit(EventBuilder::new("warn").str("knob", knob).str("msg", msg));
+            }
+        }
+        if count > 0 {
+            tele.gauge_set("tensor.knob_fallbacks", f64::from(count));
+        }
     }
 }
 
-/// Resolves the global pool's thread count from `SLM_THREADS`.
+/// Resolves the global pool's thread count from `SLM_THREADS`, with
+/// the warning to give when the value was unusable.
 ///
 /// Unset → available parallelism (clamped to [`MAX_THREADS`]).
 /// Unparseable or `0` → warn and use the default; values above the
 /// clamp warn and clamp.
-fn configured_threads() -> usize {
+fn configured_threads() -> (usize, Option<String>) {
     // slm-lint: allow(no-nondeterminism) queried once to size the pool; the job partitioning never depends on it
     let default = thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
         .min(MAX_THREADS);
     let Ok(raw) = std::env::var("SLM_THREADS") else {
-        return default;
+        return (default, None);
     };
     match raw.trim().parse::<usize>() {
-        Ok(0) | Err(_) => {
-            Telemetry::disabled().warn(&format!(
+        Ok(0) | Err(_) => (
+            default,
+            Some(format!(
                 "unusable SLM_THREADS value {raw:?} (expected 1..={MAX_THREADS}); \
                  using {default} (available parallelism)"
-            ));
-            default
-        }
-        Ok(n) if n > MAX_THREADS => {
-            Telemetry::disabled().warn(&format!(
+            )),
+        ),
+        Ok(n) if n > MAX_THREADS => (
+            MAX_THREADS,
+            Some(format!(
                 "SLM_THREADS={n} exceeds the clamp; using {MAX_THREADS}"
-            ));
-            MAX_THREADS
-        }
-        Ok(n) => n,
+            )),
+        ),
+        Ok(n) => (n, None),
     }
 }
 

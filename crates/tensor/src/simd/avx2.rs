@@ -116,7 +116,8 @@ pub(crate) fn at_b(out: &mut [f32], a: &[f32], b: &[f32], i0: usize, am: usize, 
 /// `out[m×n] = a[m×k] · b[n×k]ᵀ` via transposed 16-column `B` panels:
 /// pack `panel[kk·16 + c] = b[(j0+c)·k + kk]` (pure data movement), then
 /// run the same broadcast kernel over the panel. Ragged columns (< 16)
-/// take plain ascending-`k` dot products.
+/// take plain ascending-`k` dot products; with fewer than 16 columns in
+/// all (a dense head's single output) no panel is allocated.
 ///
 /// # Safety
 /// AVX2 must be available (`is_x86_feature_detected!("avx2")`).
@@ -125,7 +126,11 @@ pub(crate) fn a_bt(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n:
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(out.len(), m * n);
-    let mut panel = vec![0.0f32; k * NR];
+    let mut panel = if n >= NR {
+        vec![0.0f32; k * NR]
+    } else {
+        Vec::new()
+    };
     let mut j0 = 0;
     while j0 + NR <= n {
         for c in 0..NR {

@@ -113,13 +113,18 @@ fi
 # equivalence suite runs once per SLM_BACKEND × SLM_THREADS pairing
 # (2 × 2 stages) — the env pair selects what the process-wide pool and
 # global backend resolve to, and global_backend_matches_scalar_reference
-# closes the loop.
+# closes the loop. The LSTM recurrence suite runs under the same
+# pairings: its `ab` products on the process-wide pool and backend must
+# give the bits of a per-step `a_bt` reference on the scalar one.
 if [[ "$blocked" -eq 0 ]]; then
     for backend in scalar simd; do
         for threads in 1 4; do
             stage "kernels-eq-$backend-${threads}t" \
                 env SLM_BACKEND="$backend" SLM_THREADS="$threads" \
                 cargo test -q -p sl-tensor --test parallel_equivalence
+            stage "recurrence-eq-$backend-${threads}t" \
+                env SLM_BACKEND="$backend" SLM_THREADS="$threads" \
+                cargo test -q -p sl-nn --test recurrence_equivalence
         done
     done
 fi

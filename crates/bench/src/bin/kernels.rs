@@ -41,9 +41,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use sl_rng::rngs::StdRng;
 
-use sl_bench::report::{
-    append_trajectory, check, render_table, trajectory_path, CheckConfig, Entry, KERNELS,
-};
+use sl_bench::report::{append_trajectory, check, render_table, trajectory_path, Entry, KERNELS};
 use sl_tensor::{
     backend_for, conv2d_backward_with, conv2d_with, fused_cnn_backward_with, fused_cnn_with,
     matmul_with, randn, sigmoid, Backend, BackendKind, ComputePool, FusedCnnParams, Padding,
@@ -188,7 +186,7 @@ fn main() -> ExitCode {
     }
 
     print!("{}", render_table(&KERNELS, &batch));
-    let failures = check(&KERNELS, &batch, &[], &CheckConfig::default());
+    let failures = check(&KERNELS, &batch, &[]);
     for f in &failures {
         eprintln!("kernels: FAIL {f}");
     }

@@ -11,10 +11,9 @@
 //! ```
 //!
 //! Flags: `--out FILE` (write markdown to a file), `--no-append` (skip
-//! the trajectory append), `--tol-rmse X` / `--tol-time X` (relative
-//! gate tolerances, defaults 0.30 / 0.25). `--kernels` shows the latest
-//! batch the `kernels` bin appended to `BENCH_kernels.json`; every gate,
-//! and `--diff`'s verdict, comes from the declared kinds in
+//! the trajectory append). `--kernels` shows the latest batch the
+//! `kernels` bin appended to `BENCH_kernels.json`; every gate, its
+//! tolerance, and `--diff`'s verdict come from the declared kinds in
 //! `sl_bench::report`.
 
 use std::path::PathBuf;
@@ -23,12 +22,11 @@ use std::time::{SystemTime, UNIX_EPOCH};
 
 use sl_bench::report::{
     append_trajectory, baseline, bench_path, check, entry_from_run, latest_batch, load_run,
-    load_trajectory, render_diff, render_markdown, render_table, trajectory_path, CheckConfig,
-    KERNELS, RUN,
+    load_trajectory, render_diff, render_markdown, render_table, trajectory_path, KERNELS, RUN,
 };
 
 const USAGE: &str = "usage: slm-report [--check] [--diff A B] [--kernels] [--out FILE] \
-                     [--no-append] [--tol-rmse X] [--tol-time X] <results-dir>...";
+                     [--no-append] <results-dir>...";
 
 fn main() -> ExitCode {
     let mut check_mode = false;
@@ -36,7 +34,6 @@ fn main() -> ExitCode {
     let mut kernels_mode = false;
     let mut no_append = false;
     let mut out_path: Option<PathBuf> = None;
-    let mut cfg = CheckConfig::default();
     let mut dirs: Vec<PathBuf> = Vec::new();
 
     let mut args = std::env::args().skip(1);
@@ -49,14 +46,6 @@ fn main() -> ExitCode {
             "--out" => match args.next() {
                 Some(p) => out_path = Some(PathBuf::from(p)),
                 None => return usage_error("--out needs a path"),
-            },
-            "--tol-rmse" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => cfg.tol_rmse_rel = v,
-                None => return usage_error("--tol-rmse needs a number"),
-            },
-            "--tol-time" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => cfg.tol_time_rel = v,
-                None => return usage_error("--tol-time needs a number"),
             },
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -89,7 +78,7 @@ fn main() -> ExitCode {
         if !check_mode {
             return ExitCode::SUCCESS;
         }
-        let failures = check(kind, batch, &all[..all.len() - batch.len()], &cfg);
+        let failures = check(kind, batch, &all[..all.len() - batch.len()]);
         println!();
         if failures.is_empty() {
             println!(
@@ -110,7 +99,7 @@ fn main() -> ExitCode {
             (Ok(a), Ok(b)) => (a, b),
             (Err(e), _) | (_, Err(e)) => return load_error(&e),
         };
-        let (md, regressed) = render_diff(&a, &b, &cfg);
+        let (md, regressed) = render_diff(&a, &b);
         print!("{md}");
         return ExitCode::from(u8::from(regressed));
     }
@@ -133,7 +122,7 @@ fn main() -> ExitCode {
                 Ok(h) => h,
                 Err(e) => return load_error(&e),
             };
-            let failures = check(&RUN, std::slice::from_ref(&entry), &history, &cfg);
+            let failures = check(&RUN, std::slice::from_ref(&entry), &history);
             match baseline(&RUN, &entry, &history) {
                 _ if !failures.is_empty() => {}
                 Some(base) => println!(

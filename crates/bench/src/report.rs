@@ -343,81 +343,6 @@ pub fn run_metrics(run: &RunData) -> RunMetrics {
     }
 }
 
-/// Summary of the latest `slm-lint` run, read back from the JSON the
-/// `lint` stage of `scripts/verify.sh` writes to `results/lint.json`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct LintSummary {
-    /// No active findings (allowlist exactly covers the remainder).
-    pub clean: bool,
-    /// `.rs` files scanned.
-    pub files_scanned: u64,
-    /// Burn-down allowlist size — the number that must only shrink.
-    pub allowlist_len: u64,
-    /// Findings absorbed by the allowlist.
-    pub allowlisted: u64,
-    /// Findings suppressed by inline documented waivers.
-    pub waived: u64,
-    /// Active findings (non-zero means the lint gate failed).
-    pub findings: u64,
-    /// Per-rule counts over active + allowlisted findings, sorted by id.
-    pub rule_counts: Vec<(String, u64)>,
-    /// Per-pass finding counts for the semantic passes (`keys`,
-    /// `knobs`, `protocol`, `determinism`), sorted by pass name; empty
-    /// for token-rule-only runs.
-    pub passes: Vec<(String, u64)>,
-}
-
-impl LintSummary {
-    /// Finding count of one semantic pass (0 when the pass didn't run).
-    pub fn pass_count(&self, pass: &str) -> u64 {
-        self.passes
-            .iter()
-            .find(|(p, _)| p == pass)
-            .map(|(_, n)| *n)
-            .unwrap_or(0)
-    }
-}
-
-/// Where a run's lint summary lives: `lint.json` next to the run
-/// directory (i.e. directly under `results/`), shared by all runs.
-pub fn lint_path(run: &RunData) -> PathBuf {
-    run.dir.parent().unwrap_or(&run.dir).join("lint.json")
-}
-
-/// Loads a lint summary; `None` when the file is missing or unreadable
-/// (the report then just notes that no lint data is available).
-pub fn load_lint_summary(path: &Path) -> Option<LintSummary> {
-    let text = fs::read_to_string(path).ok()?;
-    let v = json::parse(&text).ok()?;
-    let u = |k: &str| v.get(k).and_then(JsonValue::as_u64).unwrap_or(0);
-    let counts = |key: &str| {
-        v.get(key)
-            .and_then(JsonValue::as_obj)
-            .map(|m| {
-                m.iter()
-                    .map(|(name, n)| (name.clone(), n.as_u64().unwrap_or(0)))
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    let rule_counts = counts("rule_counts");
-    let passes = counts("passes");
-    Some(LintSummary {
-        clean: v.get("clean").and_then(JsonValue::as_bool).unwrap_or(false),
-        files_scanned: u("files_scanned"),
-        allowlist_len: u("allowlist_len"),
-        allowlisted: u("allowlisted"),
-        waived: u("waived"),
-        findings: v
-            .get("findings")
-            .and_then(JsonValue::as_arr)
-            .map(|a| a.len() as u64)
-            .unwrap_or(0),
-        rule_counts,
-        passes,
-    })
-}
-
 /// Renders the markdown run report.
 pub fn render_markdown(run: &RunData) -> String {
     let m = run_metrics(run);
@@ -577,51 +502,6 @@ pub fn render_markdown(run: &RunData) -> String {
                 out,
                 "- **{}** (metric `{}`, action {}): {}",
                 e.kind, e.metric, e.action, e.detail
-            );
-        }
-    }
-    let _ = writeln!(out);
-
-    let _ = writeln!(out, "## Static analysis");
-    let _ = writeln!(out);
-    match load_lint_summary(&lint_path(run)) {
-        Some(l) => {
-            let _ = writeln!(
-                out,
-                "- status: {} ({} active finding{})",
-                if l.clean { "**clean**" } else { "**FINDINGS**" },
-                l.findings,
-                if l.findings == 1 { "" } else { "s" }
-            );
-            let _ = writeln!(
-                out,
-                "- {} files scanned; allowlist size **{}** (burn-down: must only \
-                 shrink), {} allowlisted, {} waived",
-                l.files_scanned, l.allowlist_len, l.allowlisted, l.waived
-            );
-            if !l.passes.is_empty() {
-                let passes = l
-                    .passes
-                    .iter()
-                    .map(|(p, n)| format!("{p}:{n}"))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                let _ = writeln!(out, "- semantic passes (findings): {passes}");
-            }
-            if !l.rule_counts.is_empty() {
-                let _ = writeln!(out);
-                let _ = writeln!(out, "| rule | findings (incl. allowlisted) |");
-                let _ = writeln!(out, "|---|---:|");
-                for (rule, n) in &l.rule_counts {
-                    let _ = writeln!(out, "| `{rule}` | {n} |");
-                }
-            }
-        }
-        None => {
-            let _ = writeln!(
-                out,
-                "No lint summary (`results/lint.json` missing — the `lint` stage \
-                 of `scripts/verify.sh` writes it)."
             );
         }
     }
@@ -906,26 +786,13 @@ enum Gate {
     /// `(field, name, unit, decimals, tol, slack)`: against the entry's
     /// baseline `b`, the number must be finite and at most
     /// `b·(1 + tol) + slack`. Passes when there is no baseline.
-    NoRise(
-        &'static str,
-        &'static str,
-        &'static str,
-        usize,
-        fn(&CheckConfig) -> f64,
-        f64,
-    ),
+    NoRise(&'static str, &'static str, &'static str, usize, f64, f64),
 }
 
 impl Gate {
     /// This gate's failure on one entry, compared with `base` where the
     /// gate needs a baseline. Batch gates find nothing here.
-    fn judge(
-        &self,
-        kind: &Kind,
-        e: &Entry,
-        base: Option<&Entry>,
-        cfg: &CheckConfig,
-    ) -> Option<String> {
+    fn judge(&self, kind: &Kind, e: &Entry, base: Option<&Entry>) -> Option<String> {
         // NaN in a field whose default is NaN means "not measured".
         let unmeasured =
             |field: &str, v: f64| v.is_nan() && kind.default(field).is_some_and(f64::is_nan);
@@ -943,7 +810,7 @@ impl Gate {
                 (n > 0.0).then(|| format!("{n} {failure}"))
             }
             Gate::NoRise(field, what, unit, p, tol, slack) => {
-                let (v, b, tol) = (e.get_num(field), base?.get_num(field), tol(cfg));
+                let (v, b) = (e.get_num(field), base?.get_num(field));
                 if unmeasured(field, v) || unmeasured(field, b) {
                     None
                 } else if !v.is_finite() {
@@ -962,6 +829,16 @@ impl Gate {
     }
 }
 
+/// Allowed relative rise of the validation RMSE over its baseline.
+const TOL_RMSE_REL: f64 = 0.30;
+/// Allowed relative rise of the simulated elapsed time (the sim clock is
+/// deterministic given the config, so drift means the compute/airtime
+/// model changed).
+const TOL_TIME_REL: f64 = 0.25;
+/// Allowed relative rise of the final sampled training loss (gated only
+/// when both entries carry a series).
+const TOL_LOSS_REL: f64 = 0.30;
+
 /// Run entries, one per reported run, in `BENCH_<exp>.json`. Gated:
 /// health events (with or without a baseline), then validation RMSE,
 /// simulated elapsed time and the final sampled training loss (only
@@ -973,19 +850,9 @@ pub static RUN: Kind = Kind {
     title: "run trajectory",
     fields: "timestamp_s profile config_hash val_rmse_db sim_elapsed_s \
          steps_applied wall_s model_host_s layer_host_s health_events \
-         lint_findings lint_allowlist lint_waived lint_keys lint_knobs \
-         lint_protocol lint_determinism final_loss",
-    // Older files read as no lint findings and as no sampled series.
-    defaults: &[
-        ("lint_findings", 0.0),
-        ("lint_allowlist", 0.0),
-        ("lint_waived", 0.0),
-        ("lint_keys", 0.0),
-        ("lint_knobs", 0.0),
-        ("lint_protocol", 0.0),
-        ("lint_determinism", 0.0),
-        ("final_loss", f64::NAN),
-    ],
+         final_loss",
+    // Older files read as no sampled series.
+    defaults: &[("final_loss", f64::NAN)],
     identity: &["profile", "config_hash"],
     columns: &[
         ("val RMSE dB", Cell::Num("val_rmse_db", 2)),
@@ -999,20 +866,13 @@ pub static RUN: Kind = Kind {
     ],
     gates: &[
         Gate::Zero("health_events", "health event(s) during the run"),
-        Gate::NoRise(
-            "val_rmse_db",
-            "val RMSE",
-            " dB",
-            2,
-            |c| c.tol_rmse_rel,
-            0.05,
-        ),
+        Gate::NoRise("val_rmse_db", "val RMSE", " dB", 2, TOL_RMSE_REL, 0.05),
         Gate::NoRise(
             "sim_elapsed_s",
             "simulated time",
             " s",
             2,
-            |c| c.tol_time_rel,
+            TOL_TIME_REL,
             0.0,
         ),
         Gate::NoRise(
@@ -1020,7 +880,7 @@ pub static RUN: Kind = Kind {
             "final training loss",
             "",
             4,
-            |c| c.tol_loss_rel,
+            TOL_LOSS_REL,
             1e-6,
         ),
     ],
@@ -1071,7 +931,6 @@ pub static KERNELS: Kind = Kind {
 /// Builds the trajectory entry for a loaded run.
 pub fn entry_from_run(run: &RunData, timestamp_s: u64) -> Entry {
     let m = run_metrics(run);
-    let lint = load_lint_summary(&lint_path(run)).unwrap_or_default();
     let mut e = Entry::new()
         .num("timestamp_s", timestamp_s as f64)
         .str("profile", &run.profile)
@@ -1084,13 +943,6 @@ pub fn entry_from_run(run: &RunData, timestamp_s: u64) -> Entry {
         ("model_host_s", m.model_host_s),
         ("layer_host_s", m.layer_host_s),
         ("health_events", run.health_events.len() as f64),
-        ("lint_findings", lint.findings as f64),
-        ("lint_allowlist", lint.allowlist_len as f64),
-        ("lint_waived", lint.waived as f64),
-        ("lint_keys", lint.pass_count("keys") as f64),
-        ("lint_knobs", lint.pass_count("knobs") as f64),
-        ("lint_protocol", lint.pass_count("protocol") as f64),
-        ("lint_determinism", lint.pass_count("determinism") as f64),
         ("final_loss", final_loss(run)),
     ] {
         e = e.num(name, v);
@@ -1192,30 +1044,6 @@ pub fn render_table(kind: &Kind, batch: &[Entry]) -> String {
     out
 }
 
-/// Regression-gate tolerances (relative).
-#[derive(Debug, Clone, Copy)]
-pub struct CheckConfig {
-    /// Allowed relative increase of the validation RMSE.
-    pub tol_rmse_rel: f64,
-    /// Allowed relative increase of the simulated elapsed time (the sim
-    /// clock is deterministic given the config, so drift means the
-    /// compute/airtime model changed).
-    pub tol_time_rel: f64,
-    /// Allowed relative increase of the final sampled training loss
-    /// (only gated when both entries carry a series).
-    pub tol_loss_rel: f64,
-}
-
-impl Default for CheckConfig {
-    fn default() -> Self {
-        CheckConfig {
-            tol_rmse_rel: 0.30,
-            tol_time_rel: 0.25,
-            tol_loss_rel: 0.30,
-        }
-    }
-}
-
 /// `entry`'s baseline: the last `history` entry that agrees with it on
 /// every identity field of `kind`.
 pub fn baseline<'a>(kind: &Kind, entry: &Entry, history: &'a [Entry]) -> Option<&'a Entry> {
@@ -1227,20 +1055,20 @@ pub fn baseline<'a>(kind: &Kind, entry: &Entry, history: &'a [Entry]) -> Option<
 
 /// `kind`'s per-entry gates on `entry`, with `base` as the baseline of
 /// the comparison gates. Returns one line per failure.
-fn compare(kind: &Kind, entry: &Entry, base: Option<&Entry>, cfg: &CheckConfig) -> Vec<String> {
+fn compare(kind: &Kind, entry: &Entry, base: Option<&Entry>) -> Vec<String> {
     kind.gates
         .iter()
-        .filter_map(|g| g.judge(kind, entry, base, cfg))
+        .filter_map(|g| g.judge(kind, entry, base))
         .collect()
 }
 
 /// Gates `batch` with `kind`'s gates: each entry against its
 /// [`baseline`] in `history`, then the batch as a whole. Returns one
 /// line per failure; empty means pass.
-pub fn check(kind: &Kind, batch: &[Entry], history: &[Entry], cfg: &CheckConfig) -> Vec<String> {
+pub fn check(kind: &Kind, batch: &[Entry], history: &[Entry]) -> Vec<String> {
     let mut failures: Vec<String> = batch
         .iter()
-        .flat_map(|e| compare(kind, e, baseline(kind, e, history), cfg))
+        .flat_map(|e| compare(kind, e, baseline(kind, e, history)))
         .collect();
     for gate in kind.gates {
         if let Gate::NonEmpty(failure) = *gate {
@@ -1256,7 +1084,7 @@ pub fn check(kind: &Kind, batch: &[Entry], history: &[Entry], cfg: &CheckConfig)
 /// columns. The `bool` is `true` when run `b` fails the run gates with
 /// run `a` as its baseline — the verdict [`check`] reaches when `a` is
 /// the last entry with `b`'s profile and config.
-pub fn render_diff(a: &RunData, b: &RunData, cfg: &CheckConfig) -> (String, bool) {
+pub fn render_diff(a: &RunData, b: &RunData) -> (String, bool) {
     let (ea, eb) = (entry_from_run(a, 0), entry_from_run(b, 0));
     let mut out = format!("# slm-report diff: {} vs {}\n\n", a.name, b.name);
     let _ = writeln!(out, "| metric | {} | {} | delta |", a.name, b.name);
@@ -1269,13 +1097,13 @@ pub fn render_diff(a: &RunData, b: &RunData, cfg: &CheckConfig) -> (String, bool
         let rel = rel.unwrap_or_default();
         let _ = writeln!(out, "| {head} | {va:.3} | {vb:.3} | {delta:+.3}{rel} |");
     }
-    let failures = compare(&RUN, &eb, Some(&ea), cfg);
+    let failures = compare(&RUN, &eb, Some(&ea));
     let _ = writeln!(
         out,
         "\nRegression (tol rmse +{:.0}%, time +{:.0}%, loss +{:.0}%): {}",
-        100.0 * cfg.tol_rmse_rel,
-        100.0 * cfg.tol_time_rel,
-        100.0 * cfg.tol_loss_rel,
+        100.0 * TOL_RMSE_REL,
+        100.0 * TOL_TIME_REL,
+        100.0 * TOL_LOSS_REL,
         if failures.is_empty() { "no" } else { "YES" }
     );
     for f in &failures {
@@ -1300,13 +1128,6 @@ mod tests {
             .num("model_host_s", 1.0)
             .num("layer_host_s", 0.98)
             .num("health_events", 0.0)
-            .num("lint_findings", 0.0)
-            .num("lint_allowlist", 0.0)
-            .num("lint_waived", 0.0)
-            .num("lint_keys", 0.0)
-            .num("lint_knobs", 0.0)
-            .num("lint_protocol", 0.0)
-            .num("lint_determinism", 0.0)
             .num("final_loss", 0.5)
     }
 
@@ -1336,8 +1157,8 @@ mod tests {
         JsonValue::Obj(obj)
     }
 
-    fn check_run(e: &Entry, history: &[Entry], cfg: &CheckConfig) -> Vec<String> {
-        check(&RUN, std::slice::from_ref(e), history, cfg)
+    fn check_run(e: &Entry, history: &[Entry]) -> Vec<String> {
+        check(&RUN, std::slice::from_ref(e), history)
     }
 
     #[test]
@@ -1355,19 +1176,13 @@ mod tests {
         let e = kentry("matmul", 7, true);
         let old = Entry::from_json(&KERNELS, &without(&e, &["simd_gflops"])).unwrap();
         assert!(old.get_num("simd_gflops").is_nan());
-        assert!(check(
-            &KERNELS,
-            std::slice::from_ref(&old),
-            &[],
-            &CheckConfig::default()
-        )
-        .is_empty());
+        assert!(check(&KERNELS, std::slice::from_ref(&old), &[]).is_empty());
         // NaN serializes as null and reloads as NaN.
         assert!(old.to_json().contains("\"simd_gflops\":null"));
         assert!(reload(&KERNELS, &old).get_num("simd_gflops").is_nan());
         // A measured-but-dead simd tier still fails the gate.
         let dead = kentry("matmul", 7, true).num("simd_gflops", 0.0);
-        let failures = check(&KERNELS, &[dead], &[], &CheckConfig::default());
+        let failures = check(&KERNELS, &[dead], &[]);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("simd throughput"), "{failures:?}");
     }
@@ -1399,15 +1214,14 @@ mod tests {
 
     #[test]
     fn kernels_check_gates_determinism_not_speed() {
-        let cfg = CheckConfig::default();
-        assert_eq!(check(&KERNELS, &[], &[], &cfg).len(), 1);
+        assert_eq!(check(&KERNELS, &[], &[]).len(), 1);
         // Slow is fine: pooled below serial is reported, not gated.
         let slow = kentry("matmul", 1, true).num("pooled_gflops", 0.5);
-        assert!(check(&KERNELS, &[slow], &[], &cfg).is_empty());
+        assert!(check(&KERNELS, &[slow], &[]).is_empty());
         // A bitwise mismatch or dead tier is not fine.
         let bad = kentry("matmul", 1, false);
         let dead = kentry("conv2d_fwd", 1, true).num("ref_gflops", 0.0);
-        let failures = check(&KERNELS, &[bad, dead], &[], &cfg);
+        let failures = check(&KERNELS, &[bad, dead], &[]);
         assert_eq!(failures.len(), 2);
         assert!(failures[0].contains("bitwise"));
         assert!(failures[1].contains("ref throughput"));
@@ -1419,33 +1233,55 @@ mod tests {
         let text = fs::read_to_string(&path).unwrap();
         let all = load_trajectory(&KERNELS, &path).unwrap();
         assert!(!all.is_empty());
-        let failures = check(&KERNELS, latest_batch(&all), &[], &CheckConfig::default());
+        let failures = check(&KERNELS, latest_batch(&all), &[]);
         assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(trajectory_json("kernels", &all) + "\n", text);
     }
 
     #[test]
-    fn run_entry_round_trips_lint_fields() {
-        let e = entry("smoke", "abc", 3.0, 10.0)
-            .num("lint_findings", 1.0)
-            .num("lint_allowlist", 65.0)
-            .num("lint_waived", 9.0);
-        assert_eq!(reload(&RUN, &e), e);
-    }
+    fn run_entries_from_older_writers_load_gate_and_keep_their_fields() {
+        // Run entries once carried per-pass static-analysis counts.
+        // Trajectories that hold them must still load and gate, and a
+        // rewrite must keep the values.
+        let old = [
+            ("lint_allowlist", 17.0),
+            ("lint_waived", 31.0),
+            ("lint_keys", 0.0),
+            ("lint_knobs", 0.0),
+            ("lint_protocol", 0.0),
+            ("lint_determinism", 0.0),
+        ];
+        let e = old
+            .iter()
+            .fold(entry("smoke", "abc", 4.0, 10.0), |e, &(k, v)| e.num(k, v));
+        let back = reload(&RUN, &e);
+        for (k, v) in old {
+            assert_eq!(back.get_num(k), v, "{k}");
+        }
+        assert!(check_run(
+            &entry("smoke", "abc", 4.1, 10.0),
+            std::slice::from_ref(&back)
+        )
+        .is_empty());
+        assert!(!check_run(
+            &entry("smoke", "abc", 8.0, 10.0),
+            std::slice::from_ref(&back)
+        )
+        .is_empty());
 
-    #[test]
-    fn run_entry_lint_fields_default_for_pre_lint_trajectories() {
-        // Entries written before the lint stage existed have no lint_*
-        // keys; they must still load, with zeros.
-        let old = entry("smoke", "abc", 3.0, 10.0);
-        let stripped = without(&old, &["lint_findings", "lint_allowlist", "lint_waived"]);
-        let back = Entry::from_json(&RUN, &stripped).unwrap();
-        assert_eq!(back.get_num("lint_allowlist"), 0.0);
-        assert_eq!(back.get_num("lint_findings"), 0.0);
-        assert_eq!(back.get_num("lint_waived"), 0.0);
-        assert_eq!(back.get_str("profile"), "smoke");
+        let dir = std::env::temp_dir().join(format!("slm-run-compat-{}", std::process::id()));
+        let path = trajectory_path(&dir, "x");
+        let _ = fs::remove_file(&path);
+        append_trajectory(&RUN, &path, "x", &[back]).unwrap();
+        append_trajectory(&RUN, &path, "x", &[entry("smoke", "abc", 4.0, 10.0)]).unwrap();
+        let all = load_trajectory(&RUN, &path).unwrap();
+        for (k, v) in old {
+            assert_eq!(all[0].get_num(k), v, "{k}");
+            assert!(all[1].get_num(k).is_nan(), "{k}");
+        }
         // A required field stays required.
-        assert!(Entry::from_json(&RUN, &without(&old, &["val_rmse_db"])).is_err());
+        assert!(Entry::from_json(&RUN, &without(&e, &["val_rmse_db"])).is_err());
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1464,45 +1300,18 @@ mod tests {
 
     #[test]
     fn check_gates_final_loss_only_when_both_runs_sampled_one() {
-        let cfg = CheckConfig::default();
         let base = entry("smoke", "abc", 4.0, 10.0); // final_loss 0.5
         let hist = vec![base];
         // 2x the baseline's final loss fails the gate.
         let worse = entry("smoke", "abc", 4.0, 10.0).num("final_loss", 1.0);
-        let failures = check_run(&worse, &hist, &cfg);
+        let failures = check_run(&worse, &hist);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("final training loss"), "{failures:?}");
         // A pre-series entry on either side is never gated.
         let no_series = entry("smoke", "abc", 4.0, 10.0).num("final_loss", f64::NAN);
-        assert!(check_run(&no_series, &hist, &cfg).is_empty());
+        assert!(check_run(&no_series, &hist).is_empty());
         let old_hist = vec![hist[0].clone().num("final_loss", f64::NAN)];
-        assert!(check_run(&worse, &old_hist, &cfg).is_empty());
-    }
-
-    #[test]
-    fn lint_summary_parses_slm_lint_json() {
-        let dir = std::env::temp_dir().join("slm_report_lint_summary_test");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("lint.json");
-        fs::write(
-            &path,
-            r#"{"clean":true,"files_scanned":101,"allowlist_len":65,"allowlisted":65,"waived":9,"rule_counts":{"no-expect":44,"lossy-cast":13},"findings":[]}"#,
-        )
-        .unwrap();
-        let l = load_lint_summary(&path).unwrap();
-        assert!(l.clean);
-        assert_eq!(l.files_scanned, 101);
-        assert_eq!(l.allowlist_len, 65);
-        assert_eq!(l.waived, 9);
-        assert_eq!(l.findings, 0);
-        assert_eq!(
-            l.rule_counts,
-            vec![
-                ("lossy-cast".to_string(), 13),
-                ("no-expect".to_string(), 44)
-            ]
-        );
-        assert!(load_lint_summary(&dir.join("missing.json")).is_none());
+        assert!(check_run(&worse, &old_hist).is_empty());
     }
 
     #[test]
@@ -1564,44 +1373,41 @@ mod tests {
 
     #[test]
     fn check_gates_rmse_and_time() {
-        let cfg = CheckConfig::default();
         let base = entry("smoke", "abc", 4.0, 10.0);
         let hist = vec![entry("smoke", "other", 1.0, 1.0), base.clone()];
 
         let fresh = entry("smoke", "new-config", 9.0, 9.0);
         assert_eq!(baseline(&RUN, &fresh, &hist), None);
-        assert!(check_run(&fresh, &hist, &cfg).is_empty());
-        assert!(check_run(&entry("smoke", "abc", 4.3, 10.0), &hist, &cfg).is_empty());
+        assert!(check_run(&fresh, &hist).is_empty());
+        assert!(check_run(&entry("smoke", "abc", 4.3, 10.0), &hist).is_empty());
         // 2× RMSE must fail the gate.
-        let failures = check_run(&entry("smoke", "abc", 8.0, 10.0), &hist, &cfg);
+        let failures = check_run(&entry("smoke", "abc", 8.0, 10.0), &hist);
         assert!(!failures.is_empty());
         assert!(failures[0].contains("val RMSE regressed"), "{failures:?}");
         // Slower simulated time fails; faster passes.
-        assert!(!check_run(&entry("smoke", "abc", 4.0, 20.0), &hist, &cfg).is_empty());
-        assert!(check_run(&entry("smoke", "abc", 4.0, 5.0), &hist, &cfg).is_empty());
+        assert!(!check_run(&entry("smoke", "abc", 4.0, 20.0), &hist).is_empty());
+        assert!(check_run(&entry("smoke", "abc", 4.0, 5.0), &hist).is_empty());
         // Health events fail even without a baseline.
         let sick = entry("smoke", "brand-new", 4.0, 10.0).num("health_events", 1.0);
-        assert!(!check_run(&sick, &hist, &cfg).is_empty());
+        assert!(!check_run(&sick, &hist).is_empty());
     }
 
     #[test]
     fn check_fails_a_non_finite_rmse_against_a_baseline() {
-        let cfg = CheckConfig::default();
         let hist = vec![entry("smoke", "abc", 4.0, 10.0)];
         for rmse in [f64::NAN, f64::INFINITY] {
-            let failures = check_run(&entry("smoke", "abc", rmse, 10.0), &hist, &cfg);
+            let failures = check_run(&entry("smoke", "abc", rmse, 10.0), &hist);
             assert_eq!(failures, vec!["val RMSE is non-finite".to_string()]);
         }
         // The baseline is the last entry with the same profile and
         // config hash: the same config under another profile has none.
         let other = entry("paper", "abc", f64::NAN, 10.0);
         assert_eq!(baseline(&RUN, &other, &hist), None);
-        assert!(check_run(&other, &hist, &cfg).is_empty());
+        assert!(check_run(&other, &hist).is_empty());
     }
 
     #[test]
     fn baseline_is_the_last_entry_with_the_same_identity() {
-        let cfg = CheckConfig::default();
         let hist = vec![
             entry("smoke", "abc", 1.0, 10.0),
             entry("smoke", "abc", 4.0, 10.0),
@@ -1609,14 +1415,13 @@ mod tests {
         ];
         let fresh = entry("smoke", "abc", 4.3, 10.0);
         assert_eq!(baseline(&RUN, &fresh, &hist), Some(&hist[1]));
-        assert!(check_run(&fresh, &hist, &cfg).is_empty());
+        assert!(check_run(&fresh, &hist).is_empty());
         // Against the first entry alone, 4.3 dB is a regression.
-        assert!(!check_run(&fresh, &hist[..1], &cfg).is_empty());
+        assert!(!check_run(&fresh, &hist[..1]).is_empty());
     }
 
     #[test]
     fn positive_gates_fail_every_dead_rate() {
-        let cfg = CheckConfig::default();
         let tiers = [
             "ref_gflops",
             "serial_gflops",
@@ -1626,7 +1431,7 @@ mod tests {
         for bad in [0.0, -1.0, f64::INFINITY, f64::NAN] {
             for field in tiers {
                 let e = kentry("matmul", 1, true).num(field, bad);
-                let failures = check(&KERNELS, &[e], &[], &cfg);
+                let failures = check(&KERNELS, &[e], &[]);
                 // An unmeasured (NaN) simd tier is the one pass.
                 let want = usize::from(!(field == "simd_gflops" && bad.is_nan()));
                 assert_eq!(failures.len(), want, "{field} = {bad}: {failures:?}");
@@ -1677,7 +1482,6 @@ mod tests {
 
     #[test]
     fn diff_and_check_reach_the_same_verdict() {
-        let cfg = CheckConfig::default();
         let a = run_data(4.0, 10.0, 0);
         for (b, regressed) in [
             (run_data(4.1, 10.0, 0), false),
@@ -1687,9 +1491,9 @@ mod tests {
             (run_data(f64::NAN, 10.0, 0), true),
             (run_data(4.0, 10.0, 1), true),
         ] {
-            let (md, diff_says) = render_diff(&a, &b, &cfg);
+            let (md, diff_says) = render_diff(&a, &b);
             let history = [entry_from_run(&a, 1)];
-            let failures = check_run(&entry_from_run(&b, 2), &history, &cfg);
+            let failures = check_run(&entry_from_run(&b, 2), &history);
             assert_eq!(diff_says, regressed, "{md}");
             assert_eq!(failures.is_empty(), !regressed, "{failures:?}");
             assert!(md.contains("| val RMSE dB |"), "{md}");

@@ -10,7 +10,7 @@ use sl_rng::rngs::StdRng;
 
 use sl_bench::report::{
     append_trajectory, bench_path, check, entry_from_run, load_run, load_trajectory,
-    render_markdown, run_metrics, CheckConfig, RUN,
+    render_markdown, run_metrics, RUN,
 };
 use sl_bench::{Experiment, Profile};
 use sl_core::{ExperimentConfig, PoolingDim, Scheme, SplitTrainer};
@@ -85,12 +85,11 @@ fn report_golden_round_trip() {
 
     // The gate: identical metrics pass, an injected 2× RMSE regression
     // fails.
-    let cfg = CheckConfig::default();
-    assert!(check(&RUN, std::slice::from_ref(&entry), &back, &cfg).is_empty());
+    assert!(check(&RUN, std::slice::from_ref(&entry), &back).is_empty());
     let regressed = entry
         .clone()
         .num("val_rmse_db", 2.0 * entry.get_num("val_rmse_db"));
-    assert!(!check(&RUN, &[regressed], &back, &cfg).is_empty());
+    assert!(!check(&RUN, &[regressed], &back).is_empty());
 
     std::fs::remove_dir_all(&base).ok();
 }

@@ -42,7 +42,7 @@ pub use fading::FadingChannel;
 pub use link::LinkConfig;
 pub use payload::PayloadSpec;
 pub use transfer::{RetransmissionPolicy, TransferOutcome, TransferSimulator, TransferStats};
-pub use units::{db_to_linear, dbm_to_mw, linear_to_db, mw_to_dbm};
+pub use units::{dbm_to_mw, linear_to_db, mw_to_dbm};
 
 /// Shannon decoding threshold for a `payload_bits` payload in one slot:
 /// the minimum SNR such that `τ·W·log2(1 + SNR) ≥ B`, i.e.

@@ -58,12 +58,6 @@ impl PayloadSpec {
     pub fn uplink_bits(&self, wh: usize, ww: usize) -> u64 {
         (self.pooled_pixels(wh, ww) * self.batch_size * self.bit_depth * self.sequence_len) as u64
     }
-
-    /// Downlink (cut-layer gradient) payload in bits: same element count
-    /// as the forward activations at the same bit depth.
-    pub fn downlink_bits(&self, wh: usize, ww: usize) -> u64 {
-        self.uplink_bits(wh, ww)
-    }
 }
 
 #[cfg(test)]
@@ -97,12 +91,6 @@ mod tests {
             spec.uplink_bits(1, 1) / spec.uplink_bits(4, 4),
             16 // w_H · w_W
         );
-    }
-
-    #[test]
-    fn downlink_matches_uplink_element_count() {
-        let spec = PayloadSpec::paper(32);
-        assert_eq!(spec.uplink_bits(10, 10), spec.downlink_bits(10, 10));
     }
 
     #[test]

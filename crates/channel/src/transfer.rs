@@ -173,11 +173,6 @@ impl TransferSimulator {
         &self.stats
     }
 
-    /// The per-transfer slot-count distribution.
-    pub fn slot_histogram(&self) -> &Histogram {
-        &self.slot_hist
-    }
-
     /// Publishes the accumulated link metrics under `prefix`:
     /// counters `{prefix}.transfers`, `{prefix}.delivered`,
     /// `{prefix}.timeouts`, `{prefix}.retransmissions`,
@@ -381,9 +376,9 @@ mod tests {
         assert_eq!(s.stats().timeouts(), 1);
         assert_eq!(s.stats().total_slots, 60);
         assert_eq!(s.stats().retransmissions(), 60 - 51);
-        assert_eq!(s.slot_histogram().count(), 51);
-        assert_eq!(s.slot_histogram().min(), Some(1.0));
-        assert_eq!(s.slot_histogram().max(), Some(10.0));
+        assert_eq!(s.slot_hist.count(), 51);
+        assert_eq!(s.slot_hist.min(), Some(1.0));
+        assert_eq!(s.slot_hist.max(), Some(10.0));
     }
 
     #[test]

@@ -19,11 +19,6 @@ pub fn mw_to_dbm(mw: f64) -> f64 {
     10.0 * mw.log10()
 }
 
-/// Converts a dimensionless ratio in dB to linear scale.
-pub fn db_to_linear(db: f64) -> f64 {
-    10f64.powf(db / 10.0)
-}
-
 /// Converts a dimensionless linear ratio to dB.
 ///
 /// # Panics
@@ -45,7 +40,6 @@ mod tests {
         assert!((dbm_to_mw(0.0) - 1.0).abs() < 1e-12);
         assert!((dbm_to_mw(30.0) - 1000.0).abs() < 1e-9);
         assert!((dbm_to_mw(-30.0) - 0.001).abs() < 1e-12);
-        assert!((db_to_linear(3.0) - 1.9952623).abs() < 1e-6);
     }
 
     #[test]
@@ -54,7 +48,7 @@ mod tests {
             assert!((mw_to_dbm(dbm_to_mw(dbm)) - dbm).abs() < 1e-9);
         }
         for &db in &[-20.0, 0.0, 76.6] {
-            assert!((linear_to_db(db_to_linear(db)) - db).abs() < 1e-9);
+            assert!((linear_to_db(10f64.powf(db / 10.0)) - db).abs() < 1e-9);
         }
     }
 

@@ -31,7 +31,7 @@
 //! * [`WiringSpec`] — pre-run static validation of the
 //!   UE→pool→payload→BS shapes: propagates symbolic shapes through the
 //!   actual layer stacks so a miswired configuration fails with a
-//!   per-layer trace before training starts (also `slm-lint --shapes`).
+//!   per-layer trace before training starts.
 //! * [`StreamingDeployment`] / [`LinkPolicy`] — deployment: per-frame
 //!   streaming inference over the simulated uplink and the proactive
 //!   link controller the paper's predictions exist to enable.

@@ -23,7 +23,7 @@
 //!    cell + dense head to the `[B, 1]` prediction.
 //!
 //! `SplitTrainer::new` runs this check before constructing the model,
-//! and `slm-lint --shapes` runs it for every experiment profile.
+//! and this module's tests run it for every experiment profile.
 
 use std::fmt;
 
@@ -61,9 +61,9 @@ pub struct WiringSpec {
     pub rnn_cell: RnnCell,
     /// Per-step input width the BS stack is built with. `None` (the
     /// default) derives it from the scheme and pooling — the correct
-    /// wiring. `Some(n)` overrides it, which is how `slm-lint
-    /// --miswire` injects a deliberately wrong BS input dimension to
-    /// prove the checker rejects it.
+    /// wiring. `Some(n)` overrides it, which is how a test injects a
+    /// deliberately wrong BS input dimension to prove the checker
+    /// rejects it.
     pub bs_feature_dim: Option<usize>,
 }
 
@@ -298,12 +298,31 @@ mod tests {
 
     #[test]
     fn quick_config_is_well_wired_on_test_scenes() {
-        // Tests run on 16×16 scenes with 4×4 pooling.
-        let config = ExperimentConfig::quick(Scheme::ImgRf, PoolingDim::new(4, 4));
-        let spec = WiringSpec::from_config(&config, 16, 16, 4);
-        let report = spec.check().unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(report.pooled_pixels, 16);
-        assert_eq!(report.feature_dim, 17);
+        // The quick profile trains on 16×16 scenes, so every Table 1
+        // pooling that tiles 16×16 applies (1×1 and 4×4).
+        let mut checked = 0;
+        for scheme in Scheme::ALL {
+            for pooling in PoolingDim::TABLE1 {
+                if !(16usize.is_multiple_of(pooling.h) && 16usize.is_multiple_of(pooling.w)) {
+                    continue;
+                }
+                let config = ExperimentConfig::quick(scheme, pooling);
+                let report = WiringSpec::from_config(&config, 16, 16, 4)
+                    .check()
+                    .unwrap_or_else(|e| panic!("{scheme:?}/{pooling}: {e}"));
+                let pooled = (16 / pooling.h) * (16 / pooling.w);
+                assert_eq!(report.pooled_pixels, pooled);
+                assert_eq!(report.feature_dim, scheme.feature_dim(pooled));
+                assert_eq!(report.bs_trace.output, vec![config.batch_size, 1]);
+                assert_eq!(report.ue_partial_trace.output, vec![1, 1, 16, 16]);
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 6);
+        // 4×4 Img+RF: 16 pooled pixels plus the RF feature.
+        let config = ExperimentConfig::quick(Scheme::ImgRf, PoolingDim::MEDIUM);
+        let report = WiringSpec::from_config(&config, 16, 16, 4).check().unwrap();
+        assert_eq!((report.pooled_pixels, report.feature_dim), (16, 17));
     }
 
     #[test]
@@ -341,7 +360,10 @@ mod tests {
             }
             other => panic!("expected a BS error, got {other}"),
         }
-        assert!(err.to_string().contains("input_dim 17"), "{err}");
+        let rendered = err.to_string();
+        assert!(rendered.contains("input_dim 17"), "{rendered}");
+        assert!(rendered.contains("SHAPE ERROR"), "{rendered}");
+        assert!(rendered.contains("lstm"), "{rendered}");
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub fn waived_site(v: Option<u32>) -> u32 {
 // ---- seeded violations for the semantic passes ------------------------
 // One per pass, again pinned by the golden tests to exact lines.
 
-/// `--protocol`: `Orphan` decodes nowhere, no handler arm names it, and
+/// `protocol` pass: `Orphan` decodes nowhere, no handler arm names it, and
 /// the enum lacks a `const ALL` annotation.
 pub enum ProtoMsg {
     Hello = 1,
@@ -70,17 +70,17 @@ impl Tele {
     pub fn inc(&mut self, _key: &str) {}
 }
 
-/// `--keys`: published but declared nowhere.
+/// `keys` pass: published but declared nowhere.
 pub fn orphan_key_site(t: &mut Tele) {
     t.inc("bogus.orphan.key");
 }
 
-/// `--knobs`: an `SLM_*` read missing from the knob table.
+/// `knobs` pass: an `SLM_*` read missing from the knob table.
 pub fn undeclared_knob_site() -> Option<String> {
     std::env::var("SLM_BOGUS").ok()
 }
 
-/// `--determinism`: two accumulators per output element.
+/// `determinism` pass: two accumulators per output element.
 pub fn split_accumulator_site(xs: &[f32]) -> f32 {
     let mut acc_lo = 0.0f32;
     let mut acc_hi = 0.0f32;
@@ -94,7 +94,7 @@ pub fn split_accumulator_site(xs: &[f32]) -> f32 {
     acc_lo + acc_hi
 }
 
-/// `--determinism`: non-ascending reduction order over `k`.
+/// `determinism` pass: non-ascending reduction order over `k`.
 pub fn reversed_k_site(xs: &[f32]) -> f32 {
     let mut total = 0.0f32;
     for k in (0..xs.len()).rev() {
@@ -124,7 +124,7 @@ pub fn unsafe_site(p: *const u32) -> u32 {
     unsafe { *p }
 }
 
-/// `--determinism`: a fused multiply-add intrinsic rounds once.
+/// `determinism` pass: a fused multiply-add intrinsic rounds once.
 pub fn fused_madd_site(a: f32, b: f32, c: f32) -> f32 {
     _mm_fmadd_ss_like(a, b, c)
 }
@@ -133,7 +133,7 @@ fn _mm_fmadd_ss_like(a: f32, b: f32, c: f32) -> f32 {
     a.mul_add(b, c)
 }
 
-/// `--determinism`: a horizontal lane reduction reassociates the sum.
+/// `determinism` pass: a horizontal lane reduction reassociates the sum.
 pub fn lane_reduce_site(v: [f32; 4]) -> f32 {
     _mm_hadd_ps_like(v)
 }

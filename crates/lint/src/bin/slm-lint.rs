@@ -1,59 +1,39 @@
-//! `slm-lint` — static analyzer + offline contract checkers CLI.
+//! `slm-lint` — the workspace's static analyzer.
 //!
 //! ```text
-//! slm-lint [--root PATH] [--json] [--json-out PATH]
-//!          [--shapes] [--miswire] [--keys] [--knobs] [--protocol]
-//!          [--determinism] [--semantic] [--update-allowlist]
+//! slm-lint [--root PATH] [--update-allowlist]
 //! ```
 //!
-//! Default run: lint every workspace crate under `--root` (default `.`),
-//! print findings rustc-style and exit non-zero if any survive the
-//! allowlist. The semantic passes ride on the item-level index:
-//! `--keys` (telemetry key-namespace contract), `--knobs` (`SLM_*`
-//! env-knob table), `--protocol` (MsgType decode/handler coverage plus
-//! the bounded protocol model checker and its seeded-mutation
-//! self-test) and `--determinism` (kernel accumulator-order
-//! heuristics); `--semantic` enables all four. `--shapes` additionally
-//! validates the UE→pool→payload→BS wiring of every experiment profile
-//! without allocating a tensor; `--miswire` injects a deliberately
-//! wrong BS input width and *must* exit non-zero with a per-layer trace
-//! (checker self-test). `--update-allowlist` rewrites
-//! `crates/lint/allowlist.txt` to exactly cover the current findings
-//! (initial capture / post burn-down).
+//! Every run lints every workspace crate under `--root` (default `.`):
+//! the token rules on each file and manifest, reconciled against the
+//! allowlist, then four passes over one item-level index — `keys`
+//! (telemetry key-namespace contract), `knobs` (`SLM_*` env-knob
+//! table), `protocol` (MsgType decode/handler coverage plus the bounded
+//! protocol model checker and its seeded-mutation self-test) and
+//! `determinism` (kernel accumulator-order heuristics). Findings print
+//! rustc-style. `--update-allowlist` rewrites `crates/lint/allowlist.txt`
+//! to exactly cover the token rules' current findings (initial capture /
+//! post burn-down); the passes' findings are never allowlisted.
 //!
 //! Exit codes: 0 = clean, 1 = findings, 2 = internal/IO/usage error.
 
-use sl_lint::{Allowlist, Finding, LintConfig};
-use std::path::PathBuf;
+use sl_lint::keys::KeySpec;
+use sl_lint::knobs::KnobSpec;
+use sl_lint::{Allowlist, Finding, LintConfig, LintReport};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+
+const USAGE: &str = "USAGE: slm-lint [--root PATH] [--update-allowlist]";
 
 struct Args {
     root: PathBuf,
-    json: bool,
-    json_out: Option<PathBuf>,
-    shapes: bool,
-    miswire: bool,
-    keys: bool,
-    knobs: bool,
-    protocol: bool,
-    determinism: bool,
     update_allowlist: bool,
-    lint: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::from("."),
-        json: false,
-        json_out: None,
-        shapes: false,
-        miswire: false,
-        keys: false,
-        knobs: false,
-        protocol: false,
-        determinism: false,
         update_allowlist: false,
-        lint: true,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -64,41 +44,9 @@ fn parse_args() -> Result<Args, String> {
                         .ok_or_else(|| "--root requires a path".to_string())?,
                 );
             }
-            "--json" => args.json = true,
-            "--json-out" => {
-                args.json_out = Some(PathBuf::from(
-                    it.next()
-                        .ok_or_else(|| "--json-out requires a path".to_string())?,
-                ));
-            }
-            "--shapes" => args.shapes = true,
-            "--miswire" => {
-                args.shapes = true;
-                args.miswire = true;
-            }
-            "--shapes-only" => {
-                args.shapes = true;
-                args.lint = false;
-            }
-            "--keys" => args.keys = true,
-            "--knobs" => args.knobs = true,
-            "--protocol" => args.protocol = true,
-            "--determinism" => args.determinism = true,
-            "--semantic" => {
-                args.keys = true;
-                args.knobs = true;
-                args.protocol = true;
-                args.determinism = true;
-            }
             "--update-allowlist" => args.update_allowlist = true,
             "--help" | "-h" => {
-                println!(
-                    "slm-lint: workspace static analyzer + offline contract checkers\n\n\
-                     USAGE: slm-lint [--root PATH] [--json] [--json-out PATH]\n\
-                            [--shapes] [--shapes-only] [--miswire]\n\
-                            [--keys] [--knobs] [--protocol] [--determinism] [--semantic]\n\
-                            [--update-allowlist]"
-                );
+                println!("slm-lint: workspace static analyzer\n\n{USAGE}");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag `{other}` (try --help)")),
@@ -116,102 +64,53 @@ fn main() -> ExitCode {
         }
     };
     let config = LintConfig::default();
-
     if args.update_allowlist {
-        return update_allowlist(&args, &config);
+        return update_allowlist(&args.root, &config);
     }
 
-    let mut failed = false;
-    let semantic_requested = args.keys || args.knobs || args.protocol || args.determinism;
-
-    if args.lint || semantic_requested {
-        let mut report = if args.lint {
-            match sl_lint::run(&args.root, &config) {
-                Ok(report) => report,
-                Err(e) => {
-                    eprintln!("slm-lint: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        } else {
-            empty_report()
-        };
-
-        if semantic_requested {
-            match run_semantic(&args, &config, &mut report) {
-                Ok(()) => {}
-                Err(e) => {
-                    eprintln!("slm-lint: {e}");
-                    return ExitCode::from(2);
-                }
-            }
+    let report = match sl_lint::run(&args.root, &config)
+        .and_then(|mut report| run_passes(&args.root, &config, &mut report).map(|()| report))
+    {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("slm-lint: {e}");
+            return ExitCode::from(2);
         }
-
-        if args.json {
-            println!("{}", report.to_json());
-        } else {
-            for f in &report.findings {
-                println!("{f}");
-            }
-            let passes = report
-                .passes
-                .iter()
-                .map(|(p, n)| format!("{p}:{n}"))
-                .collect::<Vec<_>>()
-                .join(" ");
-            println!(
-                "slm-lint: {} file(s) scanned, {} finding(s), {} allowlisted, {} waived \
-                 (allowlist size {}){}",
-                report.files_scanned,
-                report.findings.len(),
-                report.allowlisted.len(),
-                report.waived.len(),
-                report.allowlist_len,
-                if passes.is_empty() {
-                    String::new()
-                } else {
-                    format!("; passes: {passes}")
-                },
-            );
-        }
-        if let Some(path) = &args.json_out {
-            if let Some(dir) = path.parent() {
-                let _ = std::fs::create_dir_all(dir);
-            }
-            if let Err(e) = std::fs::write(path, report.to_json()) {
-                eprintln!("slm-lint: cannot write {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        }
-        failed |= !report.clean();
+    };
+    for f in &report.findings {
+        println!("{f}");
     }
-
-    if args.shapes {
-        match shapes::run(args.miswire) {
-            Ok(()) => {}
-            Err(e) => {
-                eprintln!("{e}");
-                failed = true;
-            }
-        }
-    }
-
-    if failed {
-        ExitCode::from(1)
-    } else {
+    let passes = report
+        .passes
+        .iter()
+        .map(|(p, n)| format!("{p}:{n}"))
+        .collect::<Vec<_>>()
+        .join(" ");
+    println!(
+        "slm-lint: {} file(s) scanned, {} finding(s), {} allowlisted, {} waived \
+         (allowlist size {}); passes: {passes}",
+        report.files_scanned,
+        report.findings.len(),
+        report.allowlisted.len(),
+        report.waived.len(),
+        report.allowlist_len,
+    );
+    if report.clean() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
     }
 }
 
-fn update_allowlist(args: &Args, config: &LintConfig) -> ExitCode {
-    let collected = match sl_lint::collect(&args.root, config) {
+fn update_allowlist(root: &Path, config: &LintConfig) -> ExitCode {
+    let collected = match sl_lint::collect(root, config) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("slm-lint: {e}");
             return ExitCode::from(2);
         }
     };
-    let path = args.root.join("crates/lint/allowlist.txt");
+    let path = root.join("crates/lint/allowlist.txt");
     let rendered = Allowlist::render(&collected.findings);
     if let Err(e) = std::fs::write(&path, rendered) {
         eprintln!("slm-lint: cannot write {}: {e}", path.display());
@@ -225,31 +124,12 @@ fn update_allowlist(args: &Args, config: &LintConfig) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// A report shell for `--shapes-only`-style runs that still want the
-/// semantic passes merged in.
-fn empty_report() -> sl_lint::LintReport {
-    sl_lint::LintReport {
-        findings: Vec::new(),
-        allowlisted: Vec::new(),
-        waived: Vec::new(),
-        rule_counts: std::collections::BTreeMap::new(),
-        allowlist_len: 0,
-        files_scanned: 0,
-        passes: std::collections::BTreeMap::new(),
-    }
-}
-
-/// Runs the requested semantic passes over one shared item-level index
-/// and merges their findings (and per-pass counts) into `report`.
-/// `Err` = internal failure (exit 2); findings themselves flow through
-/// the report (exit 1).
-fn run_semantic(
-    args: &Args,
-    config: &LintConfig,
-    report: &mut sl_lint::LintReport,
-) -> Result<(), String> {
-    let files = sl_lint::build_index(&args.root, config)
-        .map_err(|e| format!("cannot index workspace: {e}"))?;
+/// Runs the four passes over one shared item-level index and merges
+/// their findings (and per-pass counts) into `report`. `Err` = internal
+/// failure (exit 2); findings themselves flow through the report
+/// (exit 1).
+fn run_passes(root: &Path, config: &LintConfig, report: &mut LintReport) -> std::io::Result<()> {
+    let files = sl_lint::build_index(root)?;
     let mut merge = |pass: &str, findings: Vec<Finding>| {
         report.passes.insert(pass.to_string(), findings.len());
         for f in &findings {
@@ -258,35 +138,36 @@ fn run_semantic(
         report.findings.extend(findings);
     };
 
-    if args.keys {
-        merge(
-            "keys",
-            sl_lint::keys::check_keys(&files, &semantic::key_specs()?),
-        );
-    }
-    if args.knobs {
-        let mut docs = Vec::new();
-        for name in ["README.md", "DESIGN.md"] {
-            let text = std::fs::read_to_string(args.root.join(name)).unwrap_or_default();
-            docs.push((name.to_string(), text));
-        }
-        merge(
-            "knobs",
-            sl_lint::knobs::check_knobs(&files, &semantic::knob_specs()?, &docs),
-        );
-    }
-    if args.protocol {
-        let spec = sl_lint::protocol::ProtocolSpec::workspace_default();
-        let mut findings = sl_lint::protocol::check_protocol(&files, &spec);
-        findings.extend(model_findings());
-        merge("protocol", findings);
-    }
-    if args.determinism {
-        merge(
-            "determinism",
-            sl_lint::index::check_determinism(&files, &config.determinism_kernel_crates),
-        );
-    }
+    // The declared contracts live in `sl_telemetry::registry`, so they
+    // ship with the crate they govern.
+    let keys: Vec<KeySpec> = sl_telemetry::registry::KEYS
+        .iter()
+        .map(|k| KeySpec::new(k.pattern, k.readers))
+        .collect();
+    merge("keys", sl_lint::keys::check_keys(&files, &keys));
+
+    let knobs: Vec<KnobSpec> = sl_telemetry::registry::KNOBS
+        .iter()
+        .map(|k| KnobSpec::new(k.name, k.default, k.parse, k.doc))
+        .collect();
+    let docs: Vec<(String, String)> = ["README.md", "DESIGN.md"]
+        .into_iter()
+        .map(|name| {
+            let text = std::fs::read_to_string(root.join(name)).unwrap_or_default();
+            (name.to_string(), text)
+        })
+        .collect();
+    merge("knobs", sl_lint::knobs::check_knobs(&files, &knobs, &docs));
+
+    let spec = sl_lint::protocol::ProtocolSpec::workspace_default();
+    let mut findings = sl_lint::protocol::check_protocol(&files, &spec);
+    findings.extend(model_findings());
+    merge("protocol", findings);
+
+    merge(
+        "determinism",
+        sl_lint::index::check_determinism(&files, &config.determinism_kernel_crates),
+    );
     report
         .findings
         .sort_by(|a, b| (&a.file, a.line, a.col, &a.rule).cmp(&(&b.file, b.line, b.col, &b.rule)));
@@ -298,32 +179,32 @@ fn run_semantic(
 /// recompute-on-nack mutation must be caught.
 fn model_findings() -> Vec<Finding> {
     use sl_lint::model::{check, ModelConfig, Mutation};
-    let model_file = "crates/lint/src/model.rs".to_string();
+    let finding = |rule: &str, message: String| Finding {
+        rule: rule.to_string(),
+        file: "crates/lint/src/model.rs".to_string(),
+        line: 0,
+        col: 0,
+        message,
+    };
     let mut out = Vec::new();
 
     let faithful = check(&ModelConfig::default());
     for v in &faithful.violations {
-        out.push(Finding {
-            rule: "protocol-model".to_string(),
-            file: model_file.clone(),
-            line: 0,
-            col: 0,
-            message: format!(
+        out.push(finding(
+            "protocol-model",
+            format!(
                 "invariant '{}' violated: {} (trace: {})",
                 v.invariant,
                 v.message,
                 v.trace.join(" -> ")
             ),
-        });
+        ));
     }
     if !faithful.done_reachable {
-        out.push(Finding {
-            rule: "protocol-model".to_string(),
-            file: model_file.clone(),
-            line: 0,
-            col: 0,
-            message: "clean shutdown (Done) is unreachable in the faithful model".to_string(),
-        });
+        out.push(finding(
+            "protocol-model",
+            "clean shutdown (Done) is unreachable in the faithful model".to_string(),
+        ));
     }
 
     let mutant = check(&ModelConfig {
@@ -331,18 +212,15 @@ fn model_findings() -> Vec<Finding> {
         ..ModelConfig::default()
     });
     if mutant.violations.is_empty() {
-        out.push(Finding {
-            rule: "protocol-model-selftest".to_string(),
-            file: model_file.clone(),
-            line: 0,
-            col: 0,
-            message: "seeded mutation (server recomputes instead of resending its cached reply) \
-                      was not caught — the no-double-apply invariant is vacuous"
+        out.push(finding(
+            "protocol-model-selftest",
+            "seeded mutation (server recomputes instead of resending its cached reply) \
+             was not caught — the no-double-apply invariant is vacuous"
                 .to_string(),
-        });
+        ));
     }
     eprintln!(
-        "slm-lint --protocol: model checked {} state(s) / {} transition(s); \
+        "slm-lint protocol: model checked {} state(s) / {} transition(s); \
          mutation self-test {}",
         faithful.states,
         faithful.transitions,
@@ -353,139 +231,4 @@ fn model_findings() -> Vec<Finding> {
         }
     );
     out
-}
-
-/// Declared-contract providers for the `--keys` / `--knobs` passes: the
-/// tables live in `sl_telemetry::registry` (pulled in by the `semantic`
-/// feature) so the contract ships with the crate it governs.
-#[cfg(feature = "semantic")]
-mod semantic {
-    use sl_lint::keys::KeySpec;
-    use sl_lint::knobs::KnobSpec;
-
-    pub fn key_specs() -> Result<Vec<KeySpec>, String> {
-        Ok(sl_telemetry::registry::KEYS
-            .iter()
-            .map(|k| KeySpec::new(k.pattern, k.readers))
-            .collect())
-    }
-
-    pub fn knob_specs() -> Result<Vec<KnobSpec>, String> {
-        Ok(sl_telemetry::registry::KNOBS
-            .iter()
-            .map(|k| KnobSpec::new(k.name, k.default, k.parse, k.doc))
-            .collect())
-    }
-}
-
-#[cfg(not(feature = "semantic"))]
-mod semantic {
-    use sl_lint::keys::KeySpec;
-    use sl_lint::knobs::KnobSpec;
-
-    pub fn key_specs() -> Result<Vec<KeySpec>, String> {
-        Err("built without the `semantic` feature; --keys unavailable".into())
-    }
-
-    pub fn knob_specs() -> Result<Vec<KnobSpec>, String> {
-        Err("built without the `semantic` feature; --knobs unavailable".into())
-    }
-}
-
-/// The offline shape-contract pass: validate every experiment profile's
-/// wiring (and, with `--miswire`, prove a bad wiring is rejected with a
-/// per-layer trace).
-#[cfg(feature = "shapes")]
-mod shapes {
-    use sl_core::{ExperimentConfig, PoolingDim, Scheme, WiringSpec};
-    use sl_scene::PAPER_SEQ_LEN;
-
-    /// Paper camera geometry (`CameraConfig::paper()`): 40×40 frames.
-    const PAPER_IMG: usize = 40;
-    /// The quick profile trains on 16×16 test scenes.
-    const QUICK_IMG: usize = 16;
-
-    pub fn run(miswire: bool) -> Result<(), String> {
-        if miswire {
-            return inject_miswire();
-        }
-        let mut checked = 0usize;
-        for scheme in Scheme::ALL {
-            for pooling in PoolingDim::TABLE1 {
-                for (profile, config) in [
-                    ("paper", ExperimentConfig::paper(scheme, pooling)),
-                    (
-                        "paper-literal-link",
-                        ExperimentConfig::paper_literal_link(scheme, pooling),
-                    ),
-                ] {
-                    check_one(profile, &config, PAPER_IMG, PAPER_SEQ_LEN)?;
-                    checked += 1;
-                }
-                // The quick profile runs on 16×16 scenes, so only pooling
-                // windows that tile 16×16 apply (RAW and MEDIUM from
-                // Table 1).
-                if QUICK_IMG.is_multiple_of(pooling.h) && QUICK_IMG.is_multiple_of(pooling.w) {
-                    let config = ExperimentConfig::quick(scheme, pooling);
-                    check_one("quick", &config, QUICK_IMG, PAPER_SEQ_LEN)?;
-                    checked += 1;
-                }
-            }
-        }
-        println!("slm-lint --shapes: {checked} profile wiring(s) verified");
-        Ok(())
-    }
-
-    fn check_one(
-        profile: &str,
-        config: &ExperimentConfig,
-        img: usize,
-        seq_len: usize,
-    ) -> Result<(), String> {
-        let spec = WiringSpec::from_config(config, img, img, seq_len);
-        match spec.check() {
-            Ok(report) => {
-                println!(
-                    "  ok  {profile:<18} {:?} {}x{} pool {}x{}  payload {} px, F={}",
-                    config.scheme,
-                    img,
-                    img,
-                    config.pooling.h,
-                    config.pooling.w,
-                    report.pooled_pixels,
-                    report.feature_dim,
-                );
-                Ok(())
-            }
-            Err(e) => Err(format!(
-                "slm-lint --shapes: profile `{profile}` ({:?}, pool {}x{}, {img}x{img}) is miswired:\n{e}",
-                config.scheme, config.pooling.h, config.pooling.w
-            )),
-        }
-    }
-
-    /// Deliberately wrong BS input width: the checker must refuse it and
-    /// show where the shapes stop lining up.
-    fn inject_miswire() -> Result<(), String> {
-        let config = ExperimentConfig::paper(Scheme::ImgRf, PoolingDim::ONE_PIXEL);
-        let mut spec = WiringSpec::from_config(&config, PAPER_IMG, PAPER_IMG, PAPER_SEQ_LEN);
-        // One-pixel ImgRf has F = 2; wire the BS for 17 features instead.
-        spec.bs_feature_dim = Some(17);
-        match spec.check() {
-            Err(e) => Err(format!(
-                "slm-lint --miswire: checker correctly rejected the wiring:\n{e}"
-            )),
-            Ok(_) => {
-                // The self-test *failing to fail* is the broken outcome.
-                Err("slm-lint --miswire: BUG: deliberately miswired config was accepted".into())
-            }
-        }
-    }
-}
-
-#[cfg(not(feature = "shapes"))]
-mod shapes {
-    pub fn run(_miswire: bool) -> Result<(), String> {
-        Err("slm-lint: built without the `shapes` feature; --shapes unavailable".into())
-    }
 }

@@ -593,7 +593,7 @@ fn index_path_refs(toks: &[Tok], in_test: &[bool]) -> Vec<PathRef> {
     out
 }
 
-/// `--determinism`: token-level heuristics guarding the PR 4 bitwise
+/// The `determinism` pass: token-level heuristics guarding the bitwise
 /// contract (one accumulator per output element, ascending-k loops) in
 /// the configured kernel crates:
 ///

@@ -1,4 +1,4 @@
-//! `--keys`: telemetry key-namespace contract.
+//! The `keys` pass: telemetry key-namespace contract.
 //!
 //! Harvests every key literal published through the `sl-telemetry`
 //! publish surface (`inc`/`add`/`gauge_set`/`gauge_add`/`observe`/

@@ -1,4 +1,4 @@
-//! `--knobs`: `SLM_*` environment-knob contract.
+//! The `knobs` pass: `SLM_*` environment-knob contract.
 //!
 //! Harvests every `env::var("SLM_…")` read in non-test library/binary
 //! code and cross-checks it against the central knob table declared in

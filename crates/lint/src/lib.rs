@@ -25,12 +25,10 @@
 //! `// slm-lint: allow(rule-id) reason`, which doubles as the
 //! "documented expect" mechanism.
 //!
-//! The `slm-lint` binary additionally runs the **offline shape-contract
-//! checker** (`--shapes`, behind the `shapes` cargo feature): it
-//! propagates symbolic shapes through the exact UE/BS stacks the trainer
-//! builds — via `sl_core::WiringSpec` — for every experiment profile,
-//! rejecting miswired configurations with a per-layer trace before any
-//! tensor is allocated.
+//! The `slm-lint` binary runs these rules and then four passes over one
+//! item-level index ([`index`]): `keys` ([`keys`]), `knobs` ([`knobs`]),
+//! `protocol` ([`protocol`] plus the bounded model checker in [`model`])
+//! and `determinism` ([`index::check_determinism`]).
 
 pub mod allowlist;
 pub mod deps;
@@ -79,20 +77,6 @@ impl fmt::Display for Finding {
     }
 }
 
-impl Finding {
-    /// Machine-readable JSON object for this finding.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"col\":{},\"message\":\"{}\"}}",
-            escape_json(&self.rule),
-            escape_json(&self.file),
-            self.line,
-            self.col,
-            escape_json(&self.message)
-        )
-    }
-}
-
 /// Lint policy knobs. The defaults encode this repo's rules; they are a
 /// struct (rather than constants) so the golden-fixture tests can point
 /// the same engine at a synthetic crate.
@@ -108,7 +92,7 @@ pub struct LintConfig {
     pub lossy_cast_crates: BTreeSet<String>,
     /// External (non-workspace) dependencies every manifest may declare.
     pub allowed_external_deps: BTreeSet<String>,
-    /// Crates whose kernels the `--determinism` heuristics guard
+    /// Crates whose kernels the `determinism` pass's heuristics guard
     /// (split accumulators, reversed k loops, fused/reducing intrinsics).
     pub determinism_kernel_crates: BTreeSet<String>,
     /// Path prefixes (repo-relative, `/`-separated) where `unsafe` is
@@ -157,9 +141,9 @@ pub struct LintReport {
     pub allowlist_len: usize,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Per-pass finding counts for the semantic passes the binary ran
-    /// (`keys`, `knobs`, `protocol`, `determinism`, `shapes`). Empty for
-    /// token-rule-only runs.
+    /// Per-pass finding counts for the passes the binary runs after the
+    /// token rules (`keys`, `knobs`, `protocol`, `determinism`). Empty
+    /// from [`run`] alone.
     pub passes: BTreeMap<String, usize>,
 }
 
@@ -167,32 +151,6 @@ impl LintReport {
     /// True when the run passes (no active findings).
     pub fn clean(&self) -> bool {
         self.findings.is_empty()
-    }
-
-    /// Machine-readable JSON summary (std-only serializer).
-    pub fn to_json(&self) -> String {
-        let findings: Vec<String> = self.findings.iter().map(Finding::to_json).collect();
-        let counts: Vec<String> = self
-            .rule_counts
-            .iter()
-            .map(|(rule, n)| format!("\"{}\":{}", escape_json(rule), n))
-            .collect();
-        let passes: Vec<String> = self
-            .passes
-            .iter()
-            .map(|(pass, n)| format!("\"{}\":{}", escape_json(pass), n))
-            .collect();
-        format!(
-            "{{\"clean\":{},\"files_scanned\":{},\"allowlist_len\":{},\"allowlisted\":{},\"waived\":{},\"rule_counts\":{{{}}},\"passes\":{{{}}},\"findings\":[{}]}}",
-            self.clean(),
-            self.files_scanned,
-            self.allowlist_len,
-            self.allowlisted.len(),
-            self.waived.len(),
-            counts.join(","),
-            passes.join(","),
-            findings.join(",")
-        )
     }
 }
 
@@ -261,9 +219,9 @@ pub fn run(root: &Path, config: &LintConfig) -> io::Result<LintReport> {
 /// Builds the item-level semantic index over every workspace package
 /// under `root`: string literals with call context, fn/enum/const facts
 /// and `Enum::Variant` path refs, all with file:line provenance. The
-/// `--keys`, `--knobs`, `--protocol` and `--determinism` passes consume
-/// this instead of re-lexing per pass.
-pub fn build_index(root: &Path, _config: &LintConfig) -> io::Result<Vec<FileIndex>> {
+/// `keys`, `knobs`, `protocol` and `determinism` passes consume this
+/// instead of re-lexing per pass.
+pub fn build_index(root: &Path) -> io::Result<Vec<FileIndex>> {
     let mut out = Vec::new();
     for pkg in workspace::discover(root)? {
         for file in workspace::rust_sources(&pkg)? {
@@ -296,23 +254,6 @@ fn relative(root: &Path, path: &Path) -> String {
         .to_string()
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,19 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_special_chars() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        let f = Finding {
-            rule: "r".into(),
-            file: "f".into(),
-            line: 1,
-            col: 2,
-            message: "say \"hi\"".into(),
-        };
-        assert!(f.to_json().contains("\\\"hi\\\""));
-    }
-
-    #[test]
     fn default_config_encodes_repo_policy() {
         let c = LintConfig::default();
         assert!(c.determinism_exempt.contains("sl-telemetry"));
@@ -357,23 +285,5 @@ mod tests {
             c.unsafe_allowed_paths,
             vec!["crates/tensor/src/simd/".to_string()]
         );
-    }
-
-    #[test]
-    fn report_json_shape() {
-        let report = LintReport {
-            findings: vec![],
-            allowlisted: vec![],
-            waived: vec![],
-            rule_counts: BTreeMap::new(),
-            allowlist_len: 4,
-            files_scanned: 10,
-            passes: [("keys".to_string(), 2)].into_iter().collect(),
-        };
-        let json = report.to_json();
-        assert!(json.contains("\"clean\":true"));
-        assert!(json.contains("\"allowlist_len\":4"));
-        assert!(json.contains("\"files_scanned\":10"));
-        assert!(json.contains("\"passes\":{\"keys\":2}"));
     }
 }

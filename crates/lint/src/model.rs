@@ -27,10 +27,10 @@
 //!
 //! [`Mutation::RecomputeOnNack`] seeds the historical bug the
 //! invariant guards against (server recomputes on Nack instead of
-//! resending the cache). `slm-lint --protocol` runs the checker once
-//! clean and once mutated: the mutant **must** produce a
+//! resending the cache). `slm-lint`'s `protocol` pass runs the checker
+//! once clean and once mutated: the mutant **must** produce a
 //! no-double-apply counterexample, proving the checker is not
-//! vacuous — the same self-test pattern as `--miswire`.
+//! vacuous.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 

@@ -1,4 +1,4 @@
-//! `--protocol`: static wire-protocol coverage.
+//! The `protocol` pass: static wire-protocol coverage.
 //!
 //! Proves, offline, that every `MsgType` variant is (a) decodable —
 //! referenced inside the decode function in the wire module, (b)

@@ -1,5 +1,5 @@
 //! End-to-end tests of the `slm-lint` binary: exit codes and output for
-//! the fixture crate, the real workspace, and the shape-contract pass.
+//! the fixture crate and the real workspace.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -31,13 +31,22 @@ fn fixture_crate_fails_with_rustc_style_findings() {
 }
 
 #[test]
-fn fixture_crate_json_output_is_machine_readable() {
-    let out = slm_lint(&["--root", &fixture_root(), "--json"]);
+fn plain_run_includes_the_index_passes() {
+    // No flag picks the passes: every run reports the fixture's
+    // undeclared `SLM_BOGUS` read alongside the token rules' findings.
+    let out = slm_lint(&["--root", &fixture_root()]);
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.starts_with('{'), "{stdout}");
-    assert!(stdout.contains("\"clean\":false"), "{stdout}");
-    assert!(stdout.contains("\"rule\":\"no-print\""), "{stdout}");
+    let knob = stdout
+        .lines()
+        .find(|l| l.contains("knob-undeclared"))
+        .unwrap_or_else(|| panic!("no knob-undeclared finding:\n{stdout}"));
+    assert!(knob.starts_with("src/lib.rs:80:"), "{knob}");
+    assert!(knob.contains("SLM_BOGUS"), "{knob}");
+    assert!(
+        stdout.contains("passes: determinism:0 keys:"),
+        "every pass must report its count:\n{stdout}"
+    );
 }
 
 #[test]
@@ -51,25 +60,38 @@ fn real_workspace_is_clean_post_burn_down() {
 }
 
 #[test]
-fn shapes_pass_accepts_every_profile() {
-    let out = slm_lint(&["--root", &repo_root(), "--shapes-only"]);
-    assert_eq!(out.status.code(), Some(0));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("profile wiring(s) verified"), "{stdout}");
-}
-
-#[test]
-fn miswire_self_test_is_rejected_with_a_per_layer_trace() {
-    let out = slm_lint(&["--root", &repo_root(), "--shapes-only", "--miswire"]);
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("SHAPE ERROR"), "{stderr}");
-    assert!(stderr.contains("input_dim 17"), "{stderr}");
-    assert!(stderr.contains("lstm"), "{stderr}");
-}
-
-#[test]
 fn unknown_flag_is_a_usage_error() {
     let out = slm_lint(&["--frobnicate"]);
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn help_lists_only_root_and_update_allowlist() {
+    let out = slm_lint(&["--help"]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let flags: Vec<&str> = stdout
+        .split(|c: char| c.is_whitespace() || c == '[' || c == ']')
+        .filter(|w| w.starts_with("--"))
+        .collect();
+    assert_eq!(flags, ["--root", "--update-allowlist"], "{stdout}");
+}
+
+#[test]
+fn pass_and_format_flags_are_usage_errors() {
+    for flag in [
+        "--json",
+        "--json-out",
+        "--shapes",
+        "--shapes-only",
+        "--miswire",
+        "--keys",
+        "--knobs",
+        "--protocol",
+        "--determinism",
+        "--semantic",
+    ] {
+        let out = slm_lint(&["--root", &fixture_root(), flag]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+    }
 }

@@ -62,9 +62,6 @@ fn run_reports_the_fixture_as_dirty() {
     assert_eq!(report.allowlist_len, 0);
     assert_eq!(report.rule_counts["no-unwrap"], 1);
     assert_eq!(report.rule_counts["deps-policy"], 1);
-    let json = report.to_json();
-    assert!(json.contains("\"clean\":false"));
-    assert!(json.contains("\"rule\":\"no-unwrap\""));
 }
 
 #[test]
@@ -82,7 +79,7 @@ fn findings_render_rustc_style() {
 // ---- semantic passes: one seeded violation each, pinned to file:line --
 
 fn fixture_index() -> Vec<sl_lint::FileIndex> {
-    sl_lint::build_index(fixture_root(), &fixture_config()).unwrap()
+    sl_lint::build_index(fixture_root()).unwrap()
 }
 
 #[test]
@@ -142,7 +139,7 @@ fn unhandled_msg_type_is_pinned_to_its_variant() {
 fn double_accumulator_and_reversed_k_are_pinned() {
     let mut config = fixture_config();
     config.determinism_kernel_crates.insert("bad-crate".into());
-    let files = sl_lint::build_index(fixture_root(), &config).unwrap();
+    let files = sl_lint::build_index(fixture_root()).unwrap();
     let findings = sl_lint::index::check_determinism(&files, &config.determinism_kernel_crates);
     let pins: Vec<(&str, &str, u32)> = findings
         .iter()

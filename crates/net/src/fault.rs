@@ -219,11 +219,6 @@ impl<T> Faulty<T> {
     pub fn counters(&self) -> FaultCounters {
         self.counters
     }
-
-    /// The wrapped transport.
-    pub fn get_ref(&self) -> &T {
-        &self.inner
-    }
 }
 
 /// Flips the fault byte of a complete frame in place: the first payload
@@ -352,7 +347,7 @@ mod tests {
         let mut f = Faulty::new(Sink::default());
         let frame = encode_frame(MsgType::Heartbeat, 0, b"ping");
         f.write_all(&frame).unwrap();
-        assert_eq!(f.get_ref().0, frame);
+        assert_eq!(f.inner.0, frame);
         assert_eq!(f.counters().frames, 1);
         assert_eq!(f.counters().corrupted, 0);
     }
@@ -364,7 +359,7 @@ mod tests {
         let frame = encode_frame(MsgType::Activations, 0, &[9, 9, 9]);
         f.write_all(&frame).unwrap();
         f.write_all(&frame).unwrap();
-        let written = &f.get_ref().0;
+        let written = &f.inner.0;
         assert_eq!(written.len(), frame.len() * 2);
         // First copy corrupted -> checksum mismatch; second clean.
         assert!(matches!(
@@ -381,9 +376,9 @@ mod tests {
         f.arm_write(FaultPlan::from_actions(vec![FaultAction::Drop]), None);
         let frame = encode_frame(MsgType::Heartbeat, 0, &[]);
         f.write_all(&frame).unwrap();
-        assert!(f.get_ref().0.is_empty());
+        assert!(f.inner.0.is_empty());
         f.write_all(&frame).unwrap();
-        assert_eq!(f.get_ref().0, frame);
+        assert_eq!(f.inner.0, frame);
         assert_eq!(f.counters().dropped, 1);
     }
 
@@ -398,7 +393,7 @@ mod tests {
         let act = encode_frame(MsgType::Activations, 0, &[1]);
         f.write_all(&nack).unwrap();
         f.write_all(&act).unwrap();
-        let written = f.get_ref().0.clone();
+        let written = f.inner.0.clone();
         assert!(decode_frame(&written[..nack.len()]).is_ok(), "nack clean");
         assert!(
             matches!(
@@ -419,7 +414,7 @@ mod tests {
             f.write_all(std::slice::from_ref(b)).unwrap();
         }
         assert!(matches!(
-            decode_frame(&f.get_ref().0),
+            decode_frame(&f.inner.0),
             Err(NetError::ChecksumMismatch { .. })
         ));
     }

@@ -89,8 +89,8 @@ pub enum MsgType {
 }
 
 impl MsgType {
-    /// Every wire message type, in wire-byte order. `slm-lint
-    /// --protocol` checks this list against the enum declaration, so a
+    /// Every wire message type, in wire-byte order. `slm-lint`'s
+    /// `protocol` pass checks this list against the enum declaration, so a
     /// new variant that skips the decode table or a handler match is
     /// caught before it ships.
     pub const ALL: [MsgType; 10] = [

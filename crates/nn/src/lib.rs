@@ -133,7 +133,7 @@ pub trait Layer {
     /// input is invalid — computed symbolically, without allocating or
     /// running anything. [`Sequential::shape_trace`] chains contracts
     /// through a stack so miswired networks are rejected with a
-    /// per-layer trace before any training run (`slm-lint --shapes`).
+    /// per-layer trace before any training run.
     ///
     /// The contract must agree with [`Layer::forward`]: whenever
     /// `out_shape(dims)` returns `Ok(out)`, a forward pass on a tensor

@@ -77,11 +77,6 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// The layer names, in forward order.
-    pub fn layer_names(&self) -> Vec<&'static str> {
-        self.layers.iter().map(|l| l.name()).collect()
-    }
-
     /// [`Layer::infer`] through only the first `upto` layers (used for
     /// visualizing intermediate activations, e.g. the pre-pool CNN map).
     /// Like every inference it leaves layer caches and gradients alone.
@@ -158,8 +153,8 @@ impl Sequential {
     /// [`Layer::out_shape`] contract, returning the full per-layer trace
     /// — or a [`ShapeError`] locating the first layer that rejects its
     /// input. Nothing is allocated or executed; this is the static
-    /// counterpart of [`Layer::forward`] used by `slm-lint --shapes` and
-    /// the pre-run wiring check in `sl-core`.
+    /// counterpart of [`Layer::forward`] used by the pre-run wiring check
+    /// in `sl-core`.
     pub fn shape_trace(&self, input: &[usize]) -> Result<ShapeTrace, ShapeError> {
         self.shape_trace_partial(self.layers.len(), input)
     }
@@ -298,9 +293,9 @@ mod tests {
 
     /// The key stems of `net`'s layers under label `nn`.
     fn stems(net: &Sequential) -> Vec<String> {
-        let names = net.layer_names();
-        names
+        net.layers
             .iter()
+            .map(|l| l.name())
             .enumerate()
             .map(|(i, n)| format!("nn.layer.{i}.{n}"))
             .collect()
@@ -326,9 +321,10 @@ mod tests {
         let out = net.forward(&Tensor::zeros([3, 1, 4, 4]));
         assert_eq!(out.dims(), &[3, 1, 1, 1]);
         assert_eq!(net.len(), 5);
+        let names: Vec<&str> = net.layers.iter().map(|l| l.name()).collect();
         assert_eq!(
-            net.layer_names(),
-            vec!["fused_cnn", "tanh", "avg_pool2d", "fused_cnn", "avg_pool2d"]
+            names,
+            ["fused_cnn", "tanh", "avg_pool2d", "fused_cnn", "avg_pool2d"]
         );
     }
 

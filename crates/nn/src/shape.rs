@@ -9,7 +9,7 @@
 //! with a readable report before any tensor is touched.
 //!
 //! This is the pre-run counterpart of `sl-tensor`'s panic-on-mismatch
-//! runtime contract: `slm-lint --shapes` and the per-profile unit tests
+//! runtime contract: `SplitTrainer::new` and the per-profile unit tests
 //! in `sl-core` run these contracts over every experiment configuration
 //! so a bad `w_H × w_W` / BS-input-dim combination fails the gate, not
 //! the training run.

@@ -35,27 +35,6 @@ impl DistanceMatrix {
         &self.data
     }
 
-    /// Builds directly from a row-major buffer (validated).
-    pub fn from_raw(n: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), n * n, "DistanceMatrix: buffer/size mismatch");
-        for i in 0..n {
-            assert!(
-                data[i * n + i].abs() < 1e-12,
-                "DistanceMatrix: nonzero diagonal at {i}"
-            );
-            for j in 0..i {
-                let a = data[i * n + j];
-                let b = data[j * n + i];
-                assert!(a >= 0.0, "DistanceMatrix: negative distance");
-                assert!(
-                    (a - b).abs() < 1e-9,
-                    "DistanceMatrix: asymmetric at ({i},{j})"
-                );
-            }
-        }
-        DistanceMatrix { n, data }
-    }
-
     /// Mean of the off-diagonal distances (0 for n < 2).
     pub fn mean_off_diagonal(&self) -> f64 {
         if self.n < 2 {
@@ -152,15 +131,6 @@ mod tests {
         let d = distance_matrix(&[&a, &b]);
         assert!((d.mean_off_diagonal() - 2.0).abs() < 1e-12);
         assert_eq!(distance_matrix(&[&a]).mean_off_diagonal(), 0.0);
-    }
-
-    #[test]
-    fn from_raw_validates() {
-        let ok = DistanceMatrix::from_raw(2, vec![0.0, 1.0, 1.0, 0.0]);
-        assert_eq!(ok.get(0, 1), 1.0);
-        let bad =
-            std::panic::catch_unwind(|| DistanceMatrix::from_raw(2, vec![0.0, 1.0, 2.0, 0.0]));
-        assert!(bad.is_err());
     }
 
     #[test]

@@ -71,11 +71,6 @@ impl Pedestrian {
         }
     }
 
-    /// `true` when the pedestrian exists in the scene at time `t`.
-    pub fn active_at(&self, t: f64) -> bool {
-        self.y_at(t).is_some()
-    }
-
     /// Time at which the body *centre* crosses the LoS line (y = 0).
     pub fn crossing_time_s(&self) -> f64 {
         self.spawn_time_s + self.corridor_half_m / self.speed_mps
@@ -111,10 +106,10 @@ mod tests {
     #[test]
     fn inactive_before_spawn_and_after_exit() {
         let p = walker();
-        assert!(!p.active_at(9.9));
-        assert!(p.active_at(10.0));
-        assert!(p.active_at(15.9)); // 6 m at 1 m/s
-        assert!(!p.active_at(16.1));
+        assert!(p.y_at(9.9).is_none());
+        assert!(p.y_at(10.0).is_some());
+        assert!(p.y_at(15.9).is_some()); // 6 m at 1 m/s
+        assert!(p.y_at(16.1).is_none());
     }
 
     #[test]

@@ -45,15 +45,6 @@ impl Scene {
         }
     }
 
-    /// A scene with an explicit pedestrian list (tests, figures).
-    pub fn with_pedestrians(config: SceneConfig, pedestrians: Vec<Pedestrian>) -> Self {
-        config.validate();
-        Scene {
-            config,
-            pedestrians,
-        }
-    }
-
     /// The configuration.
     pub fn config(&self) -> &SceneConfig {
         &self.config
@@ -228,13 +219,13 @@ mod tests {
             corridor_half_m: cfg.corridor_half_m,
         };
         let cam = DepthCamera::new(cfg.camera.clone(), cfg.distance_m);
-        let scene = Scene::with_pedestrians(
-            SceneConfig {
+        let scene = Scene {
+            config: SceneConfig {
                 num_frames: 200,
                 ..cfg.clone()
             },
-            vec![walker.clone()],
-        );
+            pedestrians: vec![walker.clone()],
+        };
         let mut first_visible = None;
         let mut first_fade = None;
         let empty = cam.render(&[], 0.0);

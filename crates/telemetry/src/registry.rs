@@ -4,7 +4,7 @@
 //! Every key a workspace crate publishes through the [`crate::Telemetry`]
 //! / [`crate::MetricsRegistry`] surface must unify with a pattern in
 //! [`KEYS`], and every `env::var("SLM_…")` read must name an entry in
-//! [`KNOBS`]. `slm-lint --keys` and `slm-lint --knobs` enforce both
+//! [`KNOBS`]. `slm-lint`'s `keys` and `knobs` passes enforce both
 //! directions offline: an undeclared publish, a dead declaration, a
 //! reader consuming a key nobody produces, or an undocumented knob all
 //! fail the lint. The tables are data, not behavior — nothing at

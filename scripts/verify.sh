@@ -12,6 +12,9 @@ set -uo pipefail
 
 cd "$(dirname "$0")/.."
 
+# What `git status` says now; the last stage fails if a run changed it.
+tree_before="$(git status --porcelain 2>&1)"
+
 fast=0
 if [[ "${1:-}" == "--fast" ]]; then
     fast=1
@@ -54,22 +57,15 @@ stage() {
 stage fmt cargo fmt --all -- --check || blocked=1
 stage clippy cargo clippy --workspace --all-targets -- -D warnings || blocked=1
 
-# Static analysis: workspace rules (unwrap/nondeterminism/print/float-eq/
-# lossy-cast/deps policy, ratcheted by crates/lint/allowlist.txt) plus the
-# offline shape-contract check of every experiment profile's wiring.
+# Static analysis: the workspace token rules (unwrap/nondeterminism/
+# print/float-eq/lossy-cast/deps policy, ratcheted by
+# crates/lint/allowlist.txt), then the passes on the item-level index:
+# telemetry key namespace (keys), SLM_* env-knob table (knobs), MsgType
+# coverage + bounded protocol model check with its seeded-mutation
+# self-test (protocol) and kernel accumulator-order heuristics
+# (determinism).
 if [[ "$blocked" -eq 0 ]]; then
-    stage lint cargo run -q -p sl-lint --bin slm-lint -- --shapes || blocked=1
-fi
-
-# Semantic contract passes on the item-level index: telemetry key
-# namespace (--keys), SLM_* env-knob table (--knobs), MsgType coverage +
-# bounded protocol model check with its seeded-mutation self-test
-# (--protocol) and kernel accumulator-order heuristics (--determinism).
-# Writes results/lint.json (with per-pass counts) so slm-report can
-# track the allowlist burn-down and the semantic surface.
-if [[ "$blocked" -eq 0 ]]; then
-    stage lint-semantic cargo run -q -p sl-lint --bin slm-lint -- \
-        --semantic --json-out results/lint.json || blocked=1
+    stage lint cargo run -q -p sl-lint --bin slm-lint || blocked=1
 fi
 
 # Layering: the socket runtime never depends on the experiment harness.
@@ -261,6 +257,16 @@ if [[ "$blocked" -eq 0 ]]; then
     stage store-resume env SLM_THREADS=4 \
         cargo run --release -q -p sl-bench --bin store
 fi
+
+# A verify run leaves the tree as it found it: every artifact lands in
+# an ignored directory, and the splitbench lock file is put back.
+tree_unchanged() {
+    [[ "$(git status --porcelain 2>&1)" == "$tree_before" ]] || {
+        git status --porcelain
+        return 1
+    }
+}
+stage tree-unchanged tree_unchanged
 
 echo
 echo "verify summary:"

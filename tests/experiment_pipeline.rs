@@ -27,47 +27,79 @@ fn table1_success_probability_shape() {
     assert!((ps[1] - 0.027).abs() < 0.01, "4x4 mid-point: {}", ps[1]);
 }
 
-/// Table 1, privacy column: leakage decreases with pooling on real
-/// rendered frames through a real UE CNN. Uses the paper's 40×40 frames
+/// Table 1, privacy column: on real rendered frames, the full CNN map
+/// leaks more than the 1-pixel payload. Uses the paper's 40×40 frames
 /// (the 16×16 test camera renders too little structure for the MDS
 /// similarity to resolve the ordering reliably).
+///
+/// The UEs are fresh, so the statement is about the median over twelve
+/// random inits, per scene, not about any one init:
+/// - a fresh CNN's full-map leakage follows its net DC gain (the sum
+///   over live channels of `sum(w1)·sum(w2)`): the depth frames are
+///   positive and smooth and the biases start at zero, so the map is
+///   about that gain times the depth. An init whose gain is near zero
+///   leaks little, and scores below the 1-pixel payload;
+/// - the 1-pixel score is a property of the scene: a scalar payload
+///   matches at most λ₁/(λ₁+λ₂) of the raw frames' 2-D MDS embedding.
+///
+/// Trained UEs are not measured here; ROADMAP.md tracks that.
 #[test]
 fn table1_privacy_leakage_shape() {
     let cfg = SceneConfig {
         num_frames: 400,
         ..SceneConfig::paper()
     };
-    let scene = Scene::generate(cfg.clone(), &mut StdRng::seed_from_u64(200));
     let camera = DepthCamera::new(cfg.camera.clone(), cfg.distance_m);
-    let frames: Vec<Tensor> = (0..60)
-        .map(|i| camera.render(scene.pedestrians(), (i * 6) as f64 * cfg.frame_interval_s))
-        .collect();
-    let raw_refs: Vec<&Tensor> = frames.iter().collect();
-
-    let leakage_for = |pooling: PoolingDim| {
-        let mut model = SplitModel::new(
-            Scheme::ImgOnly,
-            pooling,
-            40,
-            40,
-            4,
-            8,
-            8,
-            8,
-            &mut StdRng::seed_from_u64(201),
-        );
-        let ue = model.ue_mut().unwrap();
-        let feats: Vec<Tensor> = frames.iter().map(|f| ue.infer_pooled_map(f)).collect();
-        privacy_leakage(&raw_refs, &feats.iter().collect::<Vec<_>>())
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        let n = v.len();
+        (v[(n - 1) / 2] + v[n / 2]) / 2.0
     };
+    for scene_seed in [200, 300] {
+        let scene = Scene::generate(cfg.clone(), &mut StdRng::seed_from_u64(scene_seed));
+        let frames: Vec<Tensor> = (0..60)
+            .map(|i| camera.render(scene.pedestrians(), (i * 6) as f64 * cfg.frame_interval_s))
+            .collect();
+        let raw_refs: Vec<&Tensor> = frames.iter().collect();
 
-    let l_raw = leakage_for(PoolingDim::RAW); // full 40x40 maps
-    let l_pixel = leakage_for(PoolingDim::ONE_PIXEL); // 1 px
-    assert!(
-        l_raw > l_pixel,
-        "leakage must fall with compression: raw {l_raw} vs 1-pixel {l_pixel}"
-    );
-    assert!((0.0..=1.0).contains(&l_raw) && (0.0..=1.0).contains(&l_pixel));
+        let leakage_for = |pooling: PoolingDim, init: u64| {
+            let mut model = SplitModel::new(
+                Scheme::ImgOnly,
+                pooling,
+                40,
+                40,
+                4,
+                8,
+                8,
+                8,
+                &mut StdRng::seed_from_u64(init),
+            );
+            let ue = model.ue_mut().unwrap();
+            let feats: Vec<Tensor> = frames.iter().map(|f| ue.infer_pooled_map(f)).collect();
+            privacy_leakage(&raw_refs, &feats.iter().collect::<Vec<_>>())
+        };
+
+        let (raw, pixel): (Vec<f64>, Vec<f64>) = (201..=212)
+            .map(|init| {
+                // Full 40×40 maps against the 1-pixel payload.
+                let pair = (
+                    leakage_for(PoolingDim::RAW, init),
+                    leakage_for(PoolingDim::ONE_PIXEL, init),
+                );
+                assert!(
+                    (0.0..=1.0).contains(&pair.0) && (0.0..=1.0).contains(&pair.1),
+                    "scene {scene_seed}, init {init}: {pair:?}"
+                );
+                pair
+            })
+            .unzip();
+        let (l_raw, l_pixel) = (median(raw), median(pixel));
+        assert!(
+            l_raw > l_pixel,
+            "scene {scene_seed}: median leakage must fall with compression: \
+             raw {l_raw} vs 1-pixel {l_pixel}"
+        );
+    }
 }
 
 /// Fig. 2 mechanism: the pooled maps really are `w_H·w_W`-fold smaller
